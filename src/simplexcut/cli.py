@@ -344,12 +344,21 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors also end with the JSON error object on stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        error = json.dumps({"error": "usage", "message": message})
+        self.exit(2, f"{self.prog}: error: {message}\n{error}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="simplexcut",
         description="Construct, price, search, and verify simplex-lattice cut instances.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument(
         "--threads",
@@ -441,7 +450,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         message = str(exc)
         print(
             json.dumps({"error": _error_code(message), "message": message}),

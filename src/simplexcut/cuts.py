@@ -65,11 +65,10 @@ def cost(p: CutLabeling, w: WeightMap) -> Fraction:
     if p.graph is not w.graph:
         raise ValueError("cut and weights live on different graphs")
     labels = p.labels
-    edges = p.graph.edges
-    return sum(
-        (wt for e, wt in w.weights.items() if labels[edges[e][0]] != labels[edges[e][1]]),
-        Fraction(0),
+    cut = sum(
+        x for (u, v), x in zip(p.graph.edges, w.nums) if x and labels[u] != labels[v]
     )
+    return Fraction(cut, w.den)
 
 
 def is_non_opposite(p: CutLabeling) -> bool:

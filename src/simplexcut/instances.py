@@ -1,53 +1,93 @@
 """Weighted gap instances on simplex lattice graphs.
 
-All weights are exact rationals.  A WeightMap is sparse: edges absent from
-the mapping weigh zero, and explicit zeros are dropped on construction so
-equality is structural.
+All weights are exact rationals, stored as integers over one common
+denominator: a WeightMap holds a denominator den and a tuple nums with one
+integer numerator per edge, so edge e weighs nums[e]/den.  den is the
+least common denominator of the weights (1 when every weight is 0), which
+makes the pair canonical and equality and hashing structural.  Arithmetic
+on weights (combining, pricing cuts, searching) runs on the integers;
+Fractions appear only where weights enter or leave a map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .lattice import SimplexGraph, boundary_edges, build_graph, face_of, red_regions
 
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeightMap:
-    """Nonnegative rational edge weights over a fixed graph."""
+    """Nonnegative rational edge weights over a fixed graph.
+
+    Edge e weighs nums[e]/den, with den > 0 the least common denominator
+    of the weights and len(nums) == len(graph.edges).  Build one from an
+    {edge index: weight} mapping, where absent edges weigh zero, or from
+    integers with from_numerators.
+    """
 
     graph: SimplexGraph
-    weights: dict[int, Fraction]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self):
-        cleaned = {}
-        for e, w in self.weights.items():
+    def __init__(self, graph: SimplexGraph, weights: dict[int, Fraction]):
+        nums = [0] * len(graph.edges)
+        fractions = []
+        for e, w in weights.items():
             w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight on edge {e}")
-            if not 0 <= e < len(self.graph.edges):
+            if not 0 <= e < len(nums):
                 raise ValueError(f"unknown edge index {e}")
-            if w:
-                cleaned[int(e)] = w
-        object.__setattr__(self, "weights", cleaned)
+            fractions.append((int(e), w))
+        den = lcm(1, *(w.denominator for _, w in fractions))
+        for e, w in fractions:
+            nums[e] = w.numerator * (den // w.denominator)
+        self._assign(graph, den, tuple(nums))
+
+    def _assign(self, graph: SimplexGraph, den: int, nums: tuple[int, ...]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def from_numerators(cls, graph: SimplexGraph, den: int, nums) -> "WeightMap":
+        """Edge e weighs nums[e]/den; the fraction is reduced to lowest terms."""
+        nums = tuple(nums)
+        if len(nums) != len(graph.edges):
+            raise ValueError(f"{len(nums)} numerators for {len(graph.edges)} edges")
+        if den < 1 or (nums and min(nums) < 0):
+            raise ValueError("weights must be nonnegative over a positive denominator")
+        common = gcd(den, *nums)
+        if common > 1:
+            den //= common
+            nums = tuple(x // common for x in nums)
+        wm = object.__new__(cls)
+        wm._assign(graph, den, nums)
+        return wm
+
+    @property
+    def weights(self) -> Mapping[int, Fraction]:
+        """Read-only {edge index: weight} view of the nonzero weights."""
+        return _NonzeroWeights(self)
 
     def weight(self, edge: int) -> Fraction:
-        return self.weights.get(edge, Fraction(0))
+        return Fraction(self.nums[edge], self.den)
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        """(edge index, weight) pairs in edge order."""
-        return sorted(self.weights.items())
-
-    def scaled(self, factor: Fraction) -> "WeightMap":
-        factor = Fraction(factor)
-        return WeightMap(self.graph, {e: w * factor for e, w in self.weights.items()})
+        """(edge index, weight) pairs of the nonzero weights, in edge order."""
+        den = self.den
+        return [(e, Fraction(x, den)) for e, x in enumerate(self.nums) if x]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightMap):
@@ -55,11 +95,34 @@ class WeightMap:
         return (
             self.graph.k == other.graph.k
             and self.graph.n == other.graph.n
-            and self.weights == other.weights
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.graph.k, self.graph.n, tuple(sorted(self.weights.items()))))
+        return hash((self.graph.k, self.graph.n, self.den, self.nums))
+
+
+class _NonzeroWeights(Mapping):
+    # a view, so that len() counts nonzero numerators without building a
+    # Fraction for each edge
+    def __init__(self, wm: WeightMap):
+        self._wm = wm
+
+    def __len__(self) -> int:
+        return len(self._wm.nums) - self._wm.nums.count(0)
+
+    def __iter__(self) -> Iterator[int]:
+        return (e for e, x in enumerate(self._wm.nums) if x)
+
+    def __getitem__(self, edge: int) -> Fraction:
+        nums = self._wm.nums
+        if not (isinstance(edge, int) and 0 <= edge < len(nums) and nums[edge]):
+            raise KeyError(edge)
+        return Fraction(nums[edge], self._wm.den)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def total_weight(w: WeightMap) -> Fraction:
@@ -67,18 +130,26 @@ def total_weight(w: WeightMap) -> Fraction:
 
 
 def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
-    """Nonnegative linear combination of weight maps on one graph."""
+    """Nonnegative linear combination of weight maps on one graph.
+
+    Each lam * nums/den is brought to the common denominator of all the
+    terms, so the sum is taken over integers.
+    """
     if not parts:
         raise ValueError("nothing to combine")
     graph = parts[0][1].graph
-    acc: dict[int, Fraction] = {}
+    terms = []
     for lam, wm in parts:
         if wm.graph is not graph:
             raise ValueError("weight maps live on different graphs")
-        lam = Fraction(lam)
-        for e, w in wm.weights.items():
-            acc[e] = acc.get(e, Fraction(0)) + lam * w
-    return WeightMap(graph, acc)
+        terms.append((Fraction(lam), wm))
+    den = lcm(*(lam.denominator * wm.den for lam, wm in terms))
+    acc = [0] * len(graph.edges)
+    for lam, wm in terms:
+        if lam:
+            scale = lam.numerator * (den // (lam.denominator * wm.den))
+            acc = list(map(add, acc, map(mul, wm.nums, repeat(scale))))
+    return WeightMap.from_numerators(graph, den, acc)
 
 
 @dataclass(frozen=True)
@@ -140,8 +211,8 @@ def build_base_triangle(n: int) -> WeightMap:
         raise ValueError("base triangle needs a resolution divisible by 3")
     g = build_graph(3, n)
     m = n // 3
-    rho = Fraction(3, 5 * n)
-    weights: dict[int, Fraction] = {}
+    # numerators over 5n, so rho = 3/(5n) is 3
+    nums = [0] * len(g.edges)
     boundary: dict[int, int] = {}  # edge index -> position d from the lower terminal
     for pair in combinations((1, 2, 3), 2):
         for d, e in enumerate(boundary_edges(g, pair), start=1):
@@ -149,14 +220,14 @@ def build_base_triangle(n: int) -> WeightMap:
     for e, (u, v) in enumerate(g.edges):
         if e in boundary:
             d = boundary[e]
-            weights[e] = rho * max(m - d + 1, d - 2 * m, 1)
+            nums[e] = 3 * max(m - d + 1, d - 2 * m, 1)
             continue
         p, q = g.nodes[u], g.nodes[v]
         fixed = next(i for i in range(3) if p[i] == q[i])
         if p[fixed] >= 2 * m:
             continue  # zero-weight: parallel run inside a corner triangle
-        weights[e] = rho
-    wm = WeightMap(g, weights)
+        nums[e] = 3
+    wm = WeightMap.from_numerators(g, 5 * n, nums)
     assert wm.total() == n
     return wm
 
@@ -174,32 +245,31 @@ def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> W
     if g.k != 4:
         raise ValueError("components are defined on four-terminal graphs")
     n = g.n
+    nums = [0] * len(g.edges)
     if index == 1:
         base = build_base_triangle(n)
         sub, to_parent = face_of(g, (1, 2, 3))
-        weights = {}
-        for e3, w in base.weights.items():
-            a, b = sub.edges[e3]
+        for (a, b), x in zip(sub.edges, base.nums):
             e4 = g.edge_between(to_parent[a], to_parent[b])
             assert e4 is not None
-            weights[e4] = w
-        return WeightMap(g, weights)
+            nums[e4] = x
+        return WeightMap.from_numerators(g, base.den, nums)
     if index == 2:
-        third = Fraction(1, 3)
-        weights = {}
         for pair in combinations((1, 2, 3), 2):
             for e in boundary_edges(g, pair):
-                weights[e] = third
-        return WeightMap(g, weights)
+                nums[e] = 1
+        return WeightMap.from_numerators(g, 3, nums)
     if index == 3:
         if c is None:
             raise ValueError("the cycles component needs a cap depth")
+        c = Fraction(c)
         regions = red_regions(g, c)
-        per_edge = Fraction(1) / (9 * Fraction(c))
-        return WeightMap(g, {e: per_edge for e in regions.all_edges()})
+        # 1/(9c) = c.denominator / (9 c.numerator)
+        for e in regions.all_edges():
+            nums[e] = c.denominator
+        return WeightMap.from_numerators(g, 9 * c.numerator, nums)
     if index == 4:
-        per_edge = Fraction(1, n * n)
-        return WeightMap(g, {e: per_edge for e in range(len(g.edges))})
+        return WeightMap.from_numerators(g, n * n, repeat(1, len(g.edges)))
     raise ValueError(f"no component {index}")
 
 

@@ -4,7 +4,9 @@ Weights always serialize as "p/q" with q > 0 and gcd(p, q) = 1, so both
 formats round-trip exactly.  Node indices follow the colexicographic
 order contract of the lattice module; the DIMACS-like format carries no
 node table and recovers n by inverting the node count for the given k.
-Zero-weight edges are omitted unless explicitly included.
+Zero-weight edges are omitted unless explicitly included.  Each distinct
+weight is rendered or parsed once, however many edges carry it.  A
+malformed document raises ValueError, whatever is wrong with it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
-from math import comb
+from math import lcm
 
 from .cuts import CutLabeling
 from .instances import WeightMap
-from .lattice import build_graph
+from .lattice import build_graph, node_count
 
 INSTANCE_FORMAT = "simplexcut-instance"
 CUT_FORMAT = "simplexcut-cut"
@@ -31,6 +33,8 @@ def render_rational(x: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Accept "p/q", integer, or decimal literals; decimals are exact."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -55,14 +59,16 @@ class ParsedInstance:
     lam: tuple[Fraction, ...] | None = None
 
 
-def _edge_rows(w: WeightMap, include_zero_edges: bool) -> list[tuple[int, int, Fraction]]:
-    g = w.graph
+def _edge_rows(w: WeightMap, include_zero_edges: bool) -> list[tuple[int, int, str]]:
+    """(u, v, rendered weight) for each emitted edge, in edge order."""
+    rendered: dict[int, str] = {}
     rows = []
-    for e, (u, v) in enumerate(g.edges):
-        wt = w.weight(e)
-        if wt == 0 and not include_zero_edges:
-            continue
-        rows.append((u, v, wt))
+    for (u, v), x in zip(w.graph.edges, w.nums):
+        if x or include_zero_edges:
+            text = rendered.get(x)
+            if text is None:
+                text = rendered[x] = render_rational(Fraction(x, w.den))
+            rows.append((u, v, text))
     return rows
 
 
@@ -84,7 +90,7 @@ def emit_instance_json(
         "lambda": [render_rational(x) for x in lam] if lam is not None else None,
         "terminals": list(g.terminals),
         "nodes": [list(p) for p in g.nodes],
-        "edges": [[u, v, render_rational(wt)] for u, v, wt in _edge_rows(w, include_zero_edges)],
+        "edges": [list(row) for row in _edge_rows(w, include_zero_edges)],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -109,14 +115,16 @@ def emit_instance_dimacs(
     for i, t in enumerate(g.terminals, start=1):
         lines.append(f"t {t} {i}")
     for u, v, wt in rows:
-        lines.append(f"e {u} {v} {render_rational(wt)}")
+        lines.append(f"e {u} {v} {wt}")
     return "\n".join(lines) + "\n"
 
 
 def _invert_node_count(k: int, count: int) -> int:
+    if k < 2:
+        raise ValueError(f"need at least two terminals, got k={k}")
     n = 0
     while True:
-        size = comb(n + k - 1, k - 1)
+        size = node_count(k, n)
         if size == count:
             return n
         if size > count:
@@ -124,45 +132,81 @@ def _invert_node_count(k: int, count: int) -> int:
         n += 1
 
 
-def _weights_from_pairs(
-    g, pairs: list[tuple[int, int, Fraction]]
-) -> WeightMap:
-    weights: dict[int, Fraction] = {}
-    for u, v, wt in pairs:
+def _graph_with(k: int, n: int, count: int):
+    """The lattice graph for (k, n), once it is known to have count nodes.
+
+    A document lists every node (or labels every node), so comparing counts
+    first keeps a corrupted k or n from building a huge graph.
+    """
+    if k < 2 or n < 1 or n >= count or k > count or node_count(k, n) != count:
+        raise ValueError(f"k={k}, n={n} does not match the {count} nodes listed")
+    return build_graph(k, n)
+
+
+def _weights_from_rows(g, rows: list[tuple[int, int, str]]) -> WeightMap:
+    """Integer weights from (u, v, "p/q") rows over a common denominator."""
+    values: dict[str, Fraction] = {}
+    for _, _, text in rows:
+        if text not in values:
+            values[text] = parse_rational(text)
+    if any(x < 0 for x in values.values()):
+        raise ValueError("negative edge weight")
+    den = lcm(1, *(x.denominator for x in values.values()))
+    scaled = {text: x.numerator * (den // x.denominator) for text, x in values.items()}
+    nums = [0] * len(g.edges)
+    seen = bytearray(len(g.edges))
+    for u, v, text in rows:
         if not (0 <= u < len(g.nodes) and 0 <= v < len(g.nodes)):
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         e = g.edge_between(u, v)
         if e is None:
             raise ValueError(f"nodes {u} and {v} are not lattice neighbors")
-        if e in weights:
+        if seen[e]:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        weights[e] = wt
-    return WeightMap(g, weights)
+        seen[e] = 1
+        nums[e] = scaled[text]
+    return WeightMap.from_numerators(g, den, nums)
+
+
+def _document(text: str, fmt: str, noun: str) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"not {noun} document")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported format version: {doc.get('version')!r}")
+    return doc
+
+
+def _field(doc: dict, key: str, kind: type):
+    # json.loads yields exact builtin types, and type(True) is bool, not int
+    if type(doc.get(key)) is not kind:
+        raise ValueError(f"field {key!r} must be present and of type {kind.__name__}")
+    return doc[key]
 
 
 def parse_instance_json(text: str) -> ParsedInstance:
-    doc = json.loads(text)
-    if doc.get("format") != INSTANCE_FORMAT:
-        raise ValueError("not an instance document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version: {doc.get('version')!r}")
-    k, n = doc["k"], doc["n"]
-    g = build_graph(k, n)
-    nodes = [tuple(p) for p in doc["nodes"]]
-    if nodes != list(g.nodes):
+    doc = _document(text, INSTANCE_FORMAT, "an instance")
+    k, n = _field(doc, "k", int), _field(doc, "n", int)
+    nodes = _field(doc, "nodes", list)
+    g = _graph_with(k, n, len(nodes))
+    if nodes != [list(p) for p in g.nodes]:
         raise ValueError("node table violates the colexicographic order contract")
-    if list(doc["terminals"]) != list(g.terminals):
+    if _field(doc, "terminals", list) != list(g.terminals):
         raise ValueError("terminal list does not match the lattice")
-    pairs = [(u, v, parse_rational(s)) for u, v, s in doc["edges"]]
-    for _, _, wt in pairs:
-        if wt < 0:
-            raise ValueError("negative edge weight")
-    w = _weights_from_pairs(g, pairs)
-    lam = doc.get("lambda")
+    rows = _field(doc, "edges", list)
+    for row in rows:
+        if type(row) is not list or [type(x) for x in row] != [int, int, str]:
+            raise ValueError(f"malformed edge row: {row!r}")
+    w = _weights_from_rows(g, rows)
+    tag, c, lam = doc.get("tag"), doc.get("c"), doc.get("lambda")
+    if tag is not None and not isinstance(tag, str):
+        raise ValueError("field 'tag' must be a string")
+    if lam is not None and not isinstance(lam, list):
+        raise ValueError("field 'lambda' must be a list")
     return ParsedInstance(
         weights=w,
-        tag=doc.get("tag"),
-        c=parse_rational(doc["c"]) if doc.get("c") is not None else None,
+        tag=tag,
+        c=parse_rational(c) if c is not None else None,
         lam=tuple(parse_rational(s) for s in lam) if lam is not None else None,
     )
 
@@ -173,7 +217,7 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     lam: tuple[Fraction, ...] | None = None
     header = None
     terminal_rows: list[tuple[int, int]] = []
-    edge_rows: list[tuple[int, int, Fraction]] = []
+    edge_rows: list[tuple[int, int, str]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -200,13 +244,13 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
         elif kind == "e":
             if len(fields) != 3:
                 raise ValueError(f"malformed edge line: {line!r}")
-            edge_rows.append((int(fields[0]), int(fields[1]), parse_rational(fields[2])))
+            edge_rows.append((int(fields[0]), int(fields[1]), fields[2]))
         else:
             raise ValueError(f"unknown line kind: {kind!r}")
     if header is None:
         raise ValueError("missing problem line")
-    node_count, edge_count, k = header
-    n = _invert_node_count(k, node_count)
+    declared_nodes, edge_count, k = header
+    n = _invert_node_count(k, declared_nodes)
     g = build_graph(k, n)
     if len(edge_rows) != edge_count:
         raise ValueError(
@@ -215,10 +259,7 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     expected_terminals = [(t, i) for i, t in enumerate(g.terminals, start=1)]
     if sorted(terminal_rows) != sorted(expected_terminals):
         raise ValueError("terminal lines do not match the lattice")
-    for _, _, wt in edge_rows:
-        if wt < 0:
-            raise ValueError("negative edge weight")
-    w = _weights_from_pairs(g, edge_rows)
+    w = _weights_from_rows(g, edge_rows)
     return ParsedInstance(weights=w, tag=tag, c=c_value, lam=lam)
 
 
@@ -242,10 +283,9 @@ def emit_cut(p: CutLabeling) -> str:
 
 
 def parse_cut(text: str) -> CutLabeling:
-    doc = json.loads(text)
-    if doc.get("format") != CUT_FORMAT:
-        raise ValueError("not a cut document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version: {doc.get('version')!r}")
-    g = build_graph(doc["k"], doc["n"])
-    return CutLabeling(g, tuple(doc["labels"]))
+    doc = _document(text, CUT_FORMAT, "a cut")
+    k, n = _field(doc, "k", int), _field(doc, "n", int)
+    labels = _field(doc, "labels", list)
+    if any(type(l) is not int for l in labels):
+        raise ValueError("labels must be integers")
+    return CutLabeling(_graph_with(k, n, len(labels)), tuple(labels))

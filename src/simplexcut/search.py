@@ -3,8 +3,9 @@
 Both search modes certify global minima over the non-opposite cut class:
 exhaustive scans the full mixed-radix labeling space, branch and bound
 assigns nodes in decreasing incident-weight order and prunes with the
-weight of the already-bichromatic edges.  All arithmetic is integer after
-clearing denominators, so reported costs are exact rationals.
+weight of the already-bichromatic edges.  Both, and the max-flow, work on
+the integer numerators of the weight map over its common denominator, so
+reported costs are exact rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .bounds import nonopposite_cost_floor
 from .cuts import CutLabeling, cost, isolate_terminals, midlines, midlines_extended
@@ -110,7 +110,7 @@ def _seed_cuts(g: SimplexGraph) -> list[CutLabeling]:
 def _exhaustive_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
     g = w.graph
     choices = _label_choices(g)
-    weighted = [(g.edges[e][0], g.edges[e][1], wt) for e, wt in sorted(w.weights.items())]
+    weighted = [(u, v, x) for (u, v), x in zip(g.edges, w.nums) if x]
     best_cost = None
     best_labels = None
     explored = 0
@@ -120,16 +120,16 @@ def _exhaustive_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
             complete = False
             break
         explored += 1
-        c = Fraction(0)
-        for u, v, wt in weighted:
+        c = 0
+        for u, v, x in weighted:
             if labels[u] != labels[v]:
-                c += wt
+                c += x
         if best_cost is None or c < best_cost:
             best_cost = c
             best_labels = labels
     assert best_labels is not None
     return SearchResult(
-        min_cost=best_cost,
+        min_cost=Fraction(best_cost, w.den),
         argmin=CutLabeling(g, best_labels),
         explored=explored,
         proven_optimal=complete,
@@ -139,11 +139,10 @@ def _exhaustive_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
 def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
     g = w.graph
     nnodes = len(g.nodes)
-    scale = lcm(*[wt.denominator for wt in w.weights.values()], 1)
-    weight_of = {e: int(wt * scale) for e, wt in w.weights.items()}
+    weighted = [(e, x) for e, x in enumerate(w.nums) if x]
 
     incident = [0] * nnodes
-    for e, wt in weight_of.items():
+    for e, wt in weighted:
         u, v = g.edges[e]
         incident[u] += wt
         incident[v] += wt
@@ -154,14 +153,14 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
     rank_choices = [choices[node] for node in order]
     # for each rank, weighted edges back to already-assigned nodes
     back: list[list[tuple[int, int]]] = [[] for _ in range(nnodes)]
-    for e, wt in weight_of.items():
+    for e, wt in weighted:
         u, v = g.edges[e]
         lo, hi = (u, v) if rank[u] < rank[v] else (v, u)
         back[rank[hi]].append((lo, wt))
 
     label_of = [0] * nnodes  # indexed by node id
     best_cut = min(_seed_cuts(g), key=lambda p: cost(p, w))
-    incumbent = int(cost(best_cut, w) * scale)
+    incumbent = int(cost(best_cut, w) * w.den)
     best_labels = best_cut.labels
 
     choice_idx = [0] * nnodes
@@ -196,7 +195,7 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
         partial[r + 1] = c
         r += 1
     return SearchResult(
-        min_cost=Fraction(incumbent, scale),
+        min_cost=Fraction(incumbent, w.den),
         argmin=CutLabeling(g, best_labels),
         explored=explored,
         proven_optimal=complete,
@@ -221,7 +220,7 @@ def min_non_opposite_cost(w: WeightMap, budget: SearchBudget | None = None) -> S
 def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
     """Exact min-cut weight separating one terminal from its opposite side.
 
-    Runs shortest-augmenting-path max-flow with integer-scaled capacities;
+    Runs shortest-augmenting-path max-flow on the integer numerators;
     the opposite boundary line drains into a super-sink through capacity
     larger than the total weight.
     """
@@ -238,17 +237,14 @@ def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
         if set(support(p)) <= others
     ]
 
-    scale = lcm(*[wt.denominator for wt in w.weights.values()], 1)
-    total = sum(int(wt * scale) for wt in w.weights.values())
-    inf = total + 1
+    inf = sum(w.nums) + 1
     nnodes = len(g.nodes)
     sink = nnodes
     capacity: list[dict[int, int]] = [dict() for _ in range(nnodes + 1)]
-    for e, wt in w.weights.items():
-        u, v = g.edges[e]
-        s = int(wt * scale)
-        capacity[u][v] = capacity[u].get(v, 0) + s
-        capacity[v][u] = capacity[v].get(u, 0) + s
+    for (u, v), x in zip(g.edges, w.nums):
+        if x:
+            capacity[u][v] = capacity[u].get(v, 0) + x
+            capacity[v][u] = capacity[v].get(u, 0) + x
     for node in sink_side:
         capacity[node][sink] = inf
 
@@ -277,7 +273,7 @@ def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
             capacity[v][u] = capacity[v].get(u, 0) + bottleneck
             v = u
         flow += bottleneck
-    return Fraction(flow, scale)
+    return Fraction(flow, w.den)
 
 
 def verify_floor(params: GapParams, result: SearchResult) -> bool:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import simplexcut
-from simplexcut import build_graph, emit_cut, midlines, parse_instance
+from simplexcut import build_graph, cli, emit_cut, midlines, parse_instance
 
 COMMAND = [sys.executable, "-m", "simplexcut"]
 PACKAGE_ROOT = str(Path(simplexcut.__file__).parents[1])
@@ -313,3 +313,21 @@ def test_usage_error_exit_code():
         env=CHILD_ENV,
     )
     assert proc.returncode == 2
+    err = stderr_error(proc)
+    assert err["error"] == "usage"
+    assert "no-such-command" in err["message"]
+
+
+def test_help_exits_zero():
+    proc = run("--help")
+    assert "usage:" in proc.stdout
+
+
+def test_internal_key_error_is_not_a_user_error(monkeypatch):
+    # only malformed input exits 2; a KeyError from inside is a bug and surfaces
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_limits", broken)
+    with pytest.raises(KeyError):
+        cli.main(["limits"])

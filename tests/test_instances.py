@@ -1,6 +1,7 @@
 """Instance weights: the base triangle, the four components, mixing."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from simplexcut import (
     COMPONENT_NAMES,
+    CutLabeling,
     GapParams,
     WeightMap,
     boundary_edges,
@@ -17,6 +19,10 @@ from simplexcut import (
     build_graph,
     combine,
     combine_maps,
+    cost,
+    emit_instance_dimacs,
+    emit_instance_json,
+    parse_instance,
     red_regions,
     total_weight,
 )
@@ -221,3 +227,72 @@ def test_weight_map_default_zero():
     assert w.weight(0) == Fraction(1, 2)
     assert w.weight(1) == 0
     assert total_weight(w) == Fraction(1, 2)
+
+
+def test_weight_map_rejects_bad_input():
+    g = build_graph(3, 2)
+    with pytest.raises(ValueError, match="negative"):
+        WeightMap(g, {0: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="unknown edge"):
+        WeightMap(g, {len(g.edges): Fraction(1)})
+    with pytest.raises(ValueError):
+        WeightMap.from_numerators(g, 1, [0] * (len(g.edges) - 1))
+    with pytest.raises(ValueError):
+        WeightMap.from_numerators(g, 0, [0] * len(g.edges))
+
+
+_rationals = st.fractions(min_value=0, max_value=4, max_denominator=12)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_weight_map_matches_fraction_reference(data):
+    """Every accessor and combine_maps agree with plain Fraction dicts."""
+    k = data.draw(st.sampled_from((3, 4)))
+    g = build_graph(k, data.draw(st.integers(1, 6)))
+    edge = st.integers(0, len(g.edges) - 1)
+    refs = data.draw(
+        st.lists(st.dictionaries(edge, _rationals, max_size=10), min_size=1, max_size=4)
+    )
+    lams = data.draw(st.lists(_rationals, min_size=len(refs), max_size=len(refs)))
+    maps = [WeightMap(g, ref) for ref in refs]
+
+    for wm, ref in zip(maps, refs):
+        nonzero = {e: x for e, x in ref.items() if x}
+        assert wm.den == lcm(1, *(x.denominator for x in nonzero.values()))
+        assert wm.items() == sorted(nonzero.items())
+        assert wm.weights == nonzero
+        assert wm.total() == sum(nonzero.values(), Fraction(0))
+        assert [wm.weight(e) for e in range(len(g.edges))] == [
+            nonzero.get(e, Fraction(0)) for e in range(len(g.edges))
+        ]
+
+    expected: dict[int, Fraction] = {}
+    for lam, ref in zip(lams, refs):
+        for e, x in ref.items():
+            expected[e] = expected.get(e, Fraction(0)) + lam * x
+    expected = {e: x for e, x in expected.items() if x}
+    mixed = combine_maps(list(zip(lams, maps)))
+    assert mixed.items() == sorted(expected.items())
+    assert mixed.total() == sum(expected.values(), Fraction(0))
+
+    labels = data.draw(
+        st.lists(st.integers(1, k + 1), min_size=len(g.nodes), max_size=len(g.nodes))
+    )
+    for i, t in enumerate(g.terminals, start=1):
+        labels[t] = i
+    p = CutLabeling(g, tuple(labels))
+    assert cost(p, mixed) == sum(
+        (x for e, x in expected.items() if labels[g.edges[e][0]] != labels[g.edges[e][1]]),
+        Fraction(0),
+    )
+
+    routes = [
+        WeightMap(g, expected),
+        combine_maps([(Fraction(1), WeightMap(g, expected))]),
+        parse_instance(emit_instance_json(mixed)).weights,
+        parse_instance(emit_instance_dimacs(mixed, include_zero_edges=True)).weights,
+    ]
+    for other in routes:
+        assert other == mixed
+        assert hash(other) == hash(mixed)

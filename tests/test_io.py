@@ -1,5 +1,6 @@
 """Serialization: exact rationals, JSON and DIMACS-style instance files."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,150 @@ def test_cut_round_trip():
 def test_cut_rejects_wrong_format():
     with pytest.raises(ValueError):
         parse_cut('{"format": "other", "version": 1}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"format": "simplexcut-cut", "version": 1, "k": 3, "labels": [1, 2, 3]}',
+        '{"format": "simplexcut-cut", "version": 1, "k": 3, "n": "x", "labels": []}',
+        '{"format": "simplexcut-cut", "version": 1, "k": 3, "n": 1, "labels": [1, 2, [3]]}',
+        '{"format": "simplexcut-cut", "version": 1, "k": 99, "n": 99, "labels": [1, 2, 3]}',
+    ],
+)
+def test_cut_parser_rejects_bad_shapes(text):
+    with pytest.raises(ValueError):
+        parse_cut(text)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("edges", 5),
+        ("edges", [7]),
+        ("edges", [[0, 1]]),
+        ("edges", [[0, 1, 5]]),
+        ("edges", [["0", 1, "1/2"]]),
+        ("nodes", 5),
+        ("nodes", [[3, 0, 0], 7]),
+        ("terminals", 0),
+        ("k", None),
+        ("n", 10**6),
+        ("lambda", "1/2"),
+        ("lambda", [1]),
+        ("c", 0.25),
+        ("tag", 3),
+    ],
+)
+def test_instance_parser_rejects_bad_shapes(field, value):
+    doc = json.loads(emit_instance_json(build_base_triangle(3), tag="triangle"))
+    doc[field] = value
+    with pytest.raises(ValueError):
+        parse_instance(json.dumps(doc))
+    del doc[field]
+    if field not in ("lambda", "c", "tag"):  # optional fields
+        with pytest.raises(ValueError):
+            parse_instance(json.dumps(doc))
+
+
+def test_dimacs_rejects_single_terminal_header():
+    # k=1 lattices have one node at every resolution; inverting the node
+    # count must fail instead of searching forever
+    with pytest.raises(ValueError):
+        parse_instance("p mwc 2 0 1\n")
+
+
+# Fuzzing: mutated valid documents may be rejected, but only with ValueError.
+
+_FUZZ_INSTANCES = (
+    build_base_triangle(3),
+    combine(GapParams.tuned(c=Fraction(1, 3)), build_graph(4, 3)),
+)
+_FUZZ_TEXTS = [emit_instance_json(w, tag="t", c=Fraction(1, 3)) for w in _FUZZ_INSTANCES]
+_FUZZ_TEXTS += [
+    emit_instance_dimacs(w, tag="t", lam=GapParams.tuned().lams()) for w in _FUZZ_INSTANCES
+]
+_FUZZ_CUTS = [emit_cut(midlines(build_graph(3, 3))), emit_cut(isolate_terminals(build_graph(4, 2)))]
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 100)
+    | st.floats(allow_nan=True)
+    | st.text(alphabet="0123456789-/.e xa", max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _text_mutation(draw, texts):
+    """Delete, insert or replace a short run of characters."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 4, len(text))))
+        insert = draw(st.text(alphabet='0123456789-/.e ,:{}[]"\nptcx', max_size=4))
+        text = text[:i] + insert + text[j:]
+    return text
+
+
+@st.composite
+def _json_mutation(draw, texts):
+    """Replace or delete one value somewhere in a parsed JSON document."""
+    doc = json.loads(draw(st.sampled_from([t for t in texts if t.startswith("{")])))
+    key = draw(st.sampled_from(sorted(doc)))
+    holder, slot = doc, key
+    while isinstance(holder[slot], list) and holder[slot] and draw(st.booleans()):
+        holder, slot = holder[slot], draw(st.integers(0, len(holder[slot]) - 1))
+    if draw(st.booleans()):
+        holder[slot] = draw(_json_values)
+    elif isinstance(holder, dict):
+        del holder[slot]
+    else:
+        holder.pop(slot)
+    return json.dumps(doc)
+
+
+@st.composite
+def _line_mutation(draw, texts):
+    """Drop, duplicate or rewrite one token of one line of a DIMACS document."""
+    lines = draw(st.sampled_from([t for t in texts if not t.startswith("{")])).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(("drop", "duplicate", "token")))
+    if action == "drop":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(
+            st.sampled_from(("", "-1", "0", "2", "99", "1/0", "x", "1/2", "e", "p", "-1/3"))
+        )
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _rejects_only_with_value_error(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+@given(
+    st.one_of(
+        _text_mutation(_FUZZ_TEXTS), _json_mutation(_FUZZ_TEXTS), _line_mutation(_FUZZ_TEXTS)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_instance_fuzz_raises_only_value_error(text):
+    _rejects_only_with_value_error(parse_instance, text)
+
+
+@given(st.one_of(_text_mutation(_FUZZ_CUTS), _json_mutation(_FUZZ_CUTS)))
+@settings(max_examples=200, deadline=None)
+def test_parse_cut_fuzz_raises_only_value_error(text):
+    _rejects_only_with_value_error(parse_cut, text)

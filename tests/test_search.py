@@ -1,13 +1,17 @@
 """Exact minimum non-opposite cuts: enumeration, pruning, flows."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcut import (
     BudgetExceededError,
     GapParams,
     SearchBudget,
+    WeightMap,
     build_base_triangle,
     build_component,
     build_graph,
@@ -19,6 +23,7 @@ from simplexcut import (
     min_non_opposite_cost,
     min_terminal_face_cut,
     nonopposite_cost_floor,
+    support,
     verify_floor,
 )
 
@@ -140,3 +145,38 @@ def test_terminal_flow_rejects_bad_terminal():
         min_terminal_face_cut(w, 4)
     with pytest.raises(ValueError):
         min_terminal_face_cut(w, 0)
+
+
+def _brute_force_terminal_cut(g, weights: dict[int, Fraction], terminal: int) -> Fraction:
+    """Least weight of delta(S) over every node set S that holds the
+    terminal and no node of the opposite boundary line."""
+    others = {1, 2, 3} - {terminal}
+    source = g.terminals[terminal - 1]
+    sink_side = [node for node, p in enumerate(g.nodes) if set(support(p)) <= others]
+    free = [node for node in range(len(g.nodes)) if node != source and node not in sink_side]
+    # bit i of a side mask is free[i]; then the source (always in), then the sink side
+    bit = {node: i for i, node in enumerate(free + [source] + sink_side)}
+    scale = lcm(1, *(x.denominator for x in weights.values()))
+    edges = [(bit[g.edges[e][0]], bit[g.edges[e][1]], int(x * scale)) for e, x in weights.items()]
+    best = min(
+        sum(x for a, b, x in edges if (mask >> a ^ mask >> b) & 1)
+        for mask in (free_bits | 1 << len(free) for free_bits in range(1 << len(free)))
+    )
+    return Fraction(best, scale)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_terminal_flow_matches_brute_force(data):
+    g = build_graph(3, data.draw(st.integers(1, 5)))
+    values = data.draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=3, max_denominator=10),
+            min_size=len(g.edges),
+            max_size=len(g.edges),
+        )
+    )
+    weights = dict(enumerate(values))
+    terminal = data.draw(st.sampled_from((1, 2, 3)))
+    w = WeightMap(g, weights)
+    assert min_terminal_face_cut(w, terminal) == _brute_force_terminal_cut(g, weights, terminal)
