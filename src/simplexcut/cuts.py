@@ -143,7 +143,7 @@ def canonicalize(p: CutLabeling) -> CutLabeling:
         queue = deque([t])
         while queue:
             u = queue.popleft()
-            for v, _e in g.adj[u]:
+            for v in g.adj[u]:
                 if labels[v] == labels[u] and relabel[v] == g.k + 1:
                     relabel[v] = i
                     queue.append(v)

@@ -89,6 +89,9 @@ class WeightMap:
         den = self.den
         return [(e, Fraction(x, den)) for e, x in enumerate(self.nums) if x]
 
+    def __repr__(self) -> str:
+        return f"WeightMap(graph={self.graph!r}, den={self.den}, nonzero={len(self.weights)})"
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightMap):
             return NotImplemented

@@ -12,6 +12,7 @@ malformed document raises ValueError, whatever is wrong with it.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
@@ -19,7 +20,7 @@ from math import lcm
 
 from .cuts import CutLabeling
 from .instances import WeightMap
-from .lattice import build_graph, node_count
+from .lattice import SimplexGraph, build_graph, node_count, terminal_nodes
 
 INSTANCE_FORMAT = "simplexcut-instance"
 CUT_FORMAT = "simplexcut-cut"
@@ -59,17 +60,15 @@ class ParsedInstance:
     lam: tuple[Fraction, ...] | None = None
 
 
-def _edge_rows(w: WeightMap, include_zero_edges: bool) -> list[tuple[int, int, str]]:
+def _edge_rows(w: WeightMap, include_zero_edges: bool) -> Iterator[tuple[int, int, str]]:
     """(u, v, rendered weight) for each emitted edge, in edge order."""
     rendered: dict[int, str] = {}
-    rows = []
     for (u, v), x in zip(w.graph.edges, w.nums):
         if x or include_zero_edges:
             text = rendered.get(x)
             if text is None:
                 text = rendered[x] = render_rational(Fraction(x, w.den))
-            rows.append((u, v, text))
-    return rows
+            yield u, v, text
 
 
 def emit_instance_json(
@@ -103,7 +102,7 @@ def emit_instance_dimacs(
     include_zero_edges: bool = False,
 ) -> str:
     g = w.graph
-    rows = _edge_rows(w, include_zero_edges)
+    row_count = len(w.nums) if include_zero_edges else len(w.weights)
     lines = [f"c {INSTANCE_FORMAT} version {FORMAT_VERSION}"]
     if tag is not None:
         lines.append(f"c tag {tag}")
@@ -111,25 +110,30 @@ def emit_instance_dimacs(
         lines.append(f"c c {render_rational(c)}")
     if lam is not None:
         lines.append("c lambda " + " ".join(render_rational(x) for x in lam))
-    lines.append(f"p mwc {len(g.nodes)} {len(rows)} {g.k}")
+    lines.append(f"p mwc {len(g.nodes)} {row_count} {g.k}")
     for i, t in enumerate(g.terminals, start=1):
         lines.append(f"t {t} {i}")
-    for u, v, wt in rows:
-        lines.append(f"e {u} {v} {wt}")
+    lines += [f"e {u} {v} {wt}" for u, v, wt in _edge_rows(w, include_zero_edges)]
     return "\n".join(lines) + "\n"
 
 
 def _invert_node_count(k: int, count: int) -> int:
+    """The resolution n >= 1 whose k-coordinate lattice has count nodes,
+    found by bisection over the increasing node_count(k, n)."""
     if k < 2:
         raise ValueError(f"need at least two terminals, got k={k}")
-    n = 0
-    while True:
-        size = node_count(k, n)
-        if size == count:
-            return n
-        if size > count:
-            raise ValueError(f"no lattice with k={k} has {count} nodes")
-        n += 1
+    # node_count(k, n) >= n + 1, and >= 2**min(n, k - 1); the second bound
+    # keeps n, and so every binomial tried, small when k is large
+    lo, hi = 1, count if k <= count.bit_length() else count.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if node_count(k, mid) < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    if k > count or node_count(k, lo) != count:
+        raise ValueError(f"no lattice with k={k} has {count} nodes")
+    return lo
 
 
 def _graph_with(k: int, n: int, count: int):
@@ -143,29 +147,57 @@ def _graph_with(k: int, n: int, count: int):
     return build_graph(k, n)
 
 
-def _weights_from_rows(g, rows: list[tuple[int, int, str]]) -> WeightMap:
-    """Integer weights from (u, v, "p/q") rows over a common denominator."""
-    values: dict[str, Fraction] = {}
-    for _, _, text in rows:
-        if text not in values:
-            values[text] = parse_rational(text)
-    if any(x < 0 for x in values.values()):
-        raise ValueError("negative edge weight")
-    den = lcm(1, *(x.denominator for x in values.values()))
-    scaled = {text: x.numerator * (den // x.denominator) for text, x in values.items()}
-    nums = [0] * len(g.edges)
-    seen = bytearray(len(g.edges))
-    for u, v, text in rows:
-        if not (0 <= u < len(g.nodes) and 0 <= v < len(g.nodes)):
-            raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-        e = g.edge_between(u, v)
+def _graph_at_corners(k: int, n: int, terminal_rows: list[tuple[int, int]]) -> SimplexGraph:
+    """The lattice graph for (k, n), once the (node, terminal) rows are known
+    to name its corners.
+
+    The corners' node indices follow from k and n alone, so a problem line
+    without matching terminal lines builds no graph.
+    """
+    expected = [(t, i) for i, t in enumerate(terminal_nodes(k, n), start=1)]
+    if sorted(terminal_rows) != expected:
+        raise ValueError("terminal lines do not match the lattice")
+    return build_graph(k, n)
+
+
+class _WeightSlots:
+    """Edge weights read one (u, v, "p/q") row at a time.
+
+    Each row goes straight into its edge's slot.  A slot holds a code for
+    the row's weight text (0 for an edge no row names); each distinct text
+    is parsed once, and the weights are put over their common denominator
+    when the map is made.
+    """
+
+    def __init__(self, g: SimplexGraph):
+        self.graph = g
+        self.edge_between = g.edge_between  # bound once: add runs per edge
+        self.codes: dict[str, int] = {}
+        self.values: list[Fraction] = []
+        self.slots = [0] * len(g.edges)
+
+    def add(self, u: int, v: int, text: str) -> None:
+        e = self.edge_between(u, v)
         if e is None:
+            g = self.graph
+            if not (0 <= u < len(g.nodes) and 0 <= v < len(g.nodes)):
+                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
             raise ValueError(f"nodes {u} and {v} are not lattice neighbors")
-        if seen[e]:
+        if self.slots[e]:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        seen[e] = 1
-        nums[e] = scaled[text]
-    return WeightMap.from_numerators(g, den, nums)
+        code = self.codes.get(text)
+        if code is None:
+            x = parse_rational(text)
+            if x < 0:
+                raise ValueError("negative edge weight")
+            self.values.append(x)
+            code = self.codes[text] = len(self.values)
+        self.slots[e] = code
+
+    def weight_map(self) -> WeightMap:
+        den = lcm(1, *(x.denominator for x in self.values))
+        scaled = [0] + [x.numerator * (den // x.denominator) for x in self.values]
+        return WeightMap.from_numerators(self.graph, den, map(scaled.__getitem__, self.slots))
 
 
 def _document(text: str, fmt: str, noun: str) -> dict:
@@ -193,11 +225,12 @@ def parse_instance_json(text: str) -> ParsedInstance:
         raise ValueError("node table violates the colexicographic order contract")
     if _field(doc, "terminals", list) != list(g.terminals):
         raise ValueError("terminal list does not match the lattice")
-    rows = _field(doc, "edges", list)
-    for row in rows:
+    slots = _WeightSlots(g)
+    for row in _field(doc, "edges", list):
         if type(row) is not list or [type(x) for x in row] != [int, int, str]:
             raise ValueError(f"malformed edge row: {row!r}")
-    w = _weights_from_rows(g, rows)
+        slots.add(*row)
+    w = slots.weight_map()
     tag, c, lam = doc.get("tag"), doc.get("c"), doc.get("lambda")
     if tag is not None and not isinstance(tag, str):
         raise ValueError("field 'tag' must be a string")
@@ -212,18 +245,36 @@ def parse_instance_json(text: str) -> ParsedInstance:
 
 
 def parse_instance_dimacs(text: str) -> ParsedInstance:
+    """Parse the DIMACS-like format; its lines may come in any order.
+
+    The lattice graph is built once the problem line and all k terminal
+    lines are read.  From then on each edge line goes straight into its
+    edge's slot; edge lines read before that wait in a list.
+    """
     tag = None
     c_value: Fraction | None = None
     lam: tuple[Fraction, ...] | None = None
-    header = None
+    header: tuple[int, int, int] | None = None  # declared edge count, k, n
     terminal_rows: list[tuple[int, int]] = []
-    edge_rows: list[tuple[int, int, str]] = []
+    slots: _WeightSlots | None = None
+    pending: list[tuple[int, int, str]] = []
+    edge_lines = 0
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         kind, _, rest = line.partition(" ")
         fields = rest.split()
+        if kind == "e":
+            if len(fields) != 3:
+                raise ValueError(f"malformed edge line: {line!r}")
+            u, v, wt = fields
+            edge_lines += 1
+            if slots is None:
+                pending.append((int(u), int(v), wt))
+            else:
+                slots.add(int(u), int(v), wt)
+            continue
         if kind == "c":
             if fields[:1] == ["tag"] and len(fields) == 2:
                 tag = fields[1]
@@ -231,36 +282,36 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
                 c_value = parse_rational(fields[1])
             elif fields[:1] == ["lambda"]:
                 lam = tuple(parse_rational(f) for f in fields[1:])
-        elif kind == "p":
+            continue
+        if kind == "p":
             if header is not None:
                 raise ValueError("multiple problem lines")
             if len(fields) != 4 or fields[0] != "mwc":
                 raise ValueError(f"malformed problem line: {line!r}")
-            header = tuple(int(f) for f in fields[1:])
+            declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+            header = (declared_edges, k, _invert_node_count(k, declared_nodes))
         elif kind == "t":
             if len(fields) != 2:
                 raise ValueError(f"malformed terminal line: {line!r}")
             terminal_rows.append((int(fields[0]), int(fields[1])))
-        elif kind == "e":
-            if len(fields) != 3:
-                raise ValueError(f"malformed edge line: {line!r}")
-            edge_rows.append((int(fields[0]), int(fields[1]), fields[2]))
         else:
             raise ValueError(f"unknown line kind: {kind!r}")
+        if slots is None and header is not None and len(terminal_rows) == header[1]:
+            slots = _WeightSlots(_graph_at_corners(header[1], header[2], terminal_rows))
+            for row in pending:
+                slots.add(*row)
+            pending = []
     if header is None:
         raise ValueError("missing problem line")
-    declared_nodes, edge_count, k = header
-    n = _invert_node_count(k, declared_nodes)
-    g = build_graph(k, n)
-    if len(edge_rows) != edge_count:
-        raise ValueError(
-            f"problem line announces {edge_count} edges, found {len(edge_rows)}"
-        )
-    expected_terminals = [(t, i) for i, t in enumerate(g.terminals, start=1)]
-    if sorted(terminal_rows) != sorted(expected_terminals):
+    declared_edges, k, _ = header
+    # slots exist once k terminal lines matched; any further one is extra
+    if slots is None or len(terminal_rows) != k:
         raise ValueError("terminal lines do not match the lattice")
-    w = _weights_from_rows(g, edge_rows)
-    return ParsedInstance(weights=w, tag=tag, c=c_value, lam=lam)
+    if edge_lines != declared_edges:
+        raise ValueError(
+            f"problem line announces {declared_edges} edges, found {edge_lines}"
+        )
+    return ParsedInstance(weights=slots.weight_map(), tag=tag, c=c_value, lam=lam)
 
 
 def parse_instance(text: str) -> ParsedInstance:

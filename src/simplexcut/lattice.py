@@ -9,15 +9,24 @@ construction in the package lives on.
 Node order is a public contract: points are sorted colexicographically by
 their integer coordinate tuple, and every index that appears in serialized
 instances or labelings refers to that order.
+
+A node's index is its colex rank, which the combinatorial number system
+gives in closed form (Knuth, TAOCP Vol. 4A, section 7.2.1.3).  The graph is
+built from rank differences: with prefix sums S_m = p_1 + ... + p_m, moving
+one unit of mass from coordinate i to a later coordinate j raises the rank
+by pot_j - pot_i, where pot_j = sum over m < j of C(S_m + m - 2, m - 1)
+(the m = 1 term is 1).  No neighbour is looked up by its coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import getitem
 from typing import Iterator
 
 Point = tuple[int, ...]
@@ -42,7 +51,9 @@ def simplex_points(k: int, n: int) -> list[Point]:
         raise ValueError("need at least two coordinates")
     if n < 1:
         raise ValueError("resolution must be positive")
-    return sorted(_compositions(k, n), key=lambda p: p[::-1])
+    # compositions come out lexicographically, so reversing each one
+    # yields the points in colex order
+    return [c[::-1] for c in _compositions(k, n)]
 
 
 def support(point: Point) -> tuple[int, ...]:
@@ -58,6 +69,12 @@ def edge_count(k: int, n: int) -> int:
     return math.comb(k, 2) * math.comb(n + k - 2, k - 1)
 
 
+def terminal_nodes(k: int, n: int) -> tuple[int, ...]:
+    """Node indices of the corners n*e1, ..., n*ek: C(n+t-1, t-1) - 1 for
+    the t-th corner, computed without building the graph."""
+    return tuple(math.comb(n + t, t) - 1 for t in range(k))
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexGraph:
     """Unit-edge graph on the discretized simplex.
@@ -65,7 +82,9 @@ class SimplexGraph:
     nodes      colex-sorted coordinate tuples
     index      point -> node index
     edges      (u, v) node-index pairs with u < v, sorted
-    adj        adj[u] = tuple of (neighbor, edge index)
+    first      edges[first[u]:first[u+1]] are the edges (u, v) with v > u;
+               len(first) == len(nodes) + 1
+    adj        adj[u] = tuple of u's neighbours, ascending
     terminals  terminals[i] = node index of the point n*e(i+1)
     """
 
@@ -74,9 +93,12 @@ class SimplexGraph:
     nodes: tuple[Point, ...]
     index: dict[Point, int]
     edges: tuple[tuple[int, int], ...]
-    edge_index: dict[tuple[int, int], int]
-    adj: tuple[tuple[tuple[int, int], ...], ...]
+    first: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...]
     terminals: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        return f"SimplexGraph(k={self.k}, n={self.n})"
 
     def terminal_of(self, node: int) -> int | None:
         """1-based terminal id if the node is a terminal, else None."""
@@ -86,12 +108,14 @@ class SimplexGraph:
         return None
 
     def edge_between(self, u: int, v: int) -> int | None:
+        """Index of the edge joining u and v, or None if they are not neighbours."""
         if u > v:
             u, v = v, u
-        return self.edge_index.get((u, v))
-
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(support(p) for p in self.nodes)
+        if not 0 <= u < v < len(self.nodes):
+            return None
+        hi = self.first[u + 1]
+        e = bisect_left(self.edges, (u, v), self.first[u], hi)
+        return e if e < hi and self.edges[e][1] == v else None
 
 
 @lru_cache(maxsize=None)
@@ -99,52 +123,53 @@ def build_graph(k: int, n: int) -> SimplexGraph:
     """Build (and cache) the simplex lattice graph for k terminals at resolution n."""
     nodes = tuple(simplex_points(k, n))
     index = {p: i for i, p in enumerate(nodes)}
-    edges = []
+    # steps[m][s] = C(s + m - 1, m): the rank gained per unit of mass moved
+    # past coordinate m + 1 (0-based m) when the prefix sum there is s
+    steps = [[1] * (n + 1)]
+    steps += [[math.comb(s + m - 1, m) for s in range(n + 1)] for m in range(1, k - 1)]
+    # moves i -> j (0-based, i < j) with j ascending and, within one j, i
+    # descending reach the higher neighbours in ascending order
+    moves = [(i, j) for j in range(1, k) for i in range(j - 1, -1, -1)]
+    edges: list[tuple[int, int]] = []
+    first = [0]
+    adj: list[list[int]] = [[] for _ in nodes]
     for u, p in enumerate(nodes):
-        for i in range(k):
-            if p[i] == 0:
-                continue
-            for j in range(k):
-                if i == j:
-                    continue
-                q = list(p)
-                q[i] -= 1
-                q[j] += 1
-                v = index[tuple(q)]
-                if v > u:
-                    edges.append((u, v))
-    edges.sort()
-    edges_t = tuple(edges)
-    edge_index = {e: i for i, e in enumerate(edges_t)}
-    adj_lists: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for e, (u, v) in enumerate(edges_t):
-        adj_lists[u].append((v, e))
-        adj_lists[v].append((u, e))
-    adj = tuple(tuple(a) for a in adj_lists)
-    terminals = tuple(index[tuple(n if i == t else 0 for i in range(k))] for t in range(k))
-    graph = SimplexGraph(k, n, nodes, index, edges_t, edge_index, adj, terminals)
-    assert len(nodes) == node_count(k, n) and len(edges_t) == edge_count(k, n)
+        pot = (0, *accumulate(map(getitem, steps, accumulate(p))))
+        higher = [u + pot[j] - pot[i] for i, j in moves if p[i]]
+        # every lower neighbour w < u has already appended u to adj[u]
+        adj[u] += higher
+        for v in higher:
+            adj[v].append(u)
+        edges += [(u, v) for v in higher]
+        first.append(len(edges))
+    graph = SimplexGraph(
+        k, n, nodes, index, tuple(edges), tuple(first), tuple(map(tuple, adj)), terminal_nodes(k, n)
+    )
+    assert len(nodes) == node_count(k, n) and len(edges) == edge_count(k, n)
     return graph
 
 
 def boundary_nodes(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:
-    """Nodes whose support lies inside the given 1-based terminal pair."""
+    """Nodes whose support lies inside the given 1-based terminal pair,
+    ascending, which is also the order from terminal min(pair) toward
+    max(pair)."""
     i, j = sorted(pair)
     if not (1 <= i < j <= g.k):
         raise ValueError(f"not a terminal pair: {pair}")
-    keep = {i, j}
-    return tuple(u for u, p in enumerate(g.nodes) if set(support(p)) <= keep)
+    line = []
+    for b in range(g.n + 1):
+        point = [0] * g.k
+        point[i - 1], point[j - 1] = g.n - b, b
+        line.append(g.index[tuple(point)])
+    return tuple(line)
 
 
 def boundary_edges(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:
     """Edge indices of the boundary line between two terminals, ordered from
     terminal min(pair) toward max(pair)."""
-    i, j = sorted(pair)
-    line = boundary_nodes(g, (i, j))
-    # Order line nodes by decreasing i-coordinate, then read off consecutive edges.
-    ordered = sorted(line, key=lambda u: -g.nodes[u][i - 1])
+    line = boundary_nodes(g, pair)
     out = []
-    for a, b in zip(ordered, ordered[1:]):
+    for a, b in zip(line, line[1:]):
         e = g.edge_between(a, b)
         assert e is not None
         out.append(e)

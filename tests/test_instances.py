@@ -241,6 +241,13 @@ def test_weight_map_rejects_bad_input():
         WeightMap.from_numerators(g, 0, [0] * len(g.edges))
 
 
+def test_reprs_name_the_lattice_only():
+    # failure messages show these; they must not grow with the graph
+    g = build_graph(4, 5)
+    assert repr(g) == "SimplexGraph(k=4, n=5)"
+    assert repr(build_component(2, g)) == "WeightMap(graph=SimplexGraph(k=4, n=5), den=3, nonzero=15)"
+
+
 _rationals = st.fractions(min_value=0, max_value=4, max_denominator=12)
 
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,55 @@ def test_dimacs_rejects_single_terminal_header():
     # count must fail instead of searching forever
     with pytest.raises(ValueError):
         parse_instance("p mwc 2 0 1\n")
+
+
+def test_dimacs_header_alone_builds_no_graph():
+    # a 10**12-node header without its terminal lines is rejected before
+    # any graph is built
+    cached = build_graph.cache_info().currsize
+    with pytest.raises(ValueError):
+        parse_instance("p mwc 1000000000000 0 2\n")
+    assert build_graph.cache_info().currsize == cached
+
+
+@given(st.permutations(emit_instance_dimacs(build_base_triangle(3), tag="t").splitlines()))
+@settings(max_examples=50, deadline=None)
+def test_dimacs_lines_in_any_order(lines):
+    text = emit_instance_dimacs(build_base_triangle(3), tag="t")
+    edges_first = sorted(lines, key=lambda line: not line.startswith("e "))
+    for order in (lines, edges_first):
+        assert parse_instance("\n".join(order) + "\n") == parse_instance(text)
+
+
+# sha256 of the emitted documents, recorded before the lattice was built from
+# colex-rank arithmetic: a change of node order, edge order or weight
+# rendering shows here
+EMISSION_SHA256 = {
+    ("triangle", "dimacs", False): "a8b7a0b4a68236d73e47f1b6117c328b92c8cffd3d9ef17a9a7c6358df581e19",
+    ("triangle", "dimacs", True): "52113540a5f8ee24ba5410230d37538e7bea4aeea5a9c759d688db7dab780608",
+    ("triangle", "json", False): "8b635a46c722d824edfa22d2033b28d6d6d7008f51cab94ec7b2049e6f0d920a",
+    ("triangle", "json", True): "79b91287903bfa7f75266d04026fb5165ab1508db2cc5c42eea623578788cd32",
+    ("combined", "dimacs", False): "b4cb484170f6ce9c637f376565a134ba03334e73d4ef3a7db60bac7bd8bc189a",
+    ("combined", "dimacs", True): "b4cb484170f6ce9c637f376565a134ba03334e73d4ef3a7db60bac7bd8bc189a",
+    ("combined", "json", False): "d0116868d97e002e8f9190df4160223198609954338e362ee7625c3bd4214b1f",
+    ("combined", "json", True): "d0116868d97e002e8f9190df4160223198609954338e362ee7625c3bd4214b1f",
+    ("uniform", "dimacs", False): "128a7ebed0d6e92ca3577a801fbc5cd5e8c73ad19b02f21a16245d9ec55f8ed7",
+    ("uniform", "dimacs", True): "128a7ebed0d6e92ca3577a801fbc5cd5e8c73ad19b02f21a16245d9ec55f8ed7",
+    ("uniform", "json", False): "f57cb553273f76ad7a0971425380f2610458453835493a327355ec1d0e242390",
+    ("uniform", "json", True): "f57cb553273f76ad7a0971425380f2610458453835493a327355ec1d0e242390",
+}
+
+
+def test_emission_matches_recorded_hashes():
+    instances = {
+        "triangle": build_base_triangle(9),
+        "combined": combine(GapParams.tuned(c=Fraction(1, 4)), build_graph(4, 12)),
+        "uniform": build_component(4, build_graph(4, 5)),
+    }
+    emitters = {"dimacs": emit_instance_dimacs, "json": emit_instance_json}
+    for (name, fmt, zero_edges), digest in EMISSION_SHA256.items():
+        text = emitters[fmt](instances[name], include_zero_edges=zero_edges)
+        assert sha256(text.encode()).hexdigest() == digest, (name, fmt, zero_edges)
 
 
 # Fuzzing: mutated valid documents may be rejected, but only with ValueError.

@@ -1,6 +1,8 @@
 """Lattice construction: node order, counts, faces, marked regions."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
@@ -79,9 +81,75 @@ def test_edges_are_unit_moves():
 def test_edge_index_round_trip():
     g = build_graph(3, 5)
     for e, (u, v) in enumerate(g.edges):
-        assert g.edge_index[(u, v)] == e
         assert g.edge_between(u, v) == e
         assert g.edge_between(v, u) == e
+    assert len(g.first) == len(g.nodes) + 1
+    for u in range(len(g.nodes)):
+        assert g.edges[g.first[u] : g.first[u + 1]] == tuple(e for e in g.edges if e[0] == u)
+
+
+def _reference_points(k, n):
+    if k == 1:
+        return [(n,)]
+    return [(head, *tail) for head in range(n + 1) for tail in _reference_points(k - 1, n - head)]
+
+
+def _reference_graph(k, n):
+    """The tuple-dict construction: every neighbour is found by building its
+    coordinate tuple and looking it up in a point -> index dict."""
+    nodes = sorted(_reference_points(k, n), key=lambda p: p[::-1])
+    index = {p: i for i, p in enumerate(nodes)}
+    edges = []
+    for u, p in enumerate(nodes):
+        for i in range(k):
+            if p[i] == 0:
+                continue
+            for j in range(k):
+                if i == j:
+                    continue
+                q = list(p)
+                q[i] -= 1
+                q[j] += 1
+                v = index[tuple(q)]
+                if v > u:
+                    edges.append((u, v))
+    edges.sort()
+    edge_index = {e: i for i, e in enumerate(edges)}
+    adj = [[] for _ in nodes]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    terminals = [index[tuple(n if i == t else 0 for i in range(k))] for t in range(k)]
+    return nodes, index, edges, edge_index, adj, terminals
+
+
+def _reference_boundary(nodes, edge_index, pair):
+    i, j = pair
+    line = [u for u, p in enumerate(nodes) if set(support(p)) <= {i, j}]
+    ordered = sorted(line, key=lambda u: -nodes[u][i - 1])
+    return tuple(line), tuple(edge_index[min(a, b), max(a, b)] for a, b in zip(ordered, ordered[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k", range(2, 7))
+def test_rank_construction_matches_reference(k, n):
+    g = build_graph(k, n)
+    nodes, index, edges, edge_index, adj, terminals = _reference_graph(k, n)
+    assert g.nodes == tuple(nodes)
+    assert g.index == index
+    assert g.edges == tuple(edges)
+    assert g.terminals == tuple(terminals)
+    assert g.adj == tuple(map(tuple, adj))
+    lower_counts = Counter(u for u, _ in edges)
+    assert g.first == tuple(accumulate((lower_counts[u] for u in range(len(nodes))), initial=0))
+    for u in range(len(nodes)):
+        assert [g.edge_between(u, v) for v in range(len(nodes))] == [
+            edge_index.get((min(u, v), max(u, v))) for v in range(len(nodes))
+        ]
+    for pair in combinations(range(1, k + 1), 2):
+        assert (boundary_nodes(g, pair), boundary_edges(g, pair)) == _reference_boundary(
+            nodes, edge_index, pair
+        )
 
 
 def test_build_graph_is_cached():
