@@ -75,19 +75,6 @@ def nonopposite_cost_floor(params: GapParams, n: int | None = None) -> FloorTerm
     )
 
 
-def reduced_objective(c: Fraction) -> Fraction:
-    """Asymptotic floor after eliminating the mixture weights.
-
-    Along the stationarity relations lam4 = 2*lam1/15, lam3 = 9c^3*lam1/10,
-    lam2 = (1/5 - 3c^2/5)*lam1 both floor terms coincide and equal
-    (8/5 - 3c^2/5) / (4/3 - 3c^2/5 + 9c^3/10).
-    """
-    c = Fraction(c)
-    num = Fraction(8, 5) - Fraction(3, 5) * c * c
-    den = Fraction(4, 3) - Fraction(3, 5) * c * c + Fraction(9, 10) * c * c * c
-    return num / den
-
-
 def optimal_params_for_c(c: Fraction) -> GapParams:
     """Mixture weights equalizing both floor terms at a given cap depth c."""
     c = Fraction(c)

@@ -3,9 +3,8 @@
 Every subcommand prints a JSON report (or the requested instance file) to
 stdout or --out.  Exit codes: 0 success, 1 failed check or exhausted
 budget, 2 invalid parameters or malformed input, with a machine-readable
-JSON object on stderr for the non-zero cases.  --threads is accepted for
-interface stability; execution is serial, which keeps every report
-deterministic modulo timing fields.
+JSON object on stderr for the non-zero cases.  Execution is serial, which
+keeps every report deterministic modulo timing fields.
 """
 
 from __future__ import annotations
@@ -50,11 +49,7 @@ from .search import (
     min_non_opposite_cost,
     min_terminal_face_cut,
 )
-from .sperner import (
-    exhaustive_extremal,
-    monochromatic_upper_bound,
-    nonmonochromatic_lower_bound,
-)
+from .sperner import count_floors, exhaustive_extremal, monochromatic_upper_bound
 
 _COMPONENT_INDEX = {name: i for i, name in COMPONENT_NAMES.items()}
 _INSTANCE_CHOICES = ("triangle",) + tuple(_COMPONENT_INDEX) + ("combined",)
@@ -237,18 +232,13 @@ def cmd_sperner_verify(args) -> int:
     }
     passed = args.face_restricted or rep.max_monochromatic == bound
     if args.face_restricted:
-        from math import factorial
-
-        norm = factorial(args.n + args.k - 2) // factorial(args.n)
         floors = []
-        assert rep.by_inadmissible is not None
-        for z, (count, _witness) in sorted(rep.by_inadmissible.items()):
-            floor = nonmonochromatic_lower_bound(args.k, args.n, Fraction(z, norm))
+        for z, count, floor in count_floors(rep):
             floors.append(
                 {
                     "inadmissible": z,
                     "min_nonmonochromatic": count,
-                    "floor": render_rational(Fraction(floor)),
+                    "floor": render_rational(floor),
                     "ok": count >= floor,
                 }
             )
@@ -331,8 +321,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    started = time.perf_counter()
-    report = run_suite(args.suite, budget=args.budget, threads=args.threads)
+    report = run_suite(args.suite, budget=args.budget)
     _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
     if not report.passed:
         failing = [c.id for c in report.checks if not c.passed]
@@ -360,12 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = _ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is serial",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate an instance file")

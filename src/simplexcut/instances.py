@@ -128,10 +128,6 @@ class _NonzeroWeights(Mapping):
         return repr(dict(self.items()))
 
 
-def total_weight(w: WeightMap) -> Fraction:
-    return w.total()
-
-
 def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
     """Nonnegative linear combination of weight maps on one graph.
 
@@ -208,7 +204,10 @@ def build_base_triangle(n: int) -> WeightMap:
       2m on both endpoints (it then runs parallel to the far side inside a
       corner triangle), and rho otherwise.
 
-    Every non-opposite cut of this instance costs at least 1.2 - 1/n.
+    Certified non-opposite minima: at n=3 the exhaustive minimum meets
+    6/5 - 1/n = 13/15 (reproduce check exhaustive-min-face); at n=6 branch
+    and bound certifies exactly 1, below 6/5 - 1/n = 31/30, so that floor
+    does not hold at every n.
     """
     if n % 3 != 0 or n < 3:
         raise ValueError("base triangle needs a resolution divisible by 3")

@@ -18,8 +18,7 @@ from math import comb, factorial
 from .cuts import CutLabeling, delta, is_non_opposite
 from .errors import BudgetExceededError
 from .lattice import simplex_points, support
-
-DEFAULT_LABELING_BUDGET = 2_000_000
+from .search import DEFAULT_LABELING_BUDGET
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +156,20 @@ def exhaustive_extremal(
         witness=witness,
         by_inadmissible=by_inadmissible if face_restricted else None,
     )
+
+
+def count_floors(report: ExtremalReport) -> list[tuple[int, int, Fraction]]:
+    """(inadmissible count, least non-monochromatic count, its floor) for
+    each inadmissibility level of a face-restricted scan, in level order.
+
+    The floor is nonmonochromatic_lower_bound at beta = z * n!/(n+k-2)!.
+    """
+    k, n = report.k, report.n
+    norm = factorial(n + k - 2) // factorial(n)
+    return [
+        (z, count, nonmonochromatic_lower_bound(k, n, Fraction(z, norm)))
+        for z, (count, _witness) in sorted(report.by_inadmissible.items())
+    ]
 
 
 @dataclass(frozen=True)

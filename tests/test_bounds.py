@@ -25,7 +25,6 @@ from simplexcut import (
     optimal_params_for_c,
     optimize_params,
     relaxation_gap,
-    total_weight,
 )
 
 TUNED_ASYMPTOTIC_BOUND = Fraction(667213783, 555937500)  # ~1.2001597
@@ -324,8 +323,8 @@ def test_gap_report_consistency():
     w = combine(params, g)
     assert report.n == n
     assert report.regime == "finite"
-    assert report.lp_value == total_weight(w) / n
-    assert report.gap_estimate == relaxation_gap(total_weight(w), report.bound, n)
+    assert report.lp_value == w.total() / n
+    assert report.gap_estimate == relaxation_gap(w.total(), report.bound, n)
     names = [name for name, _ in report.certified_cuts]
     assert names == ["midlines-ext", "isolate-terminals", "corner-caps"]
     for _, value in report.certified_cuts:

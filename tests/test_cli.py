@@ -72,10 +72,10 @@ def test_gen_stdout_and_out_agree(tmp_path):
     assert path.read_text() == to_stdout
 
 
-def test_gen_dimacs_deterministic_across_threads():
+def test_gen_dimacs_deterministic():
     args = ("gen", "--instance", "triangle", "--n", "9", "--format", "dimacs")
     first = run(*args).stdout
-    again = run(*args, "--threads", "7").stdout
+    again = run(*args).stdout
     assert first == again
     assert "p mwc 55 117 3" in first.splitlines()
 
@@ -254,7 +254,7 @@ def test_sperner_verify_face_restricted():
 def test_optimize_report_and_determinism():
     args = ("optimize", "--steps", "200", "--refine-rounds", "2")
     first = report(run(*args))
-    again = report(run(*args, "--threads", "5"))
+    again = report(run(*args))
     assert strip_timing(first) == strip_timing(again)
     r = first["results"]
     assert len(r["lambda"]) == 4
@@ -316,6 +316,13 @@ def test_usage_error_exit_code():
     err = stderr_error(proc)
     assert err["error"] == "usage"
     assert "no-such-command" in err["message"]
+
+
+def test_threads_flag_is_gone():
+    proc = run("reproduce", "--threads", "2", expect=2)
+    err = stderr_error(proc)
+    assert err["error"] == "usage"
+    assert "--threads" in err["message"]
 
 
 def test_help_exits_zero():

@@ -24,7 +24,6 @@ from simplexcut import (
     emit_instance_json,
     parse_instance,
     red_regions,
-    total_weight,
 )
 
 # boundary schedule at n=9 (m=3, rho=1/15): descending from both corners,
@@ -34,7 +33,7 @@ N9_BOUNDARY_SCHEDULE = [3, 2, 1, 1, 1, 1, 1, 2, 3]
 
 @pytest.mark.parametrize("n", [3, 6, 9, 12])
 def test_base_triangle_totals(n):
-    assert total_weight(build_base_triangle(n)) == n
+    assert build_base_triangle(n).total() == n
 
 
 def test_base_triangle_rejects_other_resolutions():
@@ -84,14 +83,14 @@ def test_zero_edges_at_n3():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_lines_component_total(n):
     g = build_graph(4, n)
-    assert total_weight(build_component(2, g)) == n
+    assert build_component(2, g).total() == n
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_cycles_component_total(n):
     g = build_graph(4, n)
     w = build_component(3, g, c=Fraction(1, n))
-    assert total_weight(w) == n
+    assert w.total() == n
     rr = red_regions(g, Fraction(1, n))
     assert set(e for e, _ in w.items()) == set(rr.all_edges())
 
@@ -99,13 +98,13 @@ def test_cycles_component_total(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_uniform_component_total(n):
     g = build_graph(4, n)
-    assert total_weight(build_component(4, g)) == n + 3 + Fraction(2, n)
+    assert build_component(4, g).total() == n + 3 + Fraction(2, n)
 
 
 def test_face_component_matches_lifted_triangle():
     g = build_graph(4, 9)
     w = build_component(1, g)
-    assert total_weight(w) == 9
+    assert w.total() == 9
     # every weighted edge stays on the x4 = 0 face
     for e, wt in w.items():
         u, v = g.edges[e]
@@ -149,22 +148,22 @@ def test_combine_total_closed_form():
     n = 39
     w = combine(params, build_graph(4, n))
     lam4 = params.lam4
-    assert total_weight(w) == n + 3 * lam4 + 2 * lam4 / n
+    assert w.total() == n + 3 * lam4 + 2 * lam4 / n
     # face-free mixture at n = 40 with the rounded cap depth
     params = GapParams(0, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(3, 40))
     w = combine(params, build_graph(4, 40))
-    assert total_weight(w) == 40 + 3 * Fraction(1, 4) + 2 * Fraction(1, 4) / 40
+    assert w.total() == 40 + 3 * Fraction(1, 4) + 2 * Fraction(1, 4) / 40
 
 
 def test_combine_skips_cycles_when_lam3_zero():
     # c*n is not integral at n=6, but lam3 = 0 never instantiates it
     params = GapParams(Fraction(1, 2), Fraction(1, 4), 0, Fraction(1, 4), Fraction(1, 7))
     w = combine(params, build_graph(4, 6))
-    assert total_weight(w) == 6 + 3 * Fraction(1, 4) + 2 * Fraction(1, 4) / 6
+    assert w.total() == 6 + 3 * Fraction(1, 4) + 2 * Fraction(1, 4) / 6
     # and the face is skipped the same way when lam1 = 0
     params = GapParams(0, Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 3))
     w = combine(params, build_graph(4, 7))
-    assert total_weight(w) == 7 + 3 * Fraction(1, 2) + 2 * Fraction(1, 2) / 7
+    assert w.total() == 7 + 3 * Fraction(1, 2) + 2 * Fraction(1, 2) / 7
 
 
 def test_combine_rejects_nonintegral_depth_when_needed():
@@ -226,7 +225,7 @@ def test_weight_map_default_zero():
     w = WeightMap(g, {0: Fraction(1, 2)})
     assert w.weight(0) == Fraction(1, 2)
     assert w.weight(1) == 0
-    assert total_weight(w) == Fraction(1, 2)
+    assert w.total() == Fraction(1, 2)
 
 
 def test_weight_map_rejects_bad_input():

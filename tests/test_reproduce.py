@@ -1,7 +1,13 @@
-"""Reproduction registry: suite coverage, report shape, determinism."""
+"""Reproduction registry: suite coverage, report shape, determinism, timing."""
+
+import dataclasses
+import hashlib
+import json
+import time
 
 import pytest
 
+from simplexcut import reproduce
 from simplexcut.reproduce import (
     CRITERIA,
     PROVENANCES,
@@ -23,6 +29,21 @@ CHECK_FIELDS = {
     "provenance",
     "passed",
     "elapsed_s",
+}
+
+# sha256 of each criterion's checks with elapsed_s removed, so every other
+# report field is pinned byte for byte
+PINNED_REPORTS = {
+    "optimizer": "71d659a25dd715afc5cc6f03ef948842d39fa2879a29c6360f6896d5c47b4d95",
+    "limitation": "8d63306089452d7fc294800799dae851971f5027cacdfa8aff652add49c25f6a",
+    "instance-totals": "9ba5b3db65f3537014830eed58e0f5a58d663c0307c67918cdcf7c021287f1d5",
+    "named-cut-goldens": "98e233945f7c3cff6015db313713eabb1c58d3b37b61adfd64fc3e7aed935a30",
+    "sperner-extremal": "3065d42aa79f4a69a68a59f2e5b13a06b61f2fe009849747f07bb70a87af9182",
+    "cut-size-floor": "47d3f444770b8cf1d07c83528493416b58736c45a363a4f13f99c1fc1dd716ec",
+    "exhaustive-min-floor": "c3e27068cc980118c94669bc5a2962cdcdd70e6b81a747631a6922b35121e199",
+    "terminal-flow-floor": "b5114eda290d33c86eb50112b184284ad20cb1ff71f1afb7040084e3cf34c8ba",
+    "canonicalization": "41000bb17520af6878d1f5654b3e731c69e133a81204048ddd545df193c2b927",
+    "format-determinism": "0d73670c3380bf225c8500d63aea56fb83eb951c20b2ebed2a1b025a051e026b",
 }
 
 
@@ -52,6 +73,11 @@ def test_each_criterion_runs_clean(criterion):
         assert check.provenance in PROVENANCES
         assert check.passed, f"{check.id}: {check.computed} != {check.expected}"
         assert set(check.as_dict()) == CHECK_FIELDS
+    doc = json.dumps(
+        [{k: v for k, v in c.as_dict().items() if k != "elapsed_s"} for c in checks],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_REPORTS[criterion]
 
 
 def test_check_ids_unique_across_registry():
@@ -67,15 +93,13 @@ def test_run_criterion_rejects_unknown():
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
-    with pytest.raises(ValueError, match="threads"):
-        run_suite("constants", threads=0)
 
 
 def test_run_suite_report_shape():
     report = run_suite("lemmas")
     assert isinstance(report, RunReport)
     assert report.passed
-    assert report.parameters == {"suite": "lemmas", "budget": None, "threads": 1}
+    assert report.parameters == {"suite": "lemmas", "budget": None}
     doc = report.as_dict()
     assert set(doc) == {"command", "parameters", "passed", "elapsed_s", "checks"}
     assert {c.criterion for c in report.checks} == set(SUITES["lemmas"])
@@ -92,14 +116,39 @@ def _scrub(doc):
 
 def test_reports_deterministic_modulo_timing():
     first = run_suite("constants").as_dict()
-    again = run_suite("constants", threads=4).as_dict()
+    again = run_suite("constants").as_dict()
     assert _scrub(first)["checks"] == _scrub(again)["checks"]
     assert first["passed"] == again["passed"]
 
 
-def test_budget_failures_are_reported_not_raised():
-    report = run_suite("enumeration", budget=10)
+@pytest.mark.parametrize("budget", [10, -1])
+def test_budget_failures_are_reported_not_raised(budget):
+    report = run_suite("enumeration", budget=budget)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert failing
     assert all("budget" in c.computed for c in failing)
+
+
+def test_each_check_is_timed_on_its_own(monkeypatch):
+    slow_id = "instance-totals-cycles"
+
+    def slowed(check):
+        def compute(budget, shared):
+            time.sleep(0.05)
+            return check.compute(budget, shared)
+
+        return dataclasses.replace(check, compute=compute)
+
+    monkeypatch.setattr(
+        reproduce,
+        "CHECKS",
+        tuple(slowed(c) if c.id == slow_id else c for c in reproduce.CHECKS),
+    )
+    report = run_suite("lemmas")
+    assert report.passed
+    totals = [c for c in report.checks if c.criterion == "instance-totals"]
+    assert len(totals) == 5
+    for c in totals:
+        assert (c.elapsed_s >= 0.05) == (c.id == slow_id), (c.id, c.elapsed_s)
+    assert sum(c.elapsed_s for c in report.checks) <= report.elapsed_s

@@ -10,6 +10,7 @@ from simplexcut import (
     BudgetExceededError,
     build_graph,
     build_hypergraph,
+    count_floors,
     count_monochromatic,
     cut_size_floor,
     exhaustive_extremal,
@@ -99,6 +100,9 @@ def test_face_restricted_floors_frozen():
     # tight at the admissible end and at full inadmissibility
     assert got[0] == nonmonochromatic_lower_bound(4, 2, 0)
     assert got[6] == nonmonochromatic_lower_bound(4, 2, 6 * norm)
+    assert count_floors(rep) == [
+        (z, got[z], nonmonochromatic_lower_bound(4, 2, z * norm)) for z in sorted(got)
+    ]
 
 
 def test_lower_bound_validation():
