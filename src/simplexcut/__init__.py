@@ -5,19 +5,16 @@ verify the counting lemmas at desk scale, and reproduce the certified
 floor and limitation constants, all in exact rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     FloorTerms,
-    GapReport,
-    OptimizeConfig,
-    build_gap_report,
-    embedding_cost,
     limitation_min,
     limitation_ratio,
     limitation_sup,
     nonopposite_cost_floor,
     optimal_params_for_c,
     optimize_params,
-    relaxation_gap,
 )
 from .cuts import (
     NAMED_CUTS,
@@ -32,7 +29,6 @@ from .cuts import (
     midlines,
     midlines_extended,
     named_cut,
-    restrict_to_face,
     terminal_ball,
 )
 from .errors import BudgetExceededError
@@ -61,11 +57,9 @@ from .lattice import (
     SimplexGraph,
     boundary_edges,
     boundary_nodes,
-    boundary_sets,
     build_graph,
     face_of,
     face_subgraph,
-    parallel_line,
     red_regions,
     simplex_points,
     support,
@@ -79,7 +73,6 @@ from .search import (
     labeling_space_size,
     min_non_opposite_cost,
     min_terminal_face_cut,
-    verify_floor,
 )
 from .sperner import (
     ExtremalReport,
@@ -90,90 +83,15 @@ from .sperner import (
     count_monochromatic,
     cut_size_floor,
     exhaustive_extremal,
-    is_admissible,
     monochromatic_upper_bound,
     nonmonochromatic_lower_bound,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CheckResult",
-    "COMPONENT_NAMES",
-    "CutLabeling",
-    "DEFAULT_LABELING_BUDGET",
-    "ExtremalReport",
-    "FloorCheck",
-    "FloorTerms",
-    "GapParams",
-    "GapReport",
-    "NAMED_CUTS",
-    "OptimizeConfig",
-    "ParsedInstance",
-    "RedRegions",
-    "RunReport",
-    "SearchBudget",
-    "SearchResult",
-    "SimplexGraph",
-    "SimplexHypergraph",
-    "WeightMap",
-    "boundary_edges",
-    "boundary_nodes",
-    "boundary_sets",
-    "build_base_triangle",
-    "build_component",
-    "build_gap_report",
-    "build_graph",
-    "build_hypergraph",
-    "canonicalize",
-    "combine",
-    "combine_maps",
-    "corner_caps",
-    "cost",
-    "count_floors",
-    "count_monochromatic",
-    "cut_size_floor",
-    "delta",
-    "embedding_cost",
-    "emit_cut",
-    "emit_instance_dimacs",
-    "emit_instance_json",
-    "enumerate_non_opposite",
-    "exhaustive_extremal",
-    "face_of",
-    "face_subgraph",
-    "is_admissible",
-    "is_fragmenting",
-    "is_non_opposite",
-    "isolate_terminals",
-    "labeling_space_size",
-    "limitation_min",
-    "limitation_ratio",
-    "limitation_sup",
-    "midlines",
-    "midlines_extended",
-    "min_non_opposite_cost",
-    "min_terminal_face_cut",
-    "monochromatic_upper_bound",
-    "named_cut",
-    "nonmonochromatic_lower_bound",
-    "nonopposite_cost_floor",
-    "optimal_params_for_c",
-    "optimize_params",
-    "parallel_line",
-    "parse_cut",
-    "parse_instance",
-    "parse_rational",
-    "red_regions",
-    "relaxation_gap",
-    "render_decimal",
-    "render_rational",
-    "restrict_to_face",
-    "run_criterion",
-    "run_suite",
-    "simplex_points",
-    "support",
-    "terminal_ball",
-    "verify_floor",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -1,10 +1,13 @@
-"""Closed-form cost floors, parameter optimization, and gap accounting.
+"""Closed-form cost floors, the certificate-cut limitation, and one grid
+maximizer for both headline constants.
 
 Everything here is exact rational arithmetic.  The two-term cost floor is
 linear in its inner trade-off variable, so the inner minimizations are
-solved at interval endpoints; the optimizer walks a one-dimensional grid
-over the cap depth c after reducing the mixture weights along the
-stationarity relations, then refines locally.
+solved at interval endpoints.  Both headline constants come from the same
+one-dimensional grid search with tenfold local refinement (_grid_argmax):
+the certified floor over the cap depth c after reducing the mixture
+weights along the stationarity relations (optimize_params), and the
+certificate-cut ceiling over c (limitation_sup).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cuts import corner_caps, cost, isolate_terminals, midlines_extended
-from .instances import GapParams, WeightMap, combine
+from .instances import GapParams, combine
 from .lattice import build_graph
 
 _SIX_FIFTHS = Fraction(6, 5)
@@ -22,6 +25,8 @@ _THREE_HALVES = Fraction(3, 2)
 
 REGIMES = ("asymptotic", "finite", "out-of-regime")
 FINITE_REGIME_MIN_N = 10
+GRID_STEPS = 2000
+GRID_REFINE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -96,77 +101,61 @@ def _constrained_params(lam1: Fraction) -> GapParams:
     return GapParams(lam1=lam1, lam2=lam2, lam3=Fraction(0), lam4=lam4, c=Fraction(1, 4))
 
 
-@dataclass(frozen=True)
-class OptimizeConfig:
-    coarse_steps: int = 2000
-    refine_rounds: int = 3
-    refine_factor: int = 10
-    force_lambda3_zero: bool = False
-    candidates: tuple[GapParams, ...] = ()
+def _grid_argmax(f, inside, lo: Fraction, hi: Fraction, steps: int, rounds: int):
+    """The one grid maximizer behind both headline constants.
 
-    def __post_init__(self):
-        if self.coarse_steps == 1 or self.coarse_steps < 0:
-            raise ValueError("the coarse grid needs at least two steps (or zero to skip)")
-        if self.refine_rounds < 0 or self.refine_factor < 2:
-            raise ValueError("degenerate optimizer configuration")
-        if self.coarse_steps == 0 and not self.candidates:
-            raise ValueError("nothing to search: no grid and no candidates")
-
-
-def optimize_params(config: OptimizeConfig | None = None) -> tuple[GapParams, Fraction]:
-    """Maximize the asymptotic floor; deterministic for a fixed config.
-
-    Explicit candidates are scored first (first maximum wins ties), then a
-    grid over the cap depth c in (0, 1/2) with local refinement; with
-    force_lambda3_zero the grid runs over lam1 with the cycle component
-    dropped.  Returns the incumbent and its exact bound.
+    Scores f at the points lo, lo + step, ..., hi (step = (hi - lo)/steps)
+    where inside holds and keeps the first strict maximum; then, rounds
+    times, rescans the two grid intervals around the incumbent at a
+    tenth of the step.  The incumbent only changes on a strict increase,
+    so refinement never lowers it.  Returns (argmax, f(argmax)).
     """
-    if config is None:
-        config = OptimizeConfig()
+    if steps < 2:
+        raise ValueError("the grid needs at least two steps")
+    if rounds < 0:
+        raise ValueError("the number of refinement rounds cannot be negative")
+    best_t = best_v = None
+    start, stop, step = lo, hi, (hi - lo) / steps
+    for _ in range(rounds + 1):
+        t = start
+        while t <= stop:
+            if inside(t):
+                v = f(t)
+                if best_v is None or v > best_v:
+                    best_t, best_v = t, v
+            t += step
+        start, stop, step = best_t - step, best_t + step, step / 10
+    return best_t, best_v
 
-    best_params: GapParams | None = None
-    best_bound: Fraction | None = None
 
-    def consider(params: GapParams) -> None:
-        nonlocal best_params, best_bound
-        bound = nonopposite_cost_floor(params).bound
-        if best_bound is None or bound > best_bound:
-            best_params, best_bound = params, bound
+def optimize_params(
+    steps: int = GRID_STEPS,
+    refine_rounds: int = GRID_REFINE_ROUNDS,
+    lambda3_zero: bool = False,
+) -> tuple[GapParams, Fraction]:
+    """Maximize the asymptotic floor with the shared grid maximizer.
 
-    for params in config.candidates:
-        consider(params)
-
-    if config.coarse_steps > 0:
-        if config.force_lambda3_zero:
-            lo, hi = Fraction(0), Fraction(1)
-            make = _constrained_params
-        else:
-            lo, hi = Fraction(0), Fraction(1, 2)
-            make = optimal_params_for_c
-
-        def scan(center_lo: Fraction, center_hi: Fraction, step: Fraction) -> Fraction:
-            best_t = None
-            best_here = None
-            t = center_lo
-            while t <= center_hi:
-                if lo < t < hi or (config.force_lambda3_zero and t == lo):
-                    value = nonopposite_cost_floor(make(t)).bound
-                    if best_here is None or value > best_here:
-                        best_here, best_t = value, t
-                t += step
-            assert best_t is not None
-            return best_t
-
-        step = (hi - lo) / config.coarse_steps
-        center = scan(lo + step, hi - step, step)
-        for _ in range(config.refine_rounds):
-            fine = step / config.refine_factor
-            center = scan(center - step, center + step, fine)
-            step = fine
-        consider(make(center))
-
-    assert best_params is not None and best_bound is not None
-    return best_params, best_bound
+    The grid runs over the cap depth c in (0, 1/2), each c taking the
+    mixture of optimal_params_for_c; with lambda3_zero it runs over lam1
+    in [0, 1) with the cycle component dropped.  Deterministic; returns
+    the incumbent and its exact bound.
+    """
+    # lam1 = 0 is a legal mixture, while c = 0 is no cap depth
+    if lambda3_zero:
+        make, hi = _constrained_params, Fraction(1)
+        inside = lambda t: 0 <= t < hi
+    else:
+        make, hi = optimal_params_for_c, Fraction(1, 2)
+        inside = lambda t: 0 < t < hi
+    t, bound = _grid_argmax(
+        lambda t: nonopposite_cost_floor(make(t)).bound,
+        inside,
+        Fraction(0),
+        hi,
+        steps,
+        refine_rounds,
+    )
+    return make(t), bound
 
 
 def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
@@ -210,97 +199,19 @@ def limitation_ratio(c: Fraction) -> Fraction:
     return num / den
 
 
-def limitation_sup(
-    steps: int = 2000, refine_rounds: int = 3, refine_factor: int = 10
-) -> tuple[Fraction, Fraction]:
+def limitation_sup() -> tuple[Fraction, Fraction]:
     """Largest floor any mixture can certify against the certificate cuts.
 
-    Maximizes (3 - 9c^2/2) / (5/2 - 9c^2/2 + 27c^3/4) over 0 <= c < 1/9 by
-    dense grid plus local refinement; the incumbent never decreases as the
-    grid refines.
+    Maximizes (3 - 9c^2/2) / (5/2 - 9c^2/2 + 27c^3/4) over 0 <= c < 1/9
+    with the shared grid maximizer at the default grid of optimize_params.
+    A grid point is a lower estimate of the supremum.
     """
-    if steps < 2 or refine_rounds < 0 or refine_factor < 2:
-        raise ValueError("degenerate grid configuration")
     hi = Fraction(1, 9)
-    value = limitation_ratio
-    best_c = Fraction(0)
-    best_v = value(best_c)
-
-    def scan(center_lo: Fraction, center_hi: Fraction, step: Fraction) -> None:
-        nonlocal best_c, best_v
-        t = max(center_lo, Fraction(0))
-        while t <= center_hi:
-            if t < hi:
-                v = value(t)
-                if v > best_v:
-                    best_v, best_c = v, t
-            t += step
-    step = hi / steps
-    scan(Fraction(0), hi - step, step)
-    for _ in range(refine_rounds):
-        fine = step / refine_factor
-        scan(best_c - step, best_c + step, fine)
-        step = fine
-    return best_c, best_v
-
-
-def relaxation_gap(
-    total_weight: Fraction, min_nonopposite_cost: Fraction, n: int
-) -> Fraction:
-    """Density accounting: certified cut cost against the relaxation value.
-
-    The identity embedding prices the instance at total_weight/n, so a
-    floor of min_nonopposite_cost on every non-opposite cut certifies a
-    gap of min_nonopposite_cost * n / total_weight.
-    """
-    if total_weight <= 0:
-        raise ValueError("total weight must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return Fraction(min_nonopposite_cost) * n / Fraction(total_weight)
-
-
-def embedding_cost(w: WeightMap) -> Fraction:
-    """Relaxation value of the identity embedding: every edge is a unit
-    move between two coordinates, so it costs 1/n per unit of weight."""
-    return w.total() / w.graph.n
-
-
-@dataclass(frozen=True)
-class GapReport:
-    params: GapParams
-    n: int
-    term_i: Fraction
-    term_ii: Fraction
-    bound: Fraction
-    regime: str
-    lp_value: Fraction
-    certified_cuts: tuple[tuple[str, Fraction], ...]
-    gap_estimate: Fraction
-
-
-def build_gap_report(params: GapParams, n: int) -> GapReport:
-    """Price the combined instance at finite n and assemble the ledger:
-    floor terms, identity-embedding value, priced certificate cuts, and
-    the density-normalized gap estimate."""
-    g = build_graph(4, n)
-    w = combine(params, g)
-    floor = nonopposite_cost_floor(params, n=n)
-    certified = [
-        ("midlines-ext", cost(midlines_extended(g), w)),
-        ("isolate-terminals", cost(isolate_terminals(g), w)),
-    ]
-    if (params.c * n).denominator == 1:
-        certified.append(("corner-caps", cost(corner_caps(g, params.c), w)))
-    total = w.total()
-    return GapReport(
-        params=params,
-        n=n,
-        term_i=floor.term_i,
-        term_ii=floor.term_ii,
-        bound=floor.bound,
-        regime=floor.regime,
-        lp_value=embedding_cost(w),
-        certified_cuts=tuple(certified),
-        gap_estimate=relaxation_gap(total, floor.bound, n),
+    return _grid_argmax(
+        limitation_ratio,
+        lambda c: 0 <= c < hi,
+        Fraction(0),
+        hi,
+        GRID_STEPS,
+        GRID_REFINE_ROUNDS,
     )

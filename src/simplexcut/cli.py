@@ -17,7 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
-    OptimizeConfig,
+    GRID_REFINE_ROUNDS,
+    GRID_STEPS,
     limitation_min,
     limitation_sup,
     optimize_params,
@@ -168,6 +169,9 @@ def cmd_enumerate(args) -> int:
     if args.instance is not None:
         parsed = _load_instance(args.instance)
         w = parsed.weights
+        # the counting route reports too small a budget as exhausted; so does this one
+        if budget < 1:
+            raise BudgetExceededError(f"a budget of {budget} allows no labeling")
         result = min_non_opposite_cost(
             w, SearchBudget(max_labelings=budget, mode=args.mode)
         )
@@ -261,12 +265,11 @@ def cmd_sperner_verify(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    config = OptimizeConfig(
-        coarse_steps=args.steps,
+    params, bound = optimize_params(
+        steps=args.steps,
         refine_rounds=args.refine_rounds,
-        force_lambda3_zero=args.lambda3_zero,
+        lambda3_zero=args.lambda3_zero,
     )
-    params, bound = optimize_params(config)
     doc = {
         "command": "optimize",
         "parameters": {
@@ -400,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sperner_verify)
 
     p = sub.add_parser("optimize", parents=[common], help="maximize the certified floor")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--refine-rounds", type=int, default=3)
+    p.add_argument("--steps", type=int, default=GRID_STEPS)
+    p.add_argument("--refine-rounds", type=int, default=GRID_REFINE_ROUNDS)
     p.add_argument("--lambda3-zero", action="store_true")
     p.set_defaults(func=cmd_optimize)
 

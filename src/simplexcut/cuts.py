@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_edges, face_of, support
+from .lattice import SimplexGraph, boundary_edges, support
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,27 +101,6 @@ def is_fragmenting(p: CutLabeling) -> bool:
         if crossings < 2:
             return False
     return True
-
-
-def restrict_to_face(p: CutLabeling) -> CutLabeling:
-    """Restriction of a four-terminal cut to the fourth terminal's opposite face.
-
-    Labels 1..3 pass through and the auxiliary 5 becomes the face's
-    auxiliary 4.  A face node labeled 4 (the off-face terminal) makes the
-    restriction undefined; that never happens for a non-opposite cut.
-    """
-    if p.graph.k != 4:
-        raise ValueError("restriction starts from a four-terminal graph")
-    sub, to_parent = face_of(p.graph, (1, 2, 3))
-    labels = []
-    for node in range(len(sub.nodes)):
-        l = p.labels[to_parent[node]]
-        if l == 4:
-            raise ValueError(
-                f"face node {to_parent[node]} carries the off-face terminal label"
-            )
-        labels.append(4 if l == 5 else l)
-    return CutLabeling(sub, tuple(labels))
 
 
 def canonicalize(p: CutLabeling) -> CutLabeling:

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import getitem
 from typing import Iterator
 
@@ -174,39 +174,6 @@ def boundary_edges(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:
         assert e is not None
         out.append(e)
     return tuple(out)
-
-
-def boundary_sets(g: SimplexGraph) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All boundary lines: pair -> (node indices, edge indices)."""
-    return {
-        (i, j): (boundary_nodes(g, (i, j)), boundary_edges(g, (i, j)))
-        for i, j in combinations(range(1, g.k + 1), 2)
-    }
-
-
-def parallel_line(g: SimplexGraph, pair: tuple[int, int], t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Line parallel to a boundary of a three-terminal graph.
-
-    For the pair {i, j} with opposite terminal m, returns the nodes with
-    x_m = n - t and the edges internal to that line.  t ranges over 0..n;
-    t = 0 is the single opposite terminal and t = n is the boundary line
-    itself.
-    """
-    if g.k != 3:
-        raise ValueError("parallel lines are defined on three-terminal graphs")
-    if not 0 <= t <= g.n:
-        raise ValueError(f"line offset out of range: {t}")
-    i, j = sorted(pair)
-    (m,) = set(range(1, 4)) - {i, j}
-    level = g.n - t
-    nodes = tuple(u for u, p in enumerate(g.nodes) if p[m - 1] == level)
-    ordered = sorted(nodes, key=lambda u: -g.nodes[u][i - 1])
-    edges = []
-    for a, b in zip(ordered, ordered[1:]):
-        e = g.edge_between(a, b)
-        assert e is not None
-        edges.append(e)
-    return nodes, tuple(edges)
 
 
 @lru_cache(maxsize=None)

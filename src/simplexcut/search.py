@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .bounds import nonopposite_cost_floor
 from .cuts import CutLabeling, cost, isolate_terminals, midlines, midlines_extended
 from .errors import BudgetExceededError
-from .instances import GapParams, WeightMap
+from .instances import WeightMap
 from .lattice import SimplexGraph, support
 
 DEFAULT_LABELING_BUDGET = 2_000_000
@@ -274,12 +273,3 @@ def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
             v = u
         flow += bottleneck
     return Fraction(flow, w.den)
-
-
-def verify_floor(params: GapParams, result: SearchResult) -> bool:
-    """Check a certified search minimum against the two-term cost floor."""
-    if not result.proven_optimal:
-        raise ValueError("the floor check needs a proven-optimal search result")
-    n = result.argmin.graph.n
-    floor = nonopposite_cost_floor(params, n=n)
-    return result.min_cost >= floor.bound

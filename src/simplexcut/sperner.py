@@ -48,11 +48,6 @@ def build_hypergraph(k: int, n: int) -> SimplexHypergraph:
     return h
 
 
-def is_admissible(h: SimplexHypergraph, labels: tuple[int, ...]) -> bool:
-    """Every node labeled from its own support."""
-    return all(h.nodes[v][l - 1] > 0 for v, l in enumerate(labels))
-
-
 def count_monochromatic(h: SimplexHypergraph, labels: tuple[int, ...]) -> int:
     count = 0
     for members in h.hyperedges:

@@ -231,6 +231,18 @@ def test_enumerate_count_refuses_small_budget():
     assert "2916" in err["message"]
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("route", ["count", "instance"])
+def test_enumerate_budget_below_one_is_exhausted(route, budget, triangle9):
+    # both routes give one verdict: a budget below 1 is exhausted, not invalid
+    target = ("--k", "3", "--n", "2") if route == "count" else ("--instance", str(triangle9))
+    proc = run("enumerate", *target, "--budget", budget, expect=1)
+    err = stderr_error(proc)
+    assert err["error"] == "budget-exhausted"
+    if route == "instance":
+        assert err["message"] == f"a budget of {budget} allows no labeling"
+
+
 def test_sperner_verify_plain():
     doc = report(run("sperner-verify", "--k", "3", "--n", "2"))
     r = doc["results"]
@@ -261,6 +273,67 @@ def test_optimize_report_and_determinism():
     assert r["regime"] == "asymptotic"
     assert abs(float(r["bound"]["decimal"]) - 1.20016) < 1e-4
     assert Fraction(r["bound"]["exact"]) > Fraction(12, 10)
+
+
+def _pair(exact, decimal):
+    return {"exact": exact, "decimal": decimal}
+
+
+# grid results recorded before optimize_params and limitation_sup shared
+# one grid maximizer; every value is an exact rational
+TUNED_OPTIMUM = {
+    "lambda": [
+        _pair("15360000000000/20434992796139", "0.751652"),
+        _pair("3021362544000/20434992796139", "0.147852"),
+        _pair("5630252139/20434992796139", "0.000276"),
+        _pair("2048000000000/20434992796139", "0.100220"),
+    ],
+    "c": _pair("593/8000", "0.074125"),
+    "bound": _pair("24525362544000/20434992796139", "1.200165"),
+    "regime": "asymptotic",
+    "provenance": "formula",
+}
+GRID_RESULTS = {
+    ("optimize",): TUNED_OPTIMUM,
+    ("optimize", "--steps", "200", "--refine-rounds", "2"): TUNED_OPTIMUM,
+    ("optimize", "--lambda3-zero"): {
+        "lambda": [
+            _pair("3/4", "0.750000"),
+            _pair("3/20", "0.150000"),
+            _pair("0/1", "0.000000"),
+            _pair("1/10", "0.100000"),
+        ],
+        "c": _pair("1/4", "0.250000"),
+        "bound": _pair("6/5", "1.200000"),
+        "regime": "asymptotic",
+        "provenance": "formula",
+    },
+    ("limits", "--n", "39", "--c", "1/13"): {
+        "sup": {
+            "c": _pair("74279/1000000", "0.074279"),
+            "value": _pair("11900687342862000000/9911752610151330253", "1.200664"),
+        },
+        "asymptotic_min": _pair("9000523/7500000", "1.200070"),
+        "regime": "asymptotic",
+        "provenance": "formula",
+        "finite_min": _pair("1522090597/1267500000", "1.200860"),
+        "finite_n": 39,
+        "finite_provenance": "direct-evaluation",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(GRID_RESULTS), ids=" ".join)
+def test_grid_results_pinned(args):
+    assert report(run(*args))["results"] == GRID_RESULTS[args]
+
+
+@pytest.mark.parametrize(
+    "flags", [("--steps", "0"), ("--steps", "1"), ("--refine-rounds", "-1")]
+)
+def test_optimize_rejects_degenerate_grid(flags):
+    proc = run("optimize", *flags, expect=2)
+    assert stderr_error(proc)["error"] == "invalid-parameter"
 
 
 def test_limits_asymptotic_constants():

@@ -21,7 +21,6 @@ from simplexcut import (
     midlines,
     midlines_extended,
     named_cut,
-    restrict_to_face,
     terminal_ball,
 )
 
@@ -179,14 +178,6 @@ def test_terminal_ball_rejects_bad_radius():
         terminal_ball(g, Fraction(1, 5))
     with pytest.raises(ValueError):
         terminal_ball(build_graph(3, 12), Fraction(1, 4))
-
-
-def test_restrict_to_face():
-    g = build_graph(4, 6)
-    p = midlines_extended(g)
-    q = restrict_to_face(p)
-    assert q.graph is build_graph(3, 6)
-    assert q.labels == midlines(build_graph(3, 6)).labels
 
 
 def test_named_cut_dispatch():

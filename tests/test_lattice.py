@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from simplexcut import (
     boundary_edges,
     boundary_nodes,
-    boundary_sets,
     build_graph,
     face_of,
-    parallel_line,
     red_regions,
     simplex_points,
     support,
@@ -174,33 +172,17 @@ def test_boundary_line_counts():
 
 
 def test_boundary_sets_cover_all_pairs():
+    # every terminal pair of a four-terminal graph has its boundary line,
+    # walked from min(pair) to max(pair) along consecutive edges
     g = build_graph(4, 3)
-    sets = boundary_sets(g)
-    assert set(sets) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
-    for pair, (nodes, edges) in sets.items():
-        assert nodes == boundary_nodes(g, pair)
-        assert edges == boundary_edges(g, pair)
-
-
-def test_parallel_line_extremes():
-    g = build_graph(3, 8)
-    nodes0, edges0 = parallel_line(g, (1, 2), 0)
-    assert len(nodes0) == 1 and edges0 == ()
-    assert g.nodes[nodes0[0]] == (0, 0, 8)
-    nodes_n, edges_n = parallel_line(g, (1, 2), 8)
-    assert nodes_n == boundary_nodes(g, (1, 2))
-    assert edges_n == boundary_edges(g, (1, 2))
-
-
-def test_parallel_lines_partition_nodes():
-    g = build_graph(3, 8)
-    seen = []
-    for t in range(g.n + 1):
-        nodes, edges = parallel_line(g, (1, 2), t)
-        assert len(nodes) == t + 1
-        assert len(edges) == t
-        seen.extend(nodes)
-    assert sorted(seen) == list(range(len(g.nodes)))
+    for pair in combinations(range(1, 5), 2):
+        nodes = boundary_nodes(g, pair)
+        edges = boundary_edges(g, pair)
+        assert nodes[0] == g.terminals[pair[0] - 1]
+        assert nodes[-1] == g.terminals[pair[1] - 1]
+        assert [g.edges[e] for e in edges] == [
+            tuple(sorted(ends)) for ends in zip(nodes, nodes[1:])
+        ]
 
 
 def test_face_is_shared_graph_object():

@@ -14,7 +14,6 @@ from simplexcut import (
     count_monochromatic,
     cut_size_floor,
     exhaustive_extremal,
-    is_admissible,
     isolate_terminals,
     midlines_extended,
     monochromatic_upper_bound,
@@ -37,6 +36,11 @@ EXTREMAL = {
 # least non-monochromatic count by inadmissible-node count for the
 # face-restricted (4, 2) family
 FACE_RESTRICTED_4_2 = {0: 3, 1: 3, 2: 3, 3: 2, 4: 2, 5: 1, 6: 0}
+
+
+def is_admissible(h, labels):
+    """Oracle: every node labeled from its own support."""
+    return all(h.nodes[v][l - 1] > 0 for v, l in enumerate(labels))
 
 
 @pytest.mark.parametrize("k,n", sorted(EXTREMAL))
