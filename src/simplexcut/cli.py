@@ -282,7 +282,7 @@ def cmd_optimize(args) -> int:
             "c": _both(params.c),
             "bound": _both(bound),
             "regime": "asymptotic",
-            "provenance": "formula",
+            "provenance": "grid",
         },
     }
     _emit_report(doc, args.out, started)
@@ -301,7 +301,7 @@ def cmd_limits(args) -> int:
             c=parse_rational(args.c) if args.c is not None else None
         )
     results = {
-        "sup": {"c": _both(c_star), "value": _both(beta_star)},
+        "sup": {"c": _both(c_star), "value": _both(beta_star), "provenance": "grid"},
         "asymptotic_min": _both(limitation_min(params)),
         "regime": "asymptotic",
         "provenance": "formula",

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .cuts import CutLabeling
@@ -25,6 +26,10 @@ from .lattice import SimplexGraph, build_graph, node_count, terminal_nodes
 INSTANCE_FORMAT = "simplexcut-instance"
 CUT_FORMAT = "simplexcut-cut"
 FORMAT_VERSION = 1
+# edge lines joined into one string at a time when emitting DIMACS
+EMIT_BLOCK_ROWS = 4096
+# characters of DIMACS text split into lines at a time when parsing
+PARSE_SLICE_CHARS = 1 << 20
 
 
 def render_rational(x: Fraction) -> str:
@@ -101,6 +106,12 @@ def emit_instance_dimacs(
     lam: tuple[Fraction, ...] | None = None,
     include_zero_edges: bool = False,
 ) -> str:
+    """The DIMACS-like document: comment lines, the problem line, one
+    terminal line per corner, then one edge line per emitted edge.
+
+    Edge lines are joined EMIT_BLOCK_ROWS at a time, so no list of every
+    line is ever held: the peak is about the document and its blocks.
+    """
     g = w.graph
     row_count = len(w.nums) if include_zero_edges else len(w.weights)
     lines = [f"c {INSTANCE_FORMAT} version {FORMAT_VERSION}"]
@@ -113,8 +124,11 @@ def emit_instance_dimacs(
     lines.append(f"p mwc {len(g.nodes)} {row_count} {g.k}")
     for i, t in enumerate(g.terminals, start=1):
         lines.append(f"t {t} {i}")
-    lines += [f"e {u} {v} {wt}" for u, v, wt in _edge_rows(w, include_zero_edges)]
-    return "\n".join(lines) + "\n"
+    blocks = ["\n".join(lines) + "\n"]
+    rows = (f"e {u} {v} {wt}\n" for u, v, wt in _edge_rows(w, include_zero_edges))
+    while block := "".join(islice(rows, EMIT_BLOCK_ROWS)):
+        blocks.append(block)
+    return "".join(blocks)
 
 
 def _invert_node_count(k: int, count: int) -> int:
@@ -171,18 +185,24 @@ class _WeightSlots:
 
     def __init__(self, g: SimplexGraph):
         self.graph = g
+        self.edges = g.edges
         self.edge_between = g.edge_between  # bound once: add runs per edge
         self.codes: dict[str, int] = {}
         self.values: list[Fraction] = []
         self.slots = [0] * len(g.edges)
+        # the edge after the last one filled: emitted rows come in edge
+        # order, so this is usually the next row's edge
+        self.hint = 0
 
     def add(self, u: int, v: int, text: str) -> None:
-        e = self.edge_between(u, v)
-        if e is None:
-            g = self.graph
-            if not (0 <= u < len(g.nodes) and 0 <= v < len(g.nodes)):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-            raise ValueError(f"nodes {u} and {v} are not lattice neighbors")
+        e = self.hint
+        if e == len(self.edges) or self.edges[e] != (u, v):
+            e = self.edge_between(u, v)
+            if e is None:
+                g = self.graph
+                if not (0 <= u < len(g.nodes) and 0 <= v < len(g.nodes)):
+                    raise ValueError(f"edge endpoint out of range: ({u}, {v})")
+                raise ValueError(f"nodes {u} and {v} are not lattice neighbors")
         if self.slots[e]:
             raise ValueError(f"duplicate edge ({u}, {v})")
         code = self.codes.get(text)
@@ -193,6 +213,7 @@ class _WeightSlots:
             self.values.append(x)
             code = self.codes[text] = len(self.values)
         self.slots[e] = code
+        self.hint = e + 1
 
     def weight_map(self) -> WeightMap:
         den = lcm(1, *(x.denominator for x in self.values))
@@ -244,12 +265,28 @@ def parse_instance_json(text: str) -> ParsedInstance:
     )
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), split off PARSE_SLICE_CHARS at a time.
+
+    Each slice ends just after a newline, so no line break (not even
+    "\\r\\n") straddles two slices, and the lines are exactly those of the
+    whole text.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + PARSE_SLICE_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_instance_dimacs(text: str) -> ParsedInstance:
     """Parse the DIMACS-like format; its lines may come in any order.
 
-    The lattice graph is built once the problem line and all k terminal
-    lines are read.  From then on each edge line goes straight into its
-    edge's slot; edge lines read before that wait in a list.
+    The text is split into lines one slice of about PARSE_SLICE_CHARS at a
+    time, so only one slice's lines are held at once.  The lattice graph
+    is built once the problem line and all k terminal lines are read.
+    From then on each edge line goes straight into its edge's slot; edge
+    lines read before that wait in a list.
     """
     tag = None
     c_value: Fraction | None = None
@@ -259,7 +296,7 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     slots: _WeightSlots | None = None
     pending: list[tuple[int, int, str]] = []
     edge_lines = 0
-    for raw in text.splitlines():
+    for raw in _lines(text):
         line = raw.strip()
         if not line:
             continue

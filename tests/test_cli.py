@@ -291,7 +291,7 @@ TUNED_OPTIMUM = {
     "c": _pair("593/8000", "0.074125"),
     "bound": _pair("24525362544000/20434992796139", "1.200165"),
     "regime": "asymptotic",
-    "provenance": "formula",
+    "provenance": "grid",
 }
 GRID_RESULTS = {
     ("optimize",): TUNED_OPTIMUM,
@@ -306,12 +306,13 @@ GRID_RESULTS = {
         "c": _pair("1/4", "0.250000"),
         "bound": _pair("6/5", "1.200000"),
         "regime": "asymptotic",
-        "provenance": "formula",
+        "provenance": "grid",
     },
     ("limits", "--n", "39", "--c", "1/13"): {
         "sup": {
             "c": _pair("74279/1000000", "0.074279"),
             "value": _pair("11900687342862000000/9911752610151330253", "1.200664"),
+            "provenance": "grid",
         },
         "asymptotic_min": _pair("9000523/7500000", "1.200070"),
         "regime": "asymptotic",

@@ -1,6 +1,8 @@
 """Serialization: exact rationals, JSON and DIMACS-style instance files."""
 
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from hashlib import sha256
 
@@ -25,6 +27,7 @@ from simplexcut import (
     render_decimal,
     render_rational,
 )
+from simplexcut import io as sio
 
 
 def _sample_instances():
@@ -284,6 +287,80 @@ def test_emission_matches_recorded_hashes():
     for (name, fmt, zero_edges), digest in EMISSION_SHA256.items():
         text = emitters[fmt](instances[name], include_zero_edges=zero_edges)
         assert sha256(text.encode()).hexdigest() == digest, (name, fmt, zero_edges)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_emission_blocks_do_not_change_documents(monkeypatch, block_rows):
+    monkeypatch.setattr(sio, "EMIT_BLOCK_ROWS", block_rows)
+    test_emission_matches_recorded_hashes()
+
+
+@pytest.mark.parametrize("slice_chars", [1, 2, 5, 64])
+def test_parse_slices_do_not_change_lines(monkeypatch, slice_chars):
+    w = combine(GapParams.tuned(c=Fraction(1, 3)), build_graph(4, 3))
+    text = emit_instance_dimacs(w, tag="combined", c=Fraction(1, 3))
+    expected = parse_instance(text)
+    # CRLF endings, blank lines, a missing final newline and lone CRs,
+    # whichever line break a slice ends in
+    crlf = text.replace("\n", "\r\n\r\n")[:-4]
+    mixed = text.replace("\ne ", "\re ")
+    monkeypatch.setattr(sio, "PARSE_SLICE_CHARS", slice_chars)
+    for variant in (text, crlf, mixed):
+        assert parse_instance(variant) == expected
+
+
+def _with_edge_rows(text: str, reorder) -> str:
+    lines = text.splitlines()
+    rows = [l for l in lines if l.startswith("e ")]
+    return "\n".join([l for l in lines if not l.startswith("e ")] + reorder(rows)) + "\n"
+
+
+def test_edge_rows_in_any_order_fill_the_same_slots():
+    w = combine(GapParams.tuned(c=Fraction(1, 3)), build_graph(4, 6))
+    text = emit_instance_dimacs(w)
+    for reorder in (list, lambda rows: rows[::-1]):
+        assert parse_instance(_with_edge_rows(text, reorder)).weights == w
+
+    def shuffled_with_duplicate(rows):
+        rows = rows[:]
+        random.Random(7).shuffle(rows)
+        # the twin fills the slot the next-edge hint points past
+        return rows[:10] + [rows[9]] + rows[11:]
+
+    with pytest.raises(ValueError, match="duplicate edge"):
+        parse_instance(_with_edge_rows(text, shuffled_with_duplicate))
+
+
+@pytest.fixture(scope="module")
+def n48_document():
+    w = combine(GapParams.tuned(c=Fraction(1, 4)), build_graph(4, 48))
+    return w, emit_instance_dimacs(w)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emission_peak_memory_is_bounded(n48_document):
+    # edge lines are joined a block at a time, not held as one list
+    w, text = n48_document
+    assert len(w.graph.edges) == 117_600
+    again, peak = _traced_peak(emit_instance_dimacs, w)
+    assert again == text
+    assert peak / len(text) <= 2.5
+
+
+def test_parse_peak_memory_is_bounded(n48_document):
+    # the text is split into lines a slice at a time
+    w, text = n48_document
+    parsed, peak = _traced_peak(parse_instance, text)
+    assert parsed.weights == w
+    assert peak / len(text) <= 2
 
 
 # Fuzzing: mutated valid documents may be rejected, but only with ValueError.

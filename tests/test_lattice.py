@@ -1,5 +1,6 @@
 """Lattice construction: node order, counts, faces, marked regions."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexcut import (
+    RedRegions,
     boundary_edges,
     boundary_nodes,
     build_graph,
@@ -222,9 +224,71 @@ def test_red_region_cycle_is_closed():
             for u in g.edges[e]:
                 degree[u] = degree.get(u, 0) + 1
         # a disjoint union of simple cycles has all degrees 2; the length
-        # check in red_regions pins it to the single triangle of side cn
+        # check in test_red_region_counts pins it to the single triangle
+        # of side cn
         assert all(d == 2 for d in degree.values())
         assert len(degree) == len(rr.edges[m - 1])
+
+
+def _red_regions_scan(g, c):
+    """Reference: mark the corner cycles by scanning every node and edge."""
+    level = g.n - int(c * g.n)
+    node_sets, edge_sets, closures = [], [], []
+    for m in (1, 2, 3):
+        others = sorted({1, 2, 3} - {m})
+        members = set()
+        for u, p in enumerate(g.nodes):
+            if p[3] != 0:
+                continue
+            if p[m - 1] == level:
+                members.add(u)
+            elif p[m - 1] > level:
+                if set(support(p)) <= {m, others[0]} or set(support(p)) <= {m, others[1]}:
+                    members.add(u)
+
+        def on_cycle(u, v):
+            p, q = g.nodes[u], g.nodes[v]
+            if p[m - 1] == level and q[m - 1] == level:
+                return True
+            return any(
+                set(support(p)) <= {m, j} and set(support(q)) <= {m, j} for j in others
+            )
+
+        node_sets.append(frozenset(members))
+        edge_sets.append(
+            tuple(
+                e
+                for e, (u, v) in enumerate(g.edges)
+                if u in members and v in members and on_cycle(u, v)
+            )
+        )
+        closures.append(
+            frozenset(u for u, p in enumerate(g.nodes) if p[3] == 0 and p[m - 1] >= level)
+        )
+    return RedRegions(Fraction(c), tuple(node_sets), tuple(edge_sets), tuple(closures))
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_red_regions_match_full_scan(n):
+    g = build_graph(4, n)
+    depths = [d for d in range(1, n) if 2 * d < n]
+    assert depths
+    for depth in depths:
+        c = Fraction(depth, n)
+        assert red_regions(g, c) == _red_regions_scan(g, c)
+
+
+def test_graph_bytes_per_edge():
+    # index, edges and adj share one int object per node; a graph built
+    # outside the cache keeps the cached graphs other tests hold intact
+    tracemalloc.start()
+    try:
+        g = build_graph.__wrapped__(4, 48)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.edges == build_graph(4, 48).edges
+    assert held / len(g.edges) <= 135
 
 
 def test_red_region_rejects_bad_depth():
