@@ -1,13 +1,16 @@
-"""Closed-form cost floors, the certificate-cut limitation, and one grid
-maximizer for both headline constants.
+"""Closed-form cost floors, the certificate-cut limitation, and the exact
+stationary points behind both headline constants.
 
 Everything here is exact rational arithmetic.  The two-term cost floor is
 linear in its inner trade-off variable, so the inner minimizations are
-solved at interval endpoints.  Both headline constants come from the same
-one-dimensional grid search with tenfold local refinement (_grid_argmax):
-the certified floor over the cap depth c after reducing the mixture
-weights along the stationarity relations (optimize_params), and the
-certificate-cut ceiling over c (limitation_sup).
+solved at interval endpoints.  Both headline constants maximize a ratio
+of polynomials in the cap depth c whose derivative vanishes at the one
+root of a cubic in the search interval (_stationary_point): the certified
+floor, after reducing the mixture weights along the stationarity
+relations (optimize_params), and the certificate-cut ceiling
+(limitation_sup).  The root is bisected exactly; each constant is the
+exact value at the root rounded to six decimals, and the ceiling also
+gets an upper bound from the root's isolating interval.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ _THREE_HALVES = Fraction(3, 2)
 
 REGIMES = ("asymptotic", "finite", "out-of-regime")
 FINITE_REGIME_MIN_N = 10
-GRID_STEPS = 2000
-GRID_REFINE_ROUNDS = 3
+_WITNESS_DIGITS = 6  # the precision GapParams.tuned is frozen at
+_ROOT_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -101,61 +104,55 @@ def _constrained_params(lam1: Fraction) -> GapParams:
     return GapParams(lam1=lam1, lam2=lam2, lam3=Fraction(0), lam4=lam4, c=Fraction(1, 4))
 
 
-def _grid_argmax(f, inside, lo: Fraction, hi: Fraction, steps: int, rounds: int):
-    """The one grid maximizer behind both headline constants.
+def _stationary_point(a: Fraction, b: Fraction, hi: Fraction):
+    """The one root of c^3 - a*c + b in (0, hi), isolated exactly.
 
-    Scores f at the points lo, lo + step, ..., hi (step = (hi - lo)/steps)
-    where inside holds and keeps the first strict maximum; then, rounds
-    times, rescans the two grid intervals around the incumbent at a
-    tenth of the step.  The incumbent only changes on a strict increase,
-    so refinement never lowers it.  Returns (argmax, f(argmax)).
+    The cubic is positive at 0, negative at hi and strictly decreasing in
+    between (3c^2 < a there), so bisection keeps the root in [lo, up]
+    until the interval is narrower than 10^-12.  Returns (witness, lo, up)
+    where the witness is the root rounded half-even to six decimals; every
+    point of [lo, up] rounds to it.
     """
-    if steps < 2:
-        raise ValueError("the grid needs at least two steps")
-    if rounds < 0:
-        raise ValueError("the number of refinement rounds cannot be negative")
-    best_t = best_v = None
-    start, stop, step = lo, hi, (hi - lo) / steps
-    for _ in range(rounds + 1):
-        t = start
-        while t <= stop:
-            if inside(t):
-                v = f(t)
-                if best_v is None or v > best_v:
-                    best_t, best_v = t, v
-            t += step
-        start, stop, step = best_t - step, best_t + step, step / 10
-    return best_t, best_v
+    cubic = lambda c: c * c * c - a * c + b
+    lo, up = Fraction(0), hi
+    assert cubic(lo) > 0 > cubic(up) and 3 * up * up < a
+    while up - lo >= _ROOT_WIDTH:
+        mid = (lo + up) / 2
+        if cubic(mid) > 0:
+            lo = mid
+        else:
+            up = mid
+    witness = round(lo, _WITNESS_DIGITS)
+    assert round(up, _WITNESS_DIGITS) == witness, (lo, up)
+    return witness, lo, up
 
 
-def optimize_params(
-    steps: int = GRID_STEPS,
-    refine_rounds: int = GRID_REFINE_ROUNDS,
-    lambda3_zero: bool = False,
-) -> tuple[GapParams, Fraction]:
-    """Maximize the asymptotic floor with the shared grid maximizer.
+def optimize_params(lambda3_zero: bool = False) -> tuple[GapParams, Fraction]:
+    """Maximize the asymptotic floor at its exact stationary point.
 
-    The grid runs over the cap depth c in (0, 1/2), each c taking the
-    mixture of optimal_params_for_c; with lambda3_zero it runs over lam1
-    in [0, 1) with the cycle component dropped.  Deterministic; returns
-    the incumbent and its exact bound.
+    Over the cap depth c in (0, 1/2), each c taking the mixture of
+    optimal_params_for_c, the floor is N/D with N = 8/5 - 3c^2/5 and
+    D = 4/3 - 3c^2/5 + 9c^3/10, and N'D - ND' = (27/50) c (c^3 - 8c + 16/27).
+    The maximizer is that cubic's one root in (0, 1/2); the witness is the
+    root rounded to six decimals.
+
+    With lambda3_zero the cycle component is dropped.  On lam1 in
+    [0, 15/17] both floor terms are then linear in lam1, one rising and
+    one falling, so the optimum is where they cross; past 15/17 lam2 = 0
+    and term (ii) is 6 lam1/5 < 6/5.  Returns the mixture and its exact
+    bound.
     """
-    # lam1 = 0 is a legal mixture, while c = 0 is no cap depth
     if lambda3_zero:
-        make, hi = _constrained_params, Fraction(1)
-        inside = lambda t: 0 <= t < hi
+        end = Fraction(15, 17)
+        gap = []
+        for t in (Fraction(0), end):
+            ft = nonopposite_cost_floor(_constrained_params(t))
+            gap.append(ft.term_i - ft.term_ii)
+        params = _constrained_params(end * gap[0] / (gap[0] - gap[1]))
     else:
-        make, hi = optimal_params_for_c, Fraction(1, 2)
-        inside = lambda t: 0 < t < hi
-    t, bound = _grid_argmax(
-        lambda t: nonopposite_cost_floor(make(t)).bound,
-        inside,
-        Fraction(0),
-        hi,
-        steps,
-        refine_rounds,
-    )
-    return make(t), bound
+        witness, _lo, _up = _stationary_point(Fraction(8), Fraction(16, 27), Fraction(1, 2))
+        params = optimal_params_for_c(witness)
+    return params, nonopposite_cost_floor(params).bound
 
 
 def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
@@ -185,6 +182,14 @@ def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
     return min(cost(p, w) for p in cuts)
 
 
+def _ratio_terms(c: Fraction) -> tuple[Fraction, Fraction]:
+    """Numerator and denominator of limitation_ratio; both are positive and
+    decreasing on (0, 1/9)."""
+    num = 3 - Fraction(9, 2) * c * c
+    den = Fraction(5, 2) - Fraction(9, 2) * c * c + Fraction(27, 4) * c * c * c
+    return num, den
+
+
 def limitation_ratio(c: Fraction) -> Fraction:
     """Best certified floor per unit of certificate-cut cost at cap depth c.
 
@@ -194,24 +199,19 @@ def limitation_ratio(c: Fraction) -> Fraction:
     c = Fraction(c)
     if not (0 <= c < Fraction(1, 9)):
         raise ValueError("the ratio is defined for 0 <= c < 1/9")
-    num = 3 - Fraction(9, 2) * c * c
-    den = Fraction(5, 2) - Fraction(9, 2) * c * c + Fraction(27, 4) * c * c * c
+    num, den = _ratio_terms(c)
     return num / den
 
 
-def limitation_sup() -> tuple[Fraction, Fraction]:
+def limitation_sup() -> tuple[Fraction, Fraction, Fraction]:
     """Largest floor any mixture can certify against the certificate cuts.
 
-    Maximizes (3 - 9c^2/2) / (5/2 - 9c^2/2 + 27c^3/4) over 0 <= c < 1/9
-    with the shared grid maximizer at the default grid of optimize_params.
-    A grid point is a lower estimate of the supremum.
+    Maximizes limitation_ratio = N/D over 0 <= c < 1/9, where
+    N'D - ND' = (243/8) c (c^3 - 2c + 4/27); the maximizer is that cubic's
+    one root there.  Returns (witness, value, upper): the root rounded to
+    six decimals, the exact ratio there, and N(lo)/D(up) over
+    the root's isolating interval [lo, up].  Since N and D are positive and
+    decreasing, upper bounds the supremum, and value <= sup <= upper.
     """
-    hi = Fraction(1, 9)
-    return _grid_argmax(
-        limitation_ratio,
-        lambda c: 0 <= c < hi,
-        Fraction(0),
-        hi,
-        GRID_STEPS,
-        GRID_REFINE_ROUNDS,
-    )
+    witness, lo, up = _stationary_point(Fraction(2), Fraction(4, 27), Fraction(1, 9))
+    return witness, limitation_ratio(witness), _ratio_terms(lo)[0] / _ratio_terms(up)[1]

@@ -16,13 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import (
-    GRID_REFINE_ROUNDS,
-    GRID_STEPS,
-    limitation_min,
-    limitation_sup,
-    optimize_params,
-)
+from .bounds import limitation_min, limitation_sup, optimize_params
 from .cuts import NAMED_CUTS, cost, delta, is_fragmenting, is_non_opposite, named_cut
 from .errors import BudgetExceededError
 from .instances import (
@@ -265,24 +259,16 @@ def cmd_sperner_verify(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    params, bound = optimize_params(
-        steps=args.steps,
-        refine_rounds=args.refine_rounds,
-        lambda3_zero=args.lambda3_zero,
-    )
+    params, bound = optimize_params(lambda3_zero=args.lambda3_zero)
     doc = {
         "command": "optimize",
-        "parameters": {
-            "steps": args.steps,
-            "refine_rounds": args.refine_rounds,
-            "lambda3_zero": args.lambda3_zero,
-        },
+        "parameters": {"lambda3_zero": args.lambda3_zero},
         "results": {
             "lambda": [_both(x) for x in params.lams()],
             "c": _both(params.c),
             "bound": _both(bound),
             "regime": "asymptotic",
-            "provenance": "grid",
+            "provenance": "stationary-point",
         },
     }
     _emit_report(doc, args.out, started)
@@ -291,7 +277,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_limits(args) -> int:
     started = time.perf_counter()
-    c_star, beta_star = limitation_sup()
+    c_star, beta_star, upper = limitation_sup()
     if args.lam is not None:
         lam = _parse_lambda(args.lam)
         c = parse_rational(args.c) if args.c is not None else GapParams.tuned().c
@@ -301,7 +287,12 @@ def cmd_limits(args) -> int:
             c=parse_rational(args.c) if args.c is not None else None
         )
     results = {
-        "sup": {"c": _both(c_star), "value": _both(beta_star), "provenance": "grid"},
+        "sup": {
+            "c": _both(c_star),
+            "value": _both(beta_star),
+            "upper": _both(upper),
+            "provenance": "stationary-point",
+        },
         "asymptotic_min": _both(limitation_min(params)),
         "regime": "asymptotic",
         "provenance": "formula",
@@ -403,8 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sperner_verify)
 
     p = sub.add_parser("optimize", parents=[common], help="maximize the certified floor")
-    p.add_argument("--steps", type=int, default=GRID_STEPS)
-    p.add_argument("--refine-rounds", type=int, default=GRID_REFINE_ROUNDS)
     p.add_argument("--lambda3-zero", action="store_true")
     p.set_defaults(func=cmd_optimize)
 

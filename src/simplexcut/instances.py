@@ -180,9 +180,11 @@ class GapParams:
 
     @staticmethod
     def tuned(c: Fraction | None = None) -> "GapParams":
-        """The tuned optimum produced by optimize_params' default search,
-        frozen to six decimal places for reproducibility.  Pass c to reuse
-        the mixture at another cap depth (e.g. to make c*n integral)."""
+        """The optimum of optimize_params frozen to six decimal places: c is
+        its witness (the exact stationary point rounded half-even), and the
+        weights sum to 1 and lie within 10^-6 of the optimizer's.  Pass c
+        to reuse the mixture at another cap depth (e.g. to make c*n
+        integral)."""
         return GapParams(
             Fraction(751652, 10**6),
             Fraction(147852, 10**6),

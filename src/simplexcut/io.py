@@ -285,8 +285,9 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     The text is split into lines one slice of about PARSE_SLICE_CHARS at a
     time, so only one slice's lines are held at once.  The lattice graph
     is built once the problem line and all k terminal lines are read.
-    From then on each edge line goes straight into its edge's slot; edge
-    lines read before that wait in a list.
+    From then on each edge line goes straight into its edge's slot; the
+    edge lines read before that are only counted, and read again from the
+    text once the graph exists.
     """
     tag = None
     c_value: Fraction | None = None
@@ -294,7 +295,6 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     header: tuple[int, int, int] | None = None  # declared edge count, k, n
     terminal_rows: list[tuple[int, int]] = []
     slots: _WeightSlots | None = None
-    pending: list[tuple[int, int, str]] = []
     edge_lines = 0
     for raw in _lines(text):
         line = raw.strip()
@@ -307,9 +307,7 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
                 raise ValueError(f"malformed edge line: {line!r}")
             u, v, wt = fields
             edge_lines += 1
-            if slots is None:
-                pending.append((int(u), int(v), wt))
-            else:
+            if slots is not None:
                 slots.add(int(u), int(v), wt)
             continue
         if kind == "c":
@@ -335,9 +333,17 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
             raise ValueError(f"unknown line kind: {kind!r}")
         if slots is None and header is not None and len(terminal_rows) == header[1]:
             slots = _WeightSlots(_graph_at_corners(header[1], header[2], terminal_rows))
-            for row in pending:
-                slots.add(*row)
-            pending = []
+            # the edge lines read so far were only counted: read them again
+            early = edge_lines
+            if early:
+                for again in _lines(text):
+                    head, _, tail = again.strip().partition(" ")
+                    if head == "e":
+                        u, v, wt = tail.split()
+                        slots.add(int(u), int(v), wt)
+                        early -= 1
+                        if not early:
+                            break
     if header is None:
         raise ValueError("missing problem line")
     declared_edges, k, _ = header

@@ -104,13 +104,6 @@ class SimplexGraph:
     def __repr__(self) -> str:
         return f"SimplexGraph(k={self.k}, n={self.n})"
 
-    def terminal_of(self, node: int) -> int | None:
-        """1-based terminal id if the node is a terminal, else None."""
-        point = self.nodes[node]
-        if max(point) == self.n:
-            return point.index(self.n) + 1
-        return None
-
     def edge_between(self, u: int, v: int) -> int | None:
         """Index of the edge joining u and v, or None if they are not neighbours."""
         if u > v:

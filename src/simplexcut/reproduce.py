@@ -183,8 +183,12 @@ def _grid_max(lam3_zero: bool) -> tuple[int, Fraction]:
 
 
 def _limitation_sup(budget, shared):
-    _c, beta = limitation_sup()
-    ok = Fraction(6, 5) <= beta <= _CEILING and abs(beta - _CEILING) <= Fraction(1, 100000)
+    _c, beta, upper = limitation_sup()
+    ok = (
+        Fraction(6, 5) <= beta <= upper <= _CEILING
+        and abs(beta - _CEILING) <= Fraction(1, 100000)
+        and upper - beta < Fraction(1, 10**12)
+    )
     return render_decimal(beta), ok
 
 

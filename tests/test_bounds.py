@@ -133,14 +133,6 @@ def test_optimizer_lambda3_zero_ridge():
     assert bound <= Fraction(12, 10) + Fraction(1, 10**9)
 
 
-def test_optimizer_config_validation():
-    for steps in (0, 1):
-        with pytest.raises(ValueError):
-            optimize_params(steps=steps)
-    with pytest.raises(ValueError):
-        optimize_params(refine_rounds=-1)
-
-
 def test_reduction_matches_direct_floor():
     for c in (Fraction(1, 16), Fraction(593, 8000), Fraction(1, 9)):
         params = optimal_params_for_c(c)
@@ -219,21 +211,90 @@ def test_limitation_ratio_values():
 
 
 def test_limitation_sup_constants():
-    c_star, beta = limitation_sup()
-    assert Fraction(12, 10) <= beta <= Fraction(120067, 100000)
+    c_star, beta, upper = limitation_sup()
+    assert Fraction(12, 10) <= beta <= upper <= Fraction(120067, 100000)
     assert abs(beta - Fraction(120067, 100000)) <= Fraction(1, 10**5)
-    assert Fraction(0) < c_star < Fraction(1, 9)
+    assert upper - beta < Fraction(1, 10**12)
+    assert c_star == Fraction(74279, 1000000)
+    assert beta == limitation_ratio(c_star)
 
 
-def test_limitation_sup_monotone_refinement():
-    # optimize_params and limitation_sup share one grid maximizer, so its
-    # refinement behaviour is checked through the one that takes a grid
-    _, coarse = optimize_params(steps=2000)
-    _, fine = optimize_params(steps=4000)
-    assert fine >= coarse - Fraction(1, 10**9)
-    _, single = optimize_params(steps=2000, refine_rounds=0)
-    _, refined = optimize_params(steps=2000, refine_rounds=3)
-    assert refined >= single - Fraction(1, 10**9)
+def _poly(coeffs, c):
+    return sum(a * c**i for i, a in enumerate(coeffs))
+
+
+def _derivative(coeffs):
+    return [i * a for i, a in enumerate(coeffs)][1:]
+
+
+# each maximized function as N/D (coefficients from c^0 up), with the
+# factorization N'D - ND' = const * c * (c^3 - a*c + b) on (0, end)
+STATIONARY_CASES = {
+    "floor": (
+        lambda c: nonopposite_cost_floor(optimal_params_for_c(c)).bound,
+        [Fraction(8, 5), 0, Fraction(-3, 5)],
+        [Fraction(4, 3), 0, Fraction(-3, 5), Fraction(9, 10)],
+        (Fraction(27, 50), 8, Fraction(16, 27)),
+        Fraction(1, 2),
+    ),
+    "ratio": (
+        limitation_ratio,
+        [3, 0, Fraction(-9, 2)],
+        [Fraction(5, 2), 0, Fraction(-9, 2), Fraction(27, 4)],
+        (Fraction(243, 8), 2, Fraction(4, 27)),
+        Fraction(1, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STATIONARY_CASES))
+def test_stationary_cubic_factorization(name):
+    f, num, den, (const, a, b), end = STATIONARY_CASES[name]
+    rng = random.Random(name)
+    for _ in range(20):
+        c = end * Fraction(rng.randint(1, 10**6 - 1), 10**6)
+        n_c, d_c = _poly(num, c), _poly(den, c)
+        assert f(c) == n_c / d_c
+        slope = _poly(_derivative(num), c) * d_c - n_c * _poly(_derivative(den), c)
+        assert slope == const * c * (c**3 - a * c + b)
+        if name == "ratio":
+            # limitation_sup's upper bound needs N and D positive and decreasing
+            assert n_c > 0 and d_c > 0
+            assert _poly(_derivative(num), c) < 0 and _poly(_derivative(den), c) < 0
+
+
+def _plain_scan(f, end, steps=2000):
+    """Reference oracle: f at end*i/steps for 0 < i < steps, first maximum."""
+    points = (end * Fraction(i, steps) for i in range(1, steps))
+    return max(((t, f(t)) for t in points), key=lambda pair: pair[1])
+
+
+def test_stationary_points_against_plain_scan():
+    f, *_rest, end = STATIONARY_CASES["floor"]
+    t, best = _plain_scan(f, end)
+    params, bound = optimize_params()
+    assert best <= bound
+    assert abs(t - params.c) <= end / 2000
+    f, *_rest, end = STATIONARY_CASES["ratio"]
+    t, best = _plain_scan(f, end)
+    c_star, _beta, upper = limitation_sup()
+    assert best <= upper
+    assert abs(t - c_star) <= end / 2000
+
+
+def test_lambda3_zero_against_simplex_grid():
+    # without the cycle component no composition of 40 beats the crossing
+    # point optimize_params(lambda3_zero=True) computes, and one attains it
+    params, bound = optimize_params(lambda3_zero=True)
+    assert params.lam1 == Fraction(3, 4)
+    step = 40
+    best = max(
+        nonopposite_cost_floor(GapParams(*(Fraction(x, step) for x in lams), c=params.c)).bound
+        for a in range(step + 1)
+        for b in range(step + 1 - a)
+        for lams in [(a, b, 0, step - a - b)]
+    )
+    assert best == bound
 
 
 def test_limitation_asymptotic_claims():

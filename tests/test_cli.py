@@ -264,9 +264,8 @@ def test_sperner_verify_face_restricted():
 
 
 def test_optimize_report_and_determinism():
-    args = ("optimize", "--steps", "200", "--refine-rounds", "2")
-    first = report(run(*args))
-    again = report(run(*args))
+    first = report(run("optimize"))
+    again = report(run("optimize"))
     assert strip_timing(first) == strip_timing(again)
     r = first["results"]
     assert len(r["lambda"]) == 4
@@ -279,8 +278,9 @@ def _pair(exact, decimal):
     return {"exact": exact, "decimal": decimal}
 
 
-# grid results recorded before optimize_params and limitation_sup shared
-# one grid maximizer; every value is an exact rational
+# results recorded when a refined grid still found them (optimize_params and
+# limitation_sup now solve for the stationary point); every value is an
+# exact rational
 TUNED_OPTIMUM = {
     "lambda": [
         _pair("15360000000000/20434992796139", "0.751652"),
@@ -291,11 +291,10 @@ TUNED_OPTIMUM = {
     "c": _pair("593/8000", "0.074125"),
     "bound": _pair("24525362544000/20434992796139", "1.200165"),
     "regime": "asymptotic",
-    "provenance": "grid",
+    "provenance": "stationary-point",
 }
 GRID_RESULTS = {
     ("optimize",): TUNED_OPTIMUM,
-    ("optimize", "--steps", "200", "--refine-rounds", "2"): TUNED_OPTIMUM,
     ("optimize", "--lambda3-zero"): {
         "lambda": [
             _pair("3/4", "0.750000"),
@@ -306,13 +305,17 @@ GRID_RESULTS = {
         "c": _pair("1/4", "0.250000"),
         "bound": _pair("6/5", "1.200000"),
         "regime": "asymptotic",
-        "provenance": "grid",
+        "provenance": "stationary-point",
     },
     ("limits", "--n", "39", "--c", "1/13"): {
         "sup": {
             "c": _pair("74279/1000000", "0.074279"),
             "value": _pair("11900687342862000000/9911752610151330253", "1.200664"),
-            "provenance": "grid",
+            "upper": _pair(
+                "834190672878728331566096441306775552/694774288329440607868239493045348829",
+                "1.200664",
+            ),
+            "provenance": "stationary-point",
         },
         "asymptotic_min": _pair("9000523/7500000", "1.200070"),
         "regime": "asymptotic",
@@ -329,12 +332,10 @@ def test_grid_results_pinned(args):
     assert report(run(*args))["results"] == GRID_RESULTS[args]
 
 
-@pytest.mark.parametrize(
-    "flags", [("--steps", "0"), ("--steps", "1"), ("--refine-rounds", "-1")]
-)
-def test_optimize_rejects_degenerate_grid(flags):
+@pytest.mark.parametrize("flags", [("--steps", "10"), ("--refine-rounds", "1")])
+def test_optimize_rejects_grid_flags(flags):
     proc = run("optimize", *flags, expect=2)
-    assert stderr_error(proc)["error"] == "invalid-parameter"
+    assert stderr_error(proc)["error"] == "usage"
 
 
 def test_limits_asymptotic_constants():

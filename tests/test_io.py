@@ -363,6 +363,17 @@ def test_parse_peak_memory_is_bounded(n48_document):
     assert peak / len(text) <= 2
 
 
+def test_edges_first_parse_peak_memory_is_bounded(n48_document):
+    # edge lines read before the graph exists are counted, not held, and
+    # read again once the terminal lines are in
+    w, text = n48_document
+    lines = text.splitlines()
+    edges_first = "\n".join(sorted(lines, key=lambda line: not line.startswith("e "))) + "\n"
+    parsed, peak = _traced_peak(parse_instance, edges_first)
+    assert parsed.weights == w
+    assert peak / len(edges_first) <= 2
+
+
 # Fuzzing: mutated valid documents may be rejected, but only with ValueError.
 
 _FUZZ_INSTANCES = (
