@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cuts import corner_caps, cost, isolate_terminals, midlines_extended
 from .instances import GapParams, combine
@@ -162,18 +163,32 @@ def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
     formulas (the corner-cap formula applies only for c < 1/9).  At finite
     n the three cuts are built and priced on the combined instance
     directly, so every 1/n correction is computed rather than estimated;
-    that needs n divisible by 3 when lam1 > 0 and c*n integral.
+    that needs n divisible by 3 when lam1 > 0 and c*n integral.  Either
+    way the value is the cost of one of three cuts, so it bounds the
+    instance's non-opposite minimum from above and need not equal it.
     """
-    lam1, lam2, lam3, lam4 = params.lams()
-    c = params.c
     if n is None:
-        values = [
-            _SIX_FIFTHS * lam1 + lam2 + _THREE_HALVES * lam4,
-            _SIX_FIFTHS * lam1 + 2 * lam2 + Fraction(2, 3) / c * lam3,
-        ]
-        if c < Fraction(1, 9):
-            values.append(_SIX_FIFTHS * lam1 + 2 * lam2 + Fraction(9, 2) * c * c * lam4)
-        return min(values)
+        # The three formulas are
+        #   6/5 l1 + l2 + 3/2 l4,
+        #   6/5 l1 + 2 l2 + 2/(3c) l3,
+        #   6/5 l1 + 2 l2 + 9/2 c^2 l4   (only for c < 1/9).
+        # With l_i = a_i/d over the weights' least common denominator d and
+        # c = p/q, multiplying each by 30 d p q^2 leaves the integers
+        #   (36 a1 + 30 a2 + 45 a4) p q^2,
+        #   (36 a1 + 60 a2) p q^2 + 20 a3 q^3,
+        #   (36 a1 + 60 a2) p q^2 + 135 a4 p^3   (only for 9p < q),
+        # so the minimum is taken on integers and divided once.
+        lams = params.lams()
+        d = lcm(*(x.denominator for x in lams))
+        a1, a2, a3, a4 = (x.numerator * (d // x.denominator) for x in lams)
+        p, q = params.c.numerator, params.c.denominator
+        pqq = p * q * q
+        shared = (36 * a1 + 60 * a2) * pqq
+        best = min((36 * a1 + 30 * a2 + 45 * a4) * pqq, shared + 20 * a3 * q * q * q)
+        if 9 * p < q:
+            best = min(best, shared + 135 * a4 * p * p * p)
+        return Fraction(best, 30 * d * pqq)
+    c = params.c
     g = build_graph(4, n)
     w = combine(params, g)
     cuts = [midlines_extended(g), isolate_terminals(g)]

@@ -400,7 +400,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", parents=[common], help="certificate-cut limitation values")
     p.add_argument("--lambda", dest="lam", help="four mixing weights a,b,c,d")
     p.add_argument("--c", help="cap depth as a rational or decimal")
-    p.add_argument("--n", type=int, help="also price the certificate cuts at this n")
+    p.add_argument(
+        "--n",
+        type=int,
+        help="also price the three certificate cuts at this n; finite_min is the "
+        "cheapest of them, an upper bound on the instance's non-opposite minimum",
+    )
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("reproduce", parents=[common], help="run an acceptance suite")

@@ -8,7 +8,6 @@ set of edges whose endpoints disagree.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,12 +23,12 @@ class CutLabeling:
 
     def __post_init__(self):
         g = self.graph
-        labels = tuple(int(l) for l in self.labels)
+        labels = tuple(map(int, self.labels))
         if len(labels) != len(g.nodes):
             raise ValueError(
                 f"{len(labels)} labels for {len(g.nodes)} nodes"
             )
-        if any(not 1 <= l <= g.k + 1 for l in labels):
+        if min(labels) < 1 or max(labels) > g.k + 1:
             raise ValueError(f"labels must lie in 1..{g.k + 1}")
         for i, t in enumerate(g.terminals, start=1):
             if labels[t] != i:
@@ -113,19 +112,23 @@ def canonicalize(p: CutLabeling) -> CutLabeling:
     operation twice equals applying it once.
     """
     g = p.graph
+    adj = g.adj
     labels = p.labels
-    relabel = [g.k + 1] * len(g.nodes)
+    aux = g.k + 1
+    relabel = [aux] * len(g.nodes)
     for i, t in enumerate(g.terminals, start=1):
-        if relabel[t] != g.k + 1:
+        if relabel[t] != aux:
             continue
         relabel[t] = i
-        queue = deque([t])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if labels[v] == labels[u] and relabel[v] == g.k + 1:
+        # reachability does not depend on visit order, so a stack serves
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            own = labels[u]
+            for v in adj[u]:
+                if labels[v] == own and relabel[v] == aux:
                     relabel[v] = i
-                    queue.append(v)
+                    stack.append(v)
     return CutLabeling(g, tuple(relabel))
 
 

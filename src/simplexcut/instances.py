@@ -167,12 +167,19 @@ class GapParams:
 
     def __post_init__(self):
         for name in ("lam1", "lam2", "lam3", "lam4", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if any(l < 0 for l in self.lams()):
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
+        # tested on integers over a common denominator: the limitation
+        # grid builds ten thousand of these, and Fraction sums and
+        # comparisons dominated its time
+        lams = self.lams()
+        if any(l.numerator < 0 for l in lams):
             raise ValueError("mixing weights must be nonnegative")
-        if sum(self.lams()) != 1:
-            raise ValueError(f"mixing weights sum to {sum(self.lams())}, expected 1")
-        if not 0 < self.c < Fraction(1, 2):
+        den = lcm(*(l.denominator for l in lams))
+        if sum(l.numerator * (den // l.denominator) for l in lams) != den:
+            raise ValueError(f"mixing weights sum to {sum(lams)}, expected 1")
+        if not 0 < 2 * self.c.numerator < self.c.denominator:
             raise ValueError(f"cap depth out of range: {self.c}")
 
     def lams(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:

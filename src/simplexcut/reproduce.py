@@ -160,18 +160,17 @@ _NO_CYCLE_POINTS = comb(_GRID_SPAN + 2, 2)
 def _limitation_grid(lam3_zero: bool):
     """Deterministic mixture grid: weight compositions of 10, radii j/72."""
     span = _GRID_SPAN
+    parts = [Fraction(x, span) for x in range(span + 1)]
+    depths = [Fraction(j, 72) for j in range(1, _GRID_RADII + 1)]
     for a in range(span + 1):
         for b in range(span + 1 - a):
             if lam3_zero:
-                lams = (a, b, 0, span - a - b)
-                yield GapParams(*(Fraction(x, span) for x in lams), c=Fraction(1, 4))
+                yield GapParams(parts[a], parts[b], parts[0], parts[span - a - b], c=Fraction(1, 4))
             else:
                 for c3 in range(span + 1 - a - b):
-                    lams = (a, b, c3, span - a - b - c3)
-                    for j in range(1, _GRID_RADII + 1):
-                        yield GapParams(
-                            *(Fraction(x, span) for x in lams), c=Fraction(j, 72)
-                        )
+                    lams = (parts[a], parts[b], parts[c3], parts[span - a - b - c3])
+                    for c in depths:
+                        yield GapParams(*lams, c=c)
 
 
 def _grid_max(lam3_zero: bool) -> tuple[int, Fraction]:

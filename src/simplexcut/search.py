@@ -162,6 +162,9 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
     incumbent = int(cost(best_cut, w) * w.den)
     best_labels = best_cut.labels
 
+    choice_count = [len(c) for c in rank_choices]
+    max_labelings = budget.max_labelings
+    last = nnodes - 1
     choice_idx = [0] * nnodes
     partial = [0] * (nnodes + 1)
     explored = 0
@@ -169,12 +172,12 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
     r = 0
     while r >= 0:
         ci = choice_idx[r]
-        if ci >= len(rank_choices[r]):
+        if ci >= choice_count[r]:
             choice_idx[r] = 0
             r -= 1
             continue
         choice_idx[r] = ci + 1
-        if explored >= budget.max_labelings:
+        if explored >= max_labelings:
             complete = False
             break
         explored += 1
@@ -187,7 +190,7 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
         if c >= incumbent:
             continue
         label_of[node] = label
-        if r == nnodes - 1:
+        if r == last:
             incumbent = c
             best_labels = tuple(label_of)
             continue

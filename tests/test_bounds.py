@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexcut import (
     GapParams,
@@ -312,6 +314,38 @@ def test_limitation_asymptotic_claims():
     assert tuned == TUNED_ASYMPTOTIC_BOUND
     assert abs(tuned - Fraction(120016, 100000)) <= Fraction(1, 10**5)
     assert tuned <= Fraction(120067, 100000)
+
+
+def _limitation_min_reference(params):
+    # the three certificate-cut formulas in Fraction arithmetic
+    lam1, lam2, lam3, lam4 = params.lams()
+    c = params.c
+    values = [
+        Fraction(6, 5) * lam1 + lam2 + Fraction(3, 2) * lam4,
+        Fraction(6, 5) * lam1 + 2 * lam2 + Fraction(2, 3) / c * lam3,
+    ]
+    if c < Fraction(1, 9):
+        values.append(Fraction(6, 5) * lam1 + 2 * lam2 + Fraction(9, 2) * c * c * lam4)
+    return min(values)
+
+
+_WEIGHT = st.fractions(min_value=0, max_value=5, max_denominator=40)
+_DEPTH = st.one_of(
+    st.just(Fraction(1, 9)),
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=200),
+).filter(lambda c: 0 < c < Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WEIGHT, min_size=4, max_size=4).filter(any), _DEPTH)
+@example([Fraction(0), Fraction(0), Fraction(1), Fraction(0)], Fraction(1, 9))
+@example([Fraction(1), Fraction(0), Fraction(0), Fraction(3)], Fraction(1, 9))
+@example([Fraction(1), Fraction(0), Fraction(0), Fraction(3)], Fraction(1, 10))
+@example([Fraction(0), Fraction(0), Fraction(0), Fraction(1)], Fraction(499, 1000))
+def test_limitation_min_matches_fraction_formulas(raw, c):
+    total = sum(raw)
+    params = GapParams(*(x / total for x in raw), c=c)
+    assert limitation_min(params) == _limitation_min_reference(params)
 
 
 @pytest.mark.parametrize("n", [39, 78])

@@ -1,9 +1,12 @@
 """Cut labelings: validation, costs, named cuts, canonicalization."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcut import (
     CutLabeling,
@@ -33,6 +36,22 @@ def test_labeling_validation():
         CutLabeling(g, (1, 5, 2, 3, 3, 3))
     with pytest.raises(ValueError, match="terminal"):
         CutLabeling(g, (2, 1, 2, 3, 3, 3))
+    # label 0, label k+2, a terminal carrying another label, wrong lengths
+    g = build_graph(4, 3)
+    labels = list(isolate_terminals(g).labels)
+    free = next(v for v in range(len(g.nodes)) if v not in g.terminals)
+    for bad in (0, g.k + 2):
+        wrong = list(labels)
+        wrong[free] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.5"):
+            CutLabeling(g, wrong)
+    wrong = list(labels)
+    wrong[g.terminals[2]] = 1
+    with pytest.raises(ValueError, match="terminal 3 carries label 1"):
+        CutLabeling(g, wrong)
+    for length in (len(labels) - 1, len(labels) + 1):
+        with pytest.raises(ValueError, match=f"{length} labels for {len(labels)} nodes"):
+            CutLabeling(g, (labels + [5])[:length])
 
 
 def test_labeling_equality_and_aux_count():
@@ -246,3 +265,38 @@ def test_canonicalize_keeps_named_cuts():
     assert canonicalize(p) == p
     g4 = build_graph(4, 8)
     assert canonicalize(isolate_terminals(g4)).labels == isolate_terminals(g4).labels
+
+
+def _canonicalize_reference(p):
+    # breadth-first reachability from each terminal through uncut edges
+    g = p.graph
+    labels = p.labels
+    relabel = [g.k + 1] * len(g.nodes)
+    for i, t in enumerate(g.terminals, start=1):
+        if relabel[t] != g.k + 1:
+            continue
+        relabel[t] = i
+        queue = deque([t])
+        while queue:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                if labels[v] == labels[u] and relabel[v] == g.k + 1:
+                    relabel[v] = i
+                    queue.append(v)
+    return CutLabeling(g, tuple(relabel))
+
+
+@st.composite
+def _random_labelings(draw):
+    k = draw(st.sampled_from((3, 4)))
+    g = build_graph(k, draw(st.integers(1, 4)))
+    labels = draw(st.lists(st.integers(1, k + 1), min_size=len(g.nodes), max_size=len(g.nodes)))
+    for i, t in enumerate(g.terminals, start=1):
+        labels[t] = i
+    return CutLabeling(g, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_labelings())
+def test_canonicalize_matches_breadth_first_reference(p):
+    assert canonicalize(p) == _canonicalize_reference(p)

@@ -120,13 +120,40 @@ def test_component_rejects_three_terminal_graph():
         build_component(2, build_graph(3, 6))
 
 
+_ACCEPTED_PARAMS = [
+    (1, 0, 0, 0, Fraction(1, 4)),
+    ("1/2", "0.25", "1/8", "0.125", "1/3"),
+    (0.5, 0.25, 0.125, 0.125, 0.375),
+    (Fraction(1, 3), Fraction(1, 6), Fraction(1, 10), Fraction(2, 5), Fraction(1, 9)),
+    (True, False, 0, "0", "1e-3"),
+    (1, "-0", 0, -0.0, "1/4"),  # negative zero is zero
+]
+
+_REJECTED_PARAMS = [
+    ((Fraction(3, 2), Fraction(-1, 2), 0, 0, Fraction(1, 4)), "mixing weights must be nonnegative"),
+    ((2, -1, 0, 0, Fraction(1, 4)), "mixing weights must be nonnegative"),
+    ((Fraction(1, 2),) * 4 + (Fraction(1, 4),), "mixing weights sum to 2, expected 1"),
+    (("1/3", "1/3", "1/3", "1/7", "1/4"), "mixing weights sum to 8/7, expected 1"),
+    ((0.1, 0.2, 0.3, 0.4, 0.25), "mixing weights sum to 36028797018963969/36028797018963968, expected 1"),
+    ((0, 0, 0, 0, "1/4"), "mixing weights sum to 0, expected 1"),
+    ((1, 0, 0, 0, 0), "cap depth out of range: 0"),
+    ((1, 0, 0, 0, Fraction(1, 2)), "cap depth out of range: 1/2"),
+    ((1, 0, 0, 0, "-1/4"), "cap depth out of range: -1/4"),
+    ((1, 0, 0, 0, 0.75), "cap depth out of range: 3/4"),
+]
+
+
 def test_gap_params_validation():
-    with pytest.raises(ValueError, match="sum to"):
-        GapParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
-    with pytest.raises(ValueError, match="nonnegative"):
-        GapParams(Fraction(3, 2), Fraction(-1, 2), 0, 0, Fraction(1, 4))
-    with pytest.raises(ValueError, match="cap depth"):
-        GapParams(1, 0, 0, 0, Fraction(1, 2))
+    # ints, numeric strings, exact floats and Fractions all become Fractions
+    for args in _ACCEPTED_PARAMS:
+        p = GapParams(*args)
+        values = p.lams() + (p.c,)
+        assert all(type(x) is Fraction for x in values)
+        assert values == tuple(Fraction(x) for x in args)
+    for args, message in _REJECTED_PARAMS:
+        with pytest.raises(ValueError) as info:
+            GapParams(*args)
+        assert str(info.value) == message
 
 
 def test_tuned_values():
