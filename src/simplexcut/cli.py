@@ -39,6 +39,7 @@ from .lattice import build_graph
 from .reproduce import SUITES, run_suite
 from .search import (
     DEFAULT_LABELING_BUDGET,
+    SEARCH_MODES,
     SearchBudget,
     enumerate_non_opposite,
     min_non_opposite_cost,
@@ -166,16 +167,11 @@ def cmd_enumerate(args) -> int:
         # the counting route reports too small a budget as exhausted; so does this one
         if budget < 1:
             raise BudgetExceededError(f"a budget of {budget} allows no labeling")
-        result = min_non_opposite_cost(
-            w, SearchBudget(max_labelings=budget, mode=args.mode)
-        )
+        mode = args.mode or "exhaustive"
+        result = min_non_opposite_cost(w, SearchBudget(max_labelings=budget, mode=mode))
         doc = {
             "command": "enumerate",
-            "parameters": {
-                "instance": args.instance,
-                "budget": budget,
-                "mode": args.mode,
-            },
+            "parameters": {"instance": args.instance, "budget": budget, "mode": mode},
             "results": {
                 "min_cost": _both(result.min_cost),
                 "argmin_labels": list(result.argmin.labels),
@@ -199,6 +195,8 @@ def cmd_enumerate(args) -> int:
         return 0
     if args.k is None or args.n is None:
         raise ValueError("enumerate needs either --instance or both --k and --n")
+    if args.mode is not None:
+        raise ValueError("--mode only applies to --instance; --k/--n count cuts")
     g = build_graph(args.k, args.n)
     count = enumerate_non_opposite(g, max_labelings=budget)
     doc = {
@@ -225,7 +223,7 @@ def cmd_sperner_verify(args) -> int:
         "bound_attained": (
             None if args.face_restricted else rep.max_monochromatic == bound
         ),
-        "witness_labels": list(rep.witness) if rep.witness is not None else None,
+        "witness_labels": list(rep.witness),
         "provenance": "enumeration",
     }
     passed = args.face_restricted or rep.max_monochromatic == bound
@@ -380,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--instance", help="minimize over this instance instead of counting")
-    p.add_argument("--mode", choices=("exhaustive", "branch_and_bound"), default="exhaustive")
+    p.add_argument("--mode", choices=SEARCH_MODES, help="with --instance (default exhaustive)")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_enumerate)
 

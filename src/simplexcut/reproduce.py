@@ -1,9 +1,10 @@
 """Reproduction suites: every headline number and desk-scale sweep.
 
 Each check pins an expected value, computes it from scratch, and records
-tolerance, regime, and provenance (formula, enumeration, max-flow, or
-direct-evaluation).  The checks are declared in one table, CHECKS; each
-names its criterion, and suites group the criteria ("all" runs everything).
+tolerance, regime, and provenance (formula, enumeration, max-flow,
+direct-evaluation, or stationary-point).  The checks are declared in one
+table, CHECKS; each names its criterion, and suites group the criteria
+("all" runs everything).
 run_criterion is the one runner: it times every check on its own, and a
 check that runs out of its labeling budget reports "budget-exhausted"
 instead of a silent partial answer.
@@ -42,13 +43,19 @@ from .search import (
     DEFAULT_LABELING_BUDGET,
     SearchBudget,
     enumerate_non_opposite,
-    labeling_space_size,
     min_non_opposite_cost,
     min_terminal_face_cut,
 )
-from .sperner import count_floors, cut_size_floor, exhaustive_extremal, monochromatic_upper_bound
+from .sperner import (
+    build_hypergraph,
+    count_floors,
+    count_monochromatic,
+    cut_size_floor,
+    exhaustive_extremal,
+    monochromatic_upper_bound,
+)
 
-PROVENANCES = ("formula", "enumeration", "max-flow", "direct-evaluation")
+PROVENANCES = ("formula", "enumeration", "max-flow", "direct-evaluation", "stationary-point")
 
 # full sweep of the k=4, n=3 labeling space; opt in through the budget flag
 N3_SWEEP_SPACE = 3**12 * 4**4
@@ -145,7 +152,7 @@ def _optimizer_cap_depth(budget, shared):
 def _optimizer_weights(budget, shared):
     params, _bound = shared(optimize_params)
     deviation = max(abs(a - b) for a, b in zip(params.lams(), GapParams.tuned().lams()))
-    return render_decimal(deviation), deviation <= Fraction(1, 1000)
+    return render_decimal(deviation), deviation <= Fraction(1, 10**6)
 
 
 # -- limitation -------------------------------------------------------------
@@ -318,7 +325,10 @@ def _sperner_max(budget, shared):
     for k, n in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)):
         rep = exhaustive_extremal(k, n, max_labelings=_labelings(budget))
         bound = monochromatic_upper_bound(k, n)
-        ok = ok and rep.max_monochromatic == bound and rep.witness is not None
+        h = build_hypergraph(k, n)
+        admissible = all(p[label - 1] for p, label in zip(h.nodes, rep.witness))
+        witnessed = admissible and count_monochromatic(h, rep.witness) == rep.max_monochromatic
+        ok = ok and rep.max_monochromatic == bound and witnessed
         notes.append(f"({k},{n}): {rep.max_monochromatic}/{bound}")
     return "; ".join(notes), ok
 
@@ -375,37 +385,31 @@ _COMBINED_FLOOR = Fraction(1072237, 1875000)
 _COMBINED_REGIME = "out-of-regime"
 
 
+def _certified_min(w: WeightMap, budget: int | None, mode: str) -> Fraction:
+    """Minimum non-opposite cost of w, certified within the labeling budget."""
+    labelings = _labelings(budget)
+    if labelings < 1:
+        raise BudgetExceededError(f"a budget of {labelings} allows no labeling")
+    res = min_non_opposite_cost(w, SearchBudget(max_labelings=labelings, mode=mode))
+    if not res.proven_optimal:
+        raise BudgetExceededError("search stopped before certifying the minimum")
+    return res.min_cost
+
+
 def _exhaustive_min_face(budget, shared):
-    w = build_base_triangle(3)
-    space = labeling_space_size(w.graph)
-    if budget is not None and budget < space:
-        raise BudgetExceededError(f"{space} labelings exceed the budget of {budget}")
-    res = min_non_opposite_cost(
-        w, SearchBudget(max_labelings=5000 if budget is None else budget, mode="exhaustive")
-    )
-    return str(res.min_cost), res.proven_optimal and res.min_cost >= _FACE_FLOOR
+    least = _certified_min(build_base_triangle(3), budget, "exhaustive")
+    return str(least), least >= _FACE_FLOOR
 
 
 def _exhaustive_min_combined(budget, shared):
     params = GapParams.tuned(c=Fraction(1, 3))
-    w = combine(params, build_graph(4, 3))
+    least = _certified_min(combine(params, build_graph(4, 3)), budget, "branch_and_bound")
     floor = nonopposite_cost_floor(params, n=3)
-    if budget is not None and budget < 1:
-        raise BudgetExceededError(f"a budget of {budget} allows no labeling")
-    res = min_non_opposite_cost(
-        w,
-        SearchBudget(
-            max_labelings=200_000_000 if budget is None else budget,
-            mode="branch_and_bound",
-        ),
-    )
-    if not res.proven_optimal:
-        raise BudgetExceededError("search stopped before certifying the minimum")
     ok = (
         (floor.bound, floor.regime) == (_COMBINED_FLOOR, _COMBINED_REGIME)
-        and res.min_cost >= floor.bound
+        and least >= floor.bound
     )
-    return str(res.min_cost), ok
+    return str(least), ok
 
 
 # -- terminal-flow-floor ----------------------------------------------------
@@ -512,7 +516,7 @@ CHECKS: tuple[Check, ...] = (
         "optimizer",
         "default optimizer run certifies the headline floor",
         expected=render_decimal(_FLOOR, 5),
-        provenance="formula",
+        provenance="stationary-point",
         compute=_optimizer_bound,
         tolerance="1/100000",
         regime="asymptotic",
@@ -522,7 +526,7 @@ CHECKS: tuple[Check, ...] = (
         "optimizer",
         "optimizer lands on the published cap depth",
         expected="0.074125",
-        provenance="formula",
+        provenance="stationary-point",
         compute=_optimizer_cap_depth,
         tolerance="1/1000",
         regime="asymptotic",
@@ -531,10 +535,10 @@ CHECKS: tuple[Check, ...] = (
         "optimizer-weights",
         "optimizer",
         "optimizer lands on the published mixture weights",
-        expected="max deviation 0",
-        provenance="formula",
+        expected="max deviation <= 0.000001",
+        provenance="stationary-point",
         compute=_optimizer_weights,
-        tolerance="1/1000",
+        tolerance="1/10^6",
         regime="asymptotic",
     ),
     Check(
@@ -542,7 +546,7 @@ CHECKS: tuple[Check, ...] = (
         "limitation",
         "largest certifiable floor against the three certificate cuts",
         expected=render_decimal(_CEILING, 5),
-        provenance="formula",
+        provenance="stationary-point",
         compute=_limitation_sup,
         tolerance="1/100000",
         regime="asymptotic",

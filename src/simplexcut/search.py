@@ -14,8 +14,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
-from .cuts import CutLabeling, cost, isolate_terminals, midlines, midlines_extended
+from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
 from .errors import BudgetExceededError
 from .instances import WeightMap
 from .lattice import SimplexGraph, support
@@ -66,11 +67,31 @@ def _label_choices(g: SimplexGraph) -> list[tuple[int, ...]]:
     return choices
 
 
+def _within_budget(choices: list[tuple[int, ...]], max_labelings: int):
+    """Every labeling of a per-node choice family, in mixed-radix order;
+    refuses before the first one when there are more than max_labelings."""
+    space = prod(map(len, choices))
+    if space > max_labelings:
+        raise BudgetExceededError(f"{space} labelings exceed the budget of {max_labelings}")
+    return product(*choices)
+
+
+def _weighted_edges(w: WeightMap) -> list[tuple[int, int, int]]:
+    """(u, v, numerator) for each edge of nonzero weight, in edge order."""
+    return [(u, v, x) for (u, v), x in zip(w.graph.edges, w.nums) if x]
+
+
+def _price(weighted: list[tuple[int, int, int]], labels: tuple[int, ...]) -> int:
+    """Numerator of a labeling's cut weight over the map's denominator."""
+    c = 0
+    for u, v, x in weighted:
+        if labels[u] != labels[v]:
+            c += x
+    return c
+
+
 def labeling_space_size(g: SimplexGraph) -> int:
-    size = 1
-    for c in _label_choices(g):
-        size *= len(c)
-    return size
+    return prod(map(len, _label_choices(g)))
 
 
 def enumerate_non_opposite(
@@ -83,14 +104,8 @@ def enumerate_non_opposite(
     Refuses to start when the space exceeds max_labelings.  Returns the
     visit count.
     """
-    choices = _label_choices(g)
-    space = labeling_space_size(g)
-    if space > max_labelings:
-        raise BudgetExceededError(
-            f"{space} non-opposite cuts exceed the budget of {max_labelings}"
-        )
     count = 0
-    for labels in product(*choices):
+    for labels in _within_budget(_label_choices(g), max_labelings):
         count += 1
         if visitor is not None:
             visitor(CutLabeling(g, labels))
@@ -106,45 +121,29 @@ def _seed_cuts(g: SimplexGraph) -> list[CutLabeling]:
     return seeds
 
 
-def _exhaustive_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
-    g = w.graph
-    choices = _label_choices(g)
-    weighted = [(u, v, x) for (u, v), x in zip(g.edges, w.nums) if x]
-    best_cost = None
-    best_labels = None
+def _exhaustive_min(w: WeightMap, max_labelings: int):
+    weighted = _weighted_edges(w)
+    best_cost = best_labels = None
     explored = 0
-    complete = True
-    for labels in product(*choices):
-        if explored >= budget.max_labelings:
-            complete = False
-            break
+    for labels in product(*_label_choices(w.graph)):
+        if explored >= max_labelings:
+            return best_cost, best_labels, explored, False
         explored += 1
-        c = 0
-        for u, v, x in weighted:
-            if labels[u] != labels[v]:
-                c += x
+        c = _price(weighted, labels)
         if best_cost is None or c < best_cost:
-            best_cost = c
-            best_labels = labels
-    assert best_labels is not None
-    return SearchResult(
-        min_cost=Fraction(best_cost, w.den),
-        argmin=CutLabeling(g, best_labels),
-        explored=explored,
-        proven_optimal=complete,
-    )
+            best_cost, best_labels = c, labels
+    return best_cost, best_labels, explored, True
 
 
-def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
+def _branch_and_bound_min(w: WeightMap, max_labelings: int):
     g = w.graph
     nnodes = len(g.nodes)
-    weighted = [(e, x) for e, x in enumerate(w.nums) if x]
+    weighted = _weighted_edges(w)
 
     incident = [0] * nnodes
-    for e, wt in weighted:
-        u, v = g.edges[e]
-        incident[u] += wt
-        incident[v] += wt
+    for u, v, x in weighted:
+        incident[u] += x
+        incident[v] += x
     order = sorted(range(nnodes), key=lambda v: (-incident[v], v))
     rank = {node: r for r, node in enumerate(order)}
 
@@ -152,23 +151,21 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
     rank_choices = [choices[node] for node in order]
     # for each rank, weighted edges back to already-assigned nodes
     back: list[list[tuple[int, int]]] = [[] for _ in range(nnodes)]
-    for e, wt in weighted:
-        u, v = g.edges[e]
-        lo, hi = (u, v) if rank[u] < rank[v] else (v, u)
-        back[rank[hi]].append((lo, wt))
+    for u, v, x in weighted:
+        if rank[u] > rank[v]:
+            u, v = v, u
+        back[rank[v]].append((u, x))
+
+    # the first cheapest seed cut is the starting incumbent
+    seeds = [(_price(weighted, p.labels), p.labels) for p in _seed_cuts(g)]
+    incumbent, best_labels = min(seeds, key=lambda seed: seed[0])
 
     label_of = [0] * nnodes  # indexed by node id
-    best_cut = min(_seed_cuts(g), key=lambda p: cost(p, w))
-    incumbent = int(cost(best_cut, w) * w.den)
-    best_labels = best_cut.labels
-
     choice_count = [len(c) for c in rank_choices]
-    max_labelings = budget.max_labelings
     last = nnodes - 1
     choice_idx = [0] * nnodes
     partial = [0] * (nnodes + 1)
     explored = 0
-    complete = True
     r = 0
     while r >= 0:
         ci = choice_idx[r]
@@ -178,8 +175,7 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
             continue
         choice_idx[r] = ci + 1
         if explored >= max_labelings:
-            complete = False
-            break
+            return incumbent, best_labels, explored, False
         explored += 1
         label = rank_choices[r][ci]
         node = order[r]
@@ -196,12 +192,7 @@ def _branch_and_bound_min(w: WeightMap, budget: SearchBudget) -> SearchResult:
             continue
         partial[r + 1] = c
         r += 1
-    return SearchResult(
-        min_cost=Fraction(incumbent, w.den),
-        argmin=CutLabeling(g, best_labels),
-        explored=explored,
-        proven_optimal=complete,
-    )
+    return incumbent, best_labels, explored, True
 
 
 def min_non_opposite_cost(w: WeightMap, budget: SearchBudget | None = None) -> SearchResult:
@@ -214,9 +205,15 @@ def min_non_opposite_cost(w: WeightMap, budget: SearchBudget | None = None) -> S
     """
     if budget is None:
         budget = SearchBudget()
-    if budget.mode == "exhaustive":
-        return _exhaustive_min(w, budget)
-    return _branch_and_bound_min(w, budget)
+    # each search returns (cost numerator, labels, explored, complete)
+    search = _exhaustive_min if budget.mode == "exhaustive" else _branch_and_bound_min
+    numerator, labels, explored, complete = search(w, budget.max_labelings)
+    return SearchResult(
+        min_cost=Fraction(numerator, w.den),
+        argmin=CutLabeling(w.graph, labels),
+        explored=explored,
+        proven_optimal=complete,
+    )
 
 
 def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
@@ -243,10 +240,9 @@ def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
     nnodes = len(g.nodes)
     sink = nnodes
     capacity: list[dict[int, int]] = [dict() for _ in range(nnodes + 1)]
-    for (u, v), x in zip(g.edges, w.nums):
-        if x:
-            capacity[u][v] = capacity[u].get(v, 0) + x
-            capacity[v][u] = capacity[v].get(u, 0) + x
+    for u, v, x in _weighted_edges(w):
+        capacity[u][v] = capacity[u].get(v, 0) + x
+        capacity[v][u] = capacity[v].get(u, 0) + x
     for node in sink_side:
         capacity[node][sink] = inf
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 
 from .cuts import CutLabeling, delta, is_non_opposite
-from .errors import BudgetExceededError
 from .lattice import simplex_points, support
-from .search import DEFAULT_LABELING_BUDGET
+from .search import DEFAULT_LABELING_BUDGET, _within_budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +116,12 @@ def exhaustive_extremal(
             choices.append(tuple(range(1, k + 1)))
         else:
             choices.append(tuple(support(p)))
-    space = 1
-    for c in choices:
-        space *= len(c)
-    if space > max_labelings:
-        raise BudgetExceededError(
-            f"{space} labelings exceed the budget of {max_labelings}"
-        )
     total = len(h.hyperedges)
     best = -1
     witness: tuple[int, ...] = ()
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] = {}
     explored = 0
-    for labels in product(*choices):
+    for labels in _within_budget(choices, max_labelings):
         explored += 1
         mono = count_monochromatic(h, labels)
         if mono > best:

@@ -194,6 +194,14 @@ def test_enumerate_requires_target():
     assert stderr_error(proc)["error"] == "invalid-parameter"
 
 
+def test_enumerate_count_rejects_mode():
+    # counting visits every cut and has no search mode to choose
+    proc = run("enumerate", "--k", "3", "--n", "2", "--mode", "exhaustive", expect=2)
+    err = stderr_error(proc)
+    assert err["error"] == "invalid-parameter"
+    assert "--mode" in err["message"]
+
+
 def test_enumerate_minimizes_instance(tmp_path):
     path = tmp_path / "lines2.json"
     run("gen", "--instance", "lines", "--n", "2", "--out", str(path))
@@ -220,6 +228,7 @@ def test_enumerate_budget_exhausted_keeps_partial_report(tmp_path):
     )
     assert stderr_error(proc)["error"] == "budget-exhausted"
     doc = report(proc)
+    assert doc["parameters"]["mode"] == "exhaustive"
     assert doc["results"]["explored"] == 100
     assert doc["results"]["proven_optimal"] is False
 

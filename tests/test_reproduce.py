@@ -34,8 +34,8 @@ CHECK_FIELDS = {
 # sha256 of each criterion's checks with elapsed_s removed, so every other
 # report field is pinned byte for byte
 PINNED_REPORTS = {
-    "optimizer": "71d659a25dd715afc5cc6f03ef948842d39fa2879a29c6360f6896d5c47b4d95",
-    "limitation": "8d63306089452d7fc294800799dae851971f5027cacdfa8aff652add49c25f6a",
+    "optimizer": "6b281bcc6b0d6ea0dfd448f0419bbff3407a8eb601659a3b1885c1e6c16b4f8e",
+    "limitation": "8b0bc26e7db74a6d81cccfe84be94ed4efff8be0359996976fcd3918f4f292c6",
     "instance-totals": "9ba5b3db65f3537014830eed58e0f5a58d663c0307c67918cdcf7c021287f1d5",
     "named-cut-goldens": "98e233945f7c3cff6015db313713eabb1c58d3b37b61adfd64fc3e7aed935a30",
     "sperner-extremal": "3065d42aa79f4a69a68a59f2e5b13a06b61f2fe009849747f07bb70a87af9182",

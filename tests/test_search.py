@@ -91,11 +91,49 @@ def test_branch_and_bound_certifies_combined_n3():
     )
     assert res.proven_optimal
     assert res.min_cost == MIN_COMBINED_N3
-    assert res.explored < 100_000
+    assert res.explored == 37_167
     assert cost(res.argmin, w) == res.min_cost
     floor = nonopposite_cost_floor(params, n=3)
     assert floor.regime == "out-of-regime"
     assert res.min_cost >= floor.bound
+
+
+def test_branch_and_bound_certifies_triangle_n6():
+    w = build_base_triangle(6)
+    res = min_non_opposite_cost(w)
+    assert res.proven_optimal
+    assert res.min_cost == 1
+    assert res.explored == 648_906
+    assert is_non_opposite(res.argmin)
+    assert cost(res.argmin, w) == res.min_cost
+
+
+def test_branch_and_bound_stops_on_combined_n6():
+    # the default budget runs out before a certificate; the incumbent is pinned
+    w = combine(GapParams.tuned(c=Fraction(1, 3)), build_graph(4, 6))
+    res = min_non_opposite_cost(w)
+    assert not res.proven_optimal
+    assert res.explored == 2_000_000
+    assert res.min_cost == Fraction(6158217, 5000000)
+    assert is_non_opposite(res.argmin)
+    assert cost(res.argmin, w) == res.min_cost
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_branch_and_bound_matches_exhaustive_on_random_weights(data):
+    g = build_graph(*data.draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 2)])))
+    nums = data.draw(
+        st.lists(st.integers(0, 6), min_size=len(g.edges), max_size=len(g.edges))
+    )
+    w = WeightMap(g, {e: Fraction(x) for e, x in enumerate(nums)})
+    a = min_non_opposite_cost(w, SearchBudget(max_labelings=5000, mode="exhaustive"))
+    b = min_non_opposite_cost(w, SearchBudget(max_labelings=10**7, mode="branch_and_bound"))
+    assert a.proven_optimal and b.proven_optimal
+    assert a.min_cost == b.min_cost
+    for res in (a, b):
+        assert is_non_opposite(res.argmin)
+        assert cost(res.argmin, w) == res.min_cost
 
 
 def test_exhaustive_budget_stop_reports_incomplete():

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from simplexcut import sperner
 from simplexcut import (
     BudgetExceededError,
     build_graph,
@@ -118,15 +119,20 @@ def test_lower_bound_validation():
     assert nonmonochromatic_lower_bound(4, 2, Fraction(1, 12)) == Fraction(5, 2)
 
 
-def test_budget_refusal_is_eager():
-    calls = []
-    with pytest.raises(BudgetExceededError):
+def test_budget_refusal_is_eager(monkeypatch):
+    visited = []
+
+    def counting(h, labels):
+        visited.append(labels)
+        return count_monochromatic(h, labels)
+
+    monkeypatch.setattr(sperner, "count_monochromatic", counting)
+    with pytest.raises(BudgetExceededError, match="13824 labelings exceed the budget of 100"):
         exhaustive_extremal(3, 4, max_labelings=100)
-    # the refusal happens before any labeling is visited, so a fresh scan
-    # with a sufficient budget reports the full count
+    assert visited == []
+    # a budget of exactly the family size scans it all
     rep = exhaustive_extremal(3, 4, max_labelings=13824)
-    assert rep.explored == 13824
-    assert calls == []
+    assert rep.explored == len(visited) == 13824
 
 
 def test_cut_size_floor_on_named_cuts():
