@@ -70,7 +70,6 @@ from .search import (
     SearchBudget,
     SearchResult,
     enumerate_non_opposite,
-    labeling_space_size,
     min_non_opposite_cost,
     min_terminal_face_cut,
 )
@@ -85,6 +84,7 @@ from .sperner import (
     exhaustive_extremal,
     monochromatic_upper_bound,
     nonmonochromatic_lower_bound,
+    witness_attains,
 )
 
 __version__ = "0.1.0"

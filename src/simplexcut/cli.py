@@ -45,7 +45,12 @@ from .search import (
     min_non_opposite_cost,
     min_terminal_face_cut,
 )
-from .sperner import count_floors, exhaustive_extremal, monochromatic_upper_bound
+from .sperner import (
+    count_floors,
+    exhaustive_extremal,
+    monochromatic_upper_bound,
+    witness_attains,
+)
 
 _COMPONENT_INDEX = {name: i for i, name in COMPONENT_NAMES.items()}
 _INSTANCE_CHOICES = ("triangle",) + tuple(_COMPONENT_INDEX) + ("combined",)
@@ -64,6 +69,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _error(error: str, **fields) -> None:
+    """Write the JSON error object that ends every non-zero exit's stderr."""
+    print(json.dumps({"error": error, **fields}), file=sys.stderr)
+
+
 def _emit_report(doc: dict, out: str | None, started: float) -> None:
     doc["elapsed_s"] = time.perf_counter() - started
     _emit(json.dumps(doc, indent=2) + "\n", out)
@@ -75,6 +85,14 @@ def _parse_lambda(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         raise ValueError("--lambda expects four comma-separated rationals")
     a, b, c, d = (parse_rational(p) for p in parts)
     return a, b, c, d
+
+
+def _gap_params(args) -> GapParams:
+    """The mixture given by --lambda and --c; the tuned one fills what is absent."""
+    c = parse_rational(args.c) if args.c is not None else None
+    if args.lam is None:
+        return GapParams.tuned(c=c)
+    return GapParams(*_parse_lambda(args.lam), c=GapParams.tuned().c if c is None else c)
 
 
 def _both(x: Fraction) -> dict:
@@ -90,7 +108,7 @@ def cmd_gen(args) -> int:
             raise ValueError("the triangle instance takes neither --c nor --lambda")
         w = build_base_triangle(args.n)
     elif tag == "combined":
-        params = GapParams.tuned(c=c) if lam is None else GapParams(*lam, c=c if c is not None else GapParams.tuned().c)
+        params = _gap_params(args)
         c, lam = params.c, params.lams()
         w = combine(params, build_graph(4, args.n))
     else:
@@ -160,18 +178,14 @@ def cmd_min_cut(args) -> int:
 
 def cmd_enumerate(args) -> int:
     started = time.perf_counter()
-    budget = args.budget if args.budget is not None else DEFAULT_LABELING_BUDGET
     if args.instance is not None:
         parsed = _load_instance(args.instance)
         w = parsed.weights
-        # the counting route reports too small a budget as exhausted; so does this one
-        if budget < 1:
-            raise BudgetExceededError(f"a budget of {budget} allows no labeling")
         mode = args.mode or "exhaustive"
-        result = min_non_opposite_cost(w, SearchBudget(max_labelings=budget, mode=mode))
+        result = min_non_opposite_cost(w, SearchBudget(max_labelings=args.budget, mode=mode))
         doc = {
             "command": "enumerate",
-            "parameters": {"instance": args.instance, "budget": budget, "mode": mode},
+            "parameters": {"instance": args.instance, "budget": args.budget, "mode": mode},
             "results": {
                 "min_cost": _both(result.min_cost),
                 "argmin_labels": list(result.argmin.labels),
@@ -182,15 +196,7 @@ def cmd_enumerate(args) -> int:
         }
         _emit_report(doc, args.out, started)
         if not result.proven_optimal:
-            print(
-                json.dumps(
-                    {
-                        "error": "budget-exhausted",
-                        "message": f"stopped after {result.explored} labelings",
-                    }
-                ),
-                file=sys.stderr,
-            )
+            _error("budget-exhausted", message=f"stopped after {result.explored} labelings")
             return 1
         return 0
     if args.k is None or args.n is None:
@@ -198,10 +204,10 @@ def cmd_enumerate(args) -> int:
     if args.mode is not None:
         raise ValueError("--mode only applies to --instance; --k/--n count cuts")
     g = build_graph(args.k, args.n)
-    count = enumerate_non_opposite(g, max_labelings=budget)
+    count = enumerate_non_opposite(g, max_labelings=args.budget)
     doc = {
         "command": "enumerate",
-        "parameters": {"k": args.k, "n": args.n, "budget": budget},
+        "parameters": {"k": args.k, "n": args.n, "budget": args.budget},
         "results": {"non_opposite_cuts": count, "provenance": "enumeration"},
     }
     _emit_report(doc, args.out, started)
@@ -210,49 +216,54 @@ def cmd_enumerate(args) -> int:
 
 def cmd_sperner_verify(args) -> int:
     started = time.perf_counter()
-    budget = args.budget if args.budget is not None else DEFAULT_LABELING_BUDGET
     rep = exhaustive_extremal(
-        args.k, args.n, face_restricted=args.face_restricted, max_labelings=budget
+        args.k, args.n, face_restricted=args.face_restricted, max_labelings=args.budget
     )
     bound = monochromatic_upper_bound(args.k, args.n)
     # the admissible upper bound only constrains plain (admissible) scans
+    plain = not args.face_restricted
     results = {
         "explored": rep.explored,
         "max_monochromatic": rep.max_monochromatic,
-        "upper_bound": None if args.face_restricted else bound,
-        "bound_attained": (
-            None if args.face_restricted else rep.max_monochromatic == bound
-        ),
+        "upper_bound": bound if plain else None,
+        "bound_attained": rep.max_monochromatic == bound if plain else None,
         "witness_labels": list(rep.witness),
         "provenance": "enumeration",
     }
-    passed = args.face_restricted or rep.max_monochromatic == bound
-    if args.face_restricted:
-        floors = []
-        for z, count, floor in count_floors(rep):
-            floors.append(
-                {
-                    "inadmissible": z,
-                    "min_nonmonochromatic": count,
-                    "floor": render_rational(floor),
-                    "ok": count >= floor,
-                }
-            )
-            passed = passed and count >= floor
-        results["count_floors"] = floors
+    if plain:
+        # as in sperner-extremal-max, a witness must attain the maximum
+        verdicts = {
+            "bound_attained": results["bound_attained"],
+            "witness_labels": witness_attains(rep),
+        }
+    else:
+        results["count_floors"] = [
+            {
+                "inadmissible": z,
+                "min_nonmonochromatic": count,
+                "floor": render_rational(floor),
+                "ok": count >= floor,
+            }
+            for z, count, floor in count_floors(rep)
+        ]
+        verdicts = {"count_floors": all(f["ok"] for f in results["count_floors"])}
+    failing = [name for name, ok in verdicts.items() if not ok]
     doc = {
         "command": "sperner-verify",
         "parameters": {
             "k": args.k,
             "n": args.n,
             "face_restricted": args.face_restricted,
-            "budget": budget,
+            "budget": args.budget,
         },
         "results": results,
-        "passed": passed,
+        "passed": not failing,
     }
     _emit_report(doc, args.out, started)
-    return 0 if passed else 1
+    if failing:
+        _error("check-failure", failing=failing)
+        return 1
+    return 0
 
 
 def cmd_optimize(args) -> int:
@@ -276,14 +287,7 @@ def cmd_optimize(args) -> int:
 def cmd_limits(args) -> int:
     started = time.perf_counter()
     c_star, beta_star, upper = limitation_sup()
-    if args.lam is not None:
-        lam = _parse_lambda(args.lam)
-        c = parse_rational(args.c) if args.c is not None else GapParams.tuned().c
-        params = GapParams(*lam, c=c)
-    else:
-        params = GapParams.tuned(
-            c=parse_rational(args.c) if args.c is not None else None
-        )
+    params = _gap_params(args)
     results = {
         "sup": {
             "c": _both(c_star),
@@ -316,11 +320,7 @@ def cmd_reproduce(args) -> int:
     report = run_suite(args.suite, budget=args.budget)
     _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
     if not report.passed:
-        failing = [c.id for c in report.checks if not c.passed]
-        print(
-            json.dumps({"error": "check-failure", "failing": failing}),
-            file=sys.stderr,
-        )
+        _error("check-failure", failing=[c.id for c in report.checks if not c.passed])
         return 1
     return 0
 
@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--instance", help="minimize over this instance instead of counting")
     p.add_argument("--mode", choices=SEARCH_MODES, help="with --instance (default exhaustive)")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_LABELING_BUDGET)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser(
@@ -388,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--face-restricted", action="store_true")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_LABELING_BUDGET)
     p.set_defaults(func=cmd_sperner_verify)
 
     p = sub.add_parser("optimize", parents=[common], help="maximize the certified floor")
@@ -423,20 +423,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as exc:
-        print(
-            json.dumps({"error": "budget-exhausted", "message": str(exc)}),
-            file=sys.stderr,
-        )
+        _error("budget-exhausted", message=str(exc))
         return 1
     except ValueError as exc:
-        message = str(exc)
-        print(
-            json.dumps({"error": _error_code(message), "message": message}),
-            file=sys.stderr,
-        )
+        _error(_error_code(str(exc)), message=str(exc))
         return 2
     except OSError as exc:
-        print(json.dumps({"error": "io-error", "message": str(exc)}), file=sys.stderr)
+        _error("io-error", message=str(exc))
         return 2
 
 

@@ -5,9 +5,9 @@ tolerance, regime, and provenance (formula, enumeration, max-flow,
 direct-evaluation, or stationary-point).  The checks are declared in one
 table, CHECKS; each names its criterion, and suites group the criteria
 ("all" runs everything).
-run_criterion is the one runner: it times every check on its own, and a
-check that runs out of its labeling budget reports "budget-exhausted"
-instead of a silent partial answer.
+run_criterion is the one runner: it resolves the labeling budget once,
+times every check on its own, and a check that runs out of its labeling
+budget reports "budget-exhausted" instead of a silent partial answer.
 """
 
 from __future__ import annotations
@@ -47,18 +47,14 @@ from .search import (
     min_terminal_face_cut,
 )
 from .sperner import (
-    build_hypergraph,
     count_floors,
-    count_monochromatic,
     cut_size_floor,
     exhaustive_extremal,
     monochromatic_upper_bound,
+    witness_attains,
 )
 
 PROVENANCES = ("formula", "enumeration", "max-flow", "direct-evaluation", "stationary-point")
-
-# full sweep of the k=4, n=3 labeling space; opt in through the budget flag
-N3_SWEEP_SPACE = 3**12 * 4**4
 
 
 @dataclass(frozen=True)
@@ -100,12 +96,9 @@ class RunReport:
 class Check:
     """One entry of the check table.
 
-    compute(budget, shared) returns the computed value as text and whether
-    the check passed.  budget is the labeling budget, None for each search's
-    default.  shared(work) calls work() once per run_criterion call and
-    hands its result to every later caller, so checks of one criterion can
-    share an expensive step.  A check with a min_budget runs only under an
-    explicit budget at least that large.
+    compute(budget) returns the computed value as text and whether the
+    check passed.  budget is the labeling budget every search of the check
+    runs under; it never decides whether the check runs.
     """
 
     id: str
@@ -113,17 +106,12 @@ class Check:
     description: str
     expected: str
     provenance: str
-    compute: Callable[[int | None, Callable], tuple[str, bool]]
+    compute: Callable[[int], tuple[str, bool]]
     tolerance: str | None = None
     regime: str | None = None
-    min_budget: int | None = None
 
     def __post_init__(self):
         assert self.provenance in PROVENANCES, (self.id, self.provenance)
-
-
-def _labelings(budget: int | None) -> int:
-    return DEFAULT_LABELING_BUDGET if budget is None else budget
 
 
 def _show(values) -> str:
@@ -139,18 +127,18 @@ def _all_equal(ok: bool) -> tuple[str, bool]:
 _FLOOR = Fraction("1.20016")
 
 
-def _optimizer_bound(budget, shared):
-    _params, bound = shared(optimize_params)
+def _optimizer_bound(budget):
+    _params, bound = optimize_params()
     return render_decimal(bound), abs(bound - _FLOOR) <= Fraction(1, 100000)
 
 
-def _optimizer_cap_depth(budget, shared):
-    params, _bound = shared(optimize_params)
+def _optimizer_cap_depth(budget):
+    params, _bound = optimize_params()
     return render_decimal(params.c), abs(params.c - GapParams.tuned().c) <= Fraction(1, 1000)
 
 
-def _optimizer_weights(budget, shared):
-    params, _bound = shared(optimize_params)
+def _optimizer_weights(budget):
+    params, _bound = optimize_params()
     deviation = max(abs(a - b) for a, b in zip(params.lams(), GapParams.tuned().lams()))
     return render_decimal(deviation), deviation <= Fraction(1, 10**6)
 
@@ -188,7 +176,7 @@ def _grid_max(lam3_zero: bool) -> tuple[int, Fraction]:
     return points, best
 
 
-def _limitation_sup(budget, shared):
+def _limitation_sup(budget):
     _c, beta, upper = limitation_sup()
     ok = (
         Fraction(6, 5) <= beta <= upper <= _CEILING
@@ -198,13 +186,13 @@ def _limitation_sup(budget, shared):
     return render_decimal(beta), ok
 
 
-def _limitation_grid_max(budget, shared):
+def _limitation_grid_max(budget):
     points, best = _grid_max(lam3_zero=False)
     ok = points == _GRID_POINTS and best <= _CEILING + Fraction(1, 10**9)
     return render_decimal(best, 12), ok
 
 
-def _limitation_no_cycles(budget, shared):
+def _limitation_no_cycles(budget):
     points, best = _grid_max(lam3_zero=True)
     ok = points == _NO_CYCLE_POINTS and best <= Fraction(6, 5) + Fraction(1, 10**9)
     return render_decimal(best, 12), ok
@@ -213,17 +201,17 @@ def _limitation_no_cycles(budget, shared):
 # -- instance-totals --------------------------------------------------------
 
 
-def _totals_face(budget, shared):
+def _totals_face(budget):
     return _all_equal(all(build_base_triangle(n).total() == n for n in (3, 6, 9, 12)))
 
 
-def _totals_lines(budget, shared):
+def _totals_lines(budget):
     return _all_equal(
         all(build_component(2, build_graph(4, n)).total() == n for n in range(2, 13))
     )
 
 
-def _totals_cycles(budget, shared):
+def _totals_cycles(budget):
     return _all_equal(
         all(
             build_component(3, build_graph(4, n), c=Fraction(1, n)).total() == n
@@ -232,7 +220,7 @@ def _totals_cycles(budget, shared):
     )
 
 
-def _totals_uniform(budget, shared):
+def _totals_uniform(budget):
     return _all_equal(
         all(
             build_component(4, build_graph(4, n)).total() == n + 3 + Fraction(2, n)
@@ -241,7 +229,7 @@ def _totals_uniform(budget, shared):
     )
 
 
-def _combine_linear(budget, shared):
+def _combine_linear(budget):
     g = build_graph(4, 6)
     params = GapParams(
         lam1=Fraction(1, 2),
@@ -272,7 +260,7 @@ _CAPS_UNIFORM = Fraction(9, 2) * _CAPS_C * _CAPS_C
 _CAPS_ENVELOPE = Fraction(27, 2) * _CAPS_C / _CAPS_N + Fraction(12, _CAPS_N * _CAPS_N)
 
 
-def _midlines(budget, shared):
+def _midlines(budget):
     ok, notes = True, []
     for n in (6, 12):
         w = build_base_triangle(n)
@@ -283,7 +271,7 @@ def _midlines(budget, shared):
     return "; ".join(notes), ok
 
 
-def _isolate_terminals(budget, shared):
+def _isolate_terminals(budget):
     g = build_graph(4, 12)
     p = isolate_terminals(g)
     costs = (
@@ -294,13 +282,9 @@ def _isolate_terminals(budget, shared):
     return _show(costs), costs == _ISOLATE_PRICES
 
 
-def _caps_cut():
+def _corner_caps(budget):
     g = build_graph(4, _CAPS_N)
-    return g, corner_caps(g, _CAPS_C)
-
-
-def _corner_caps(budget, shared):
-    g, p = shared(_caps_cut)
+    p = corner_caps(g, _CAPS_C)
     face_g = build_graph(4, 39)
     face_cost = cost(corner_caps(face_g, Fraction(1, 13)), build_component(1, face_g))
     costs = (
@@ -311,30 +295,27 @@ def _corner_caps(budget, shared):
     return _show(costs), costs == _CAPS_PRICES
 
 
-def _corner_caps_uniform(budget, shared):
-    g, p = shared(_caps_cut)
-    uniform_cost = cost(p, build_component(4, g))
+def _corner_caps_uniform(budget):
+    g = build_graph(4, _CAPS_N)
+    uniform_cost = cost(corner_caps(g, _CAPS_C), build_component(4, g))
     return str(uniform_cost), abs(uniform_cost - _CAPS_UNIFORM) <= _CAPS_ENVELOPE
 
 
 # -- sperner-extremal -------------------------------------------------------
 
 
-def _sperner_max(budget, shared):
+def _sperner_max(budget):
     ok, notes = True, []
     for k, n in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)):
-        rep = exhaustive_extremal(k, n, max_labelings=_labelings(budget))
+        rep = exhaustive_extremal(k, n, max_labelings=budget)
         bound = monochromatic_upper_bound(k, n)
-        h = build_hypergraph(k, n)
-        admissible = all(p[label - 1] for p, label in zip(h.nodes, rep.witness))
-        witnessed = admissible and count_monochromatic(h, rep.witness) == rep.max_monochromatic
-        ok = ok and rep.max_monochromatic == bound and witnessed
+        ok = ok and rep.max_monochromatic == bound and witness_attains(rep)
         notes.append(f"({k},{n}): {rep.max_monochromatic}/{bound}")
     return "; ".join(notes), ok
 
 
-def _sperner_face_restricted(budget, shared):
-    rep = exhaustive_extremal(4, 2, face_restricted=True, max_labelings=_labelings(budget))
+def _sperner_face_restricted(budget):
+    rep = exhaustive_extremal(4, 2, face_restricted=True, max_labelings=budget)
     worst = min(count - floor for _z, count, floor in count_floors(rep))
     return f"min margin {worst}", worst >= 0
 
@@ -342,8 +323,7 @@ def _sperner_face_restricted(budget, shared):
 # -- cut-size-floor ---------------------------------------------------------
 
 
-def _floor_sweep(n: int, budget: int) -> tuple[int, int]:
-    """(cuts seen, floor violations) over every non-opposite cut at k=4."""
+def _cut_size_sweep(budget):
     violations = 0
 
     def visit(p: CutLabeling) -> None:
@@ -351,16 +331,11 @@ def _floor_sweep(n: int, budget: int) -> tuple[int, int]:
         if not cut_size_floor(p).ok:
             violations += 1
 
-    seen = enumerate_non_opposite(build_graph(4, n), visitor=visit, max_labelings=budget)
-    return seen, violations
-
-
-def _cut_size_sweep(budget, shared):
-    seen, violations = _floor_sweep(2, _labelings(budget))
+    seen = enumerate_non_opposite(build_graph(4, 2), visitor=visit, max_labelings=budget)
     return f"{seen} cuts, {violations} violations", seen == 729 and violations == 0
 
 
-def _cut_size_tight_family(budget, shared):
+def _cut_size_tight_family(budget):
     n = 12
     g = build_graph(4, n)
     ok, notes = True, []
@@ -372,11 +347,6 @@ def _cut_size_tight_family(budget, shared):
     return "; ".join(notes), ok
 
 
-def _cut_size_sweep_n3(budget, shared):
-    seen, violations = _floor_sweep(3, budget)
-    return f"{seen} cuts, {violations} violations", seen == N3_SWEEP_SPACE and violations == 0
-
-
 # -- exhaustive-min-floor ---------------------------------------------------
 
 _FACE_FLOOR = Fraction(6, 5) - Fraction(1, 3)
@@ -385,23 +355,20 @@ _COMBINED_FLOOR = Fraction(1072237, 1875000)
 _COMBINED_REGIME = "out-of-regime"
 
 
-def _certified_min(w: WeightMap, budget: int | None, mode: str) -> Fraction:
+def _certified_min(w: WeightMap, budget: int, mode: str) -> Fraction:
     """Minimum non-opposite cost of w, certified within the labeling budget."""
-    labelings = _labelings(budget)
-    if labelings < 1:
-        raise BudgetExceededError(f"a budget of {labelings} allows no labeling")
-    res = min_non_opposite_cost(w, SearchBudget(max_labelings=labelings, mode=mode))
+    res = min_non_opposite_cost(w, SearchBudget(max_labelings=budget, mode=mode))
     if not res.proven_optimal:
         raise BudgetExceededError("search stopped before certifying the minimum")
     return res.min_cost
 
 
-def _exhaustive_min_face(budget, shared):
+def _exhaustive_min_face(budget):
     least = _certified_min(build_base_triangle(3), budget, "exhaustive")
     return str(least), least >= _FACE_FLOOR
 
 
-def _exhaustive_min_combined(budget, shared):
+def _exhaustive_min_combined(budget):
     params = GapParams.tuned(c=Fraction(1, 3))
     least = _certified_min(combine(params, build_graph(4, 3)), budget, "branch_and_bound")
     floor = nonopposite_cost_floor(params, n=3)
@@ -415,7 +382,7 @@ def _exhaustive_min_combined(budget, shared):
 # -- terminal-flow-floor ----------------------------------------------------
 
 
-def _terminal_flow_floor(budget, shared):
+def _terminal_flow_floor(budget):
     margins = []
     for n in range(3, 31, 3):
         w = build_base_triangle(n)
@@ -428,7 +395,7 @@ def _terminal_flow_floor(budget, shared):
 # -- canonicalization -------------------------------------------------------
 
 
-def _relaxed_labelings(g):
+def _pinned_maps(g):
     """All labelings over [k+1] with terminals pinned (cut condition only)."""
     pins = {t: i for i, t in enumerate(g.terminals, start=1)}
     choices = [
@@ -446,7 +413,7 @@ def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
     all_properties it must also keep the auxiliary count and be idempotent.
     """
     count, ok = 0, True
-    for p in _relaxed_labelings(w.graph):
+    for p in _pinned_maps(w.graph):
         count += 1
         q = canonicalize(p)
         ok &= set(delta(q)) <= set(delta(p)) and cost(q, w) <= cost(p, w)
@@ -456,14 +423,14 @@ def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
     return count, ok
 
 
-def _canonicalization_sweep(budget, shared):
+def _canonicalization_sweep(budget):
     g = build_graph(3, 2)
     w = WeightMap(g, {e: Fraction(1, len(g.edges)) for e in range(len(g.edges))})
     count, ok = _relabel_sweep(w, all_properties=True)
     return f"{count} maps, {'all hold' if ok else 'violation found'}", count == 64 and ok
 
 
-def _canonicalization_face_cost(budget, shared):
+def _canonicalization_face_cost(budget):
     count, ok = _relabel_sweep(build_base_triangle(3), all_properties=False)
     return f"{count} maps, {'all hold' if ok else 'violation found'}", count == 4**7 and ok
 
@@ -483,7 +450,7 @@ def _instances_for_roundtrip():
     yield "combined", combine(params, g), params.c, params.lams()
 
 
-def _format_determinism(budget, shared):
+def _format_determinism(budget):
     ok = True
     notes = []
     for tag, w, c, lam in _instances_for_roundtrip():
@@ -679,15 +646,6 @@ CHECKS: tuple[Check, ...] = (
         compute=_cut_size_tight_family,
     ),
     Check(
-        "cut-size-floor-sweep-n3",
-        "cut-size-floor",
-        "full k=4, n=3 sweep of the face-census size floor",
-        expected=f"{N3_SWEEP_SPACE} cuts, 0 violations",
-        provenance="enumeration",
-        compute=_cut_size_sweep_n3,
-        min_budget=N3_SWEEP_SPACE,
-    ),
-    Check(
         "exhaustive-min-face",
         "exhaustive-min-floor",
         "exhaustive minimum over the 2916 non-opposite cuts of the n=3 face instance meets the floor",
@@ -762,29 +720,21 @@ SUITES = {
 def run_criterion(name: str, budget: int | None = None) -> list[CheckResult]:
     """Run one criterion's checks from scratch, in table order.
 
-    Each check is timed on its own; work shared through shared() is done
-    once per call and timed with the first check that asks for it.  A check
-    that exhausts its labeling budget fails with "budget-exhausted: ..." as
-    its computed value, and the run goes on.
+    Every check runs under the same labeling budget, DEFAULT_LABELING_BUDGET
+    when budget is None, and is timed on its own.  A check that exhausts the
+    budget fails with "budget-exhausted: ..." as its computed value, and the
+    run goes on.
     """
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion: {name!r}")
-    done: dict = {}
-
-    def shared(work):
-        if work not in done:
-            done[work] = work()
-        return done[work]
-
+    labelings = DEFAULT_LABELING_BUDGET if budget is None else budget
     results = []
     for check in CHECKS:
         if check.criterion != name:
             continue
-        if check.min_budget is not None and (budget is None or budget < check.min_budget):
-            continue
         started = time.perf_counter()
         try:
-            computed, passed = check.compute(budget, shared)
+            computed, passed = check.compute(labelings)
         except BudgetExceededError as exc:
             computed, passed = f"budget-exhausted: {exc}", False
         results.append(

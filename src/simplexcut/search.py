@@ -28,12 +28,17 @@ SEARCH_MODES = ("exhaustive", "branch_and_bound")
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """A minimum search's mode and its limit on labelings or tree nodes.
+
+    A limit below 1 allows no labeling; it is refused here, as exhausted.
+    """
+
     max_labelings: int = DEFAULT_LABELING_BUDGET
     mode: str = "branch_and_bound"
 
     def __post_init__(self):
         if self.max_labelings < 1:
-            raise ValueError("budget must allow at least one labeling")
+            raise BudgetExceededError(f"a budget of {self.max_labelings} allows no labeling")
         if self.mode not in SEARCH_MODES:
             raise ValueError(f"unknown search mode: {self.mode!r}")
 
@@ -88,10 +93,6 @@ def _price(weighted: list[tuple[int, int, int]], labels: tuple[int, ...]) -> int
         if labels[u] != labels[v]:
             c += x
     return c
-
-
-def labeling_space_size(g: SimplexGraph) -> int:
-    return prod(map(len, _label_choices(g)))
 
 
 def enumerate_non_opposite(

@@ -144,6 +144,14 @@ def exhaustive_extremal(
     )
 
 
+def witness_attains(report: ExtremalReport) -> bool:
+    """Whether the report's witness is admissible and re-counts to its
+    max_monochromatic."""
+    h = build_hypergraph(report.k, report.n)
+    admissible = all(p[label - 1] for p, label in zip(h.nodes, report.witness))
+    return admissible and count_monochromatic(h, report.witness) == report.max_monochromatic
+
+
 def count_floors(report: ExtremalReport) -> list[tuple[int, int, Fraction]]:
     """(inadmissible count, least non-monochromatic count, its floor) for
     each inadmissibility level of a face-restricted scan, in level order.

@@ -1,6 +1,7 @@
-"""tools/bench_pairs.py: the summary of paired benchmark runs."""
+"""tools/bench_pairs.py: the summary of paired benchmark runs, and the copies they run in."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,36 @@ def test_summary_counts_wins_by_direction():
     assert rss["median_ratio"] == pytest.approx(145.5 / 205)
     assert (s["nodes_per_s"]["change_wins"], s["nodes_per_s"]["ties"]) == (2, 1)
     assert s["failed"] == {"parent": 0, "change": 1}
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=repo,
+        check=True,
+        capture_output=True,
+    )
+
+
+def test_both_sides_run_from_copies_outside_the_repository(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("old\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("edited\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("build output\n")
+
+    with bench_pairs.sides(repo, "HEAD") as roots:
+        parent, change = roots["parent"], roots["change"]
+        assert (parent / "pkg" / "mod.py").read_bytes() == b"old\n"
+        assert (change / "pkg" / "mod.py").read_bytes() == b"edited\n"
+        assert (change / "new.py").read_bytes() == b"untracked\n"
+        assert not (change / "ignored.txt").exists()
+        assert not (parent / "new.py").exists()
+        for side in (parent, change):
+            assert not side.resolve().is_relative_to(repo.resolve())
+    assert not parent.exists() and not change.exists()

@@ -6,6 +6,7 @@ imports the same ``simplexcut`` as this process: the directory holding the
 imported package goes first on its ``PYTHONPATH``.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import simplexcut
-from simplexcut import build_graph, cli, emit_cut, midlines, parse_instance
+from simplexcut import build_graph, cli, emit_cut, exhaustive_extremal, midlines, parse_instance
 
 COMMAND = [sys.executable, "-m", "simplexcut"]
 PACKAGE_ROOT = str(Path(simplexcut.__file__).parents[1])
@@ -259,6 +260,28 @@ def test_sperner_verify_plain():
     assert r["bound_attained"] is True
     assert r["max_monochromatic"] == 1
     assert doc["passed"] is True
+
+
+def test_sperner_verify_failure_is_a_check_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "monochromatic_upper_bound", lambda k, n: 2)
+    assert cli.main(["sperner-verify", "--k", "3", "--n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["passed"] is False
+    assert json.loads(err) == {"error": "check-failure", "failing": ["bound_attained"]}
+
+
+def test_sperner_verify_checks_the_witness(monkeypatch, capsys):
+    # as in sperner-extremal-max, the maximum needs an admissible witness
+    # that re-counts to it; all-ones is inadmissible off the first corner
+    def all_ones(*args, **kwargs):
+        rep = exhaustive_extremal(*args, **kwargs)
+        return dataclasses.replace(rep, witness=(1,) * len(rep.witness))
+
+    monkeypatch.setattr(cli, "exhaustive_extremal", all_ones)
+    assert cli.main(["sperner-verify", "--k", "3", "--n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["bound_attained"] is True
+    assert json.loads(err) == {"error": "check-failure", "failing": ["witness_labels"]}
 
 
 def test_sperner_verify_face_restricted():

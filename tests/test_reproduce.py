@@ -83,6 +83,8 @@ def test_each_criterion_runs_clean(criterion):
 def test_check_ids_unique_across_registry():
     ids = [c.id for name in CRITERIA for c in run_criterion(name)]
     assert len(ids) == len(set(ids))
+    # the default budget runs every registered check: none waits for a larger one
+    assert ids == [c.id for c in reproduce.CHECKS]
 
 
 def test_run_criterion_rejects_unknown():
@@ -134,9 +136,9 @@ def test_each_check_is_timed_on_its_own(monkeypatch):
     slow_id = "instance-totals-cycles"
 
     def slowed(check):
-        def compute(budget, shared):
+        def compute(budget):
             time.sleep(0.05)
-            return check.compute(budget, shared)
+            return check.compute(budget)
 
         return dataclasses.replace(check, compute=compute)
 

@@ -19,7 +19,6 @@ from simplexcut import (
     cost,
     enumerate_non_opposite,
     is_non_opposite,
-    labeling_space_size,
     min_non_opposite_cost,
     min_terminal_face_cut,
     nonopposite_cost_floor,
@@ -32,9 +31,11 @@ MIN_COMBINED_N3 = Fraction(3534787, 3000000)
 
 
 def test_labeling_space_sizes():
-    assert labeling_space_size(build_graph(3, 3)) == 2916
-    assert labeling_space_size(build_graph(4, 2)) == 729
-    assert labeling_space_size(build_graph(4, 3)) == 3**12 * 4**4
+    assert enumerate_non_opposite(build_graph(3, 3)) == 2916
+    assert enumerate_non_opposite(build_graph(4, 2)) == 729
+    with pytest.raises(BudgetExceededError) as refused:
+        enumerate_non_opposite(build_graph(4, 3), max_labelings=1)
+    assert str(refused.value) == "136048896 labelings exceed the budget of 1"
 
 
 def test_enumerate_visits_every_cut_once():
@@ -145,8 +146,11 @@ def test_exhaustive_budget_stop_reports_incomplete():
 
 
 def test_search_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_labelings=0)
+    # the one below-one rule: the same refusal as an exhausted budget
+    for n in (0, -1):
+        with pytest.raises(BudgetExceededError) as refused:
+            SearchBudget(max_labelings=n)
+        assert str(refused.value) == f"a budget of {n} allows no labeling"
     with pytest.raises(ValueError):
         SearchBudget(max_labelings=100, mode="simulated_annealing")
 

@@ -10,10 +10,12 @@ runs N pairs of
 
 once on the committed files of REV and once on the working tree.  Odd
 pairs run the parent first, even pairs the change first, so a slow spell
-of a shared host falls on both sides.  The parent's files are extracted
-with ``git archive`` into a temporary directory, which is removed
-afterwards; unlike a worktree, an interrupted run leaves nothing behind in
-the repository's git metadata.
+of a shared host falls on both sides.  Both sides run from temporary
+directories, so neither is measured in a different place: the parent's
+files are extracted with ``git archive``, and the change side is a copy of
+the working tree's tracked files and untracked, non-ignored files.  Both
+copies are removed afterwards; unlike a worktree, an interrupted run
+leaves nothing behind in the repository's git metadata.
 
 Writes BENCH_<label>.json at the repository root: label, what, command,
 parent_commit, host, rule, notes, a summary per workload and seed (for each
@@ -28,10 +30,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,14 +53,43 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
-def _extract(commit: str, dest: Path) -> None:
-    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+def _extract(root: Path, commit: str, dest: Path) -> None:
+    archive = subprocess.Popen(["git", "archive", commit], cwd=root, stdout=subprocess.PIPE)
     try:
         subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     finally:
         archive.stdout.close()
         if archive.wait() != 0:
             raise RuntimeError(f"git archive {commit} failed")
+
+
+def _copy_worktree(root: Path, dest: Path) -> None:
+    """Copy the working-tree bytes of root's tracked files (those not
+    deleted) and untracked, non-ignored files into dest."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root,
+        capture_output=True,
+        check=True,
+    ).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = root / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+@contextmanager
+def sides(root: Path, commit: str):
+    """{"parent": dir, "change": dir}: temporary copies of commit's files
+    and of root's working tree, both removed on exit."""
+    with (
+        tempfile.TemporaryDirectory(prefix="bench-parent-") as parent,
+        tempfile.TemporaryDirectory(prefix="bench-change-") as change,
+    ):
+        _extract(root, commit, Path(parent))
+        _copy_worktree(root, Path(change))
+        yield {"parent": Path(parent), "change": Path(change)}
 
 
 def _run(root: Path, command: list[str], workload: str, seed: int) -> dict:
@@ -121,17 +154,14 @@ def main(argv=None) -> int:
     command = benchmark["command"]
     commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp)
-        _extract(commit, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
+    with sides(ROOT, commit) as roots:
         for workload in args.workload:
             for seed in args.seeds:
                 for pair in range(1, args.pairs + 1):
                     order = ("parent", "change") if pair % 2 else ("change", "parent")
                     entry = {"workload": workload, "seed": seed, "pair": pair, "first": order[0]}
                     for side in order:
-                        entry[side] = _run(sides[side], command, workload, seed)
+                        entry[side] = _run(roots[side], command, workload, seed)
                     runs.append(entry)
                     shown = {
                         side: {k: round(m["value"], 3) for k, m in entry[side]["metrics"].items()}
