@@ -408,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common], help="run an acceptance suite")
     p.add_argument("--suite", choices=tuple(SUITES), default="all")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_LABELING_BUDGET)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -5,9 +5,9 @@ tolerance, regime, and provenance (formula, enumeration, max-flow,
 direct-evaluation, or stationary-point).  The checks are declared in one
 table, CHECKS; each names its criterion, and suites group the criteria
 ("all" runs everything).
-run_criterion is the one runner: it resolves the labeling budget once,
-times every check on its own, and a check that runs out of its labeling
-budget reports "budget-exhausted" instead of a silent partial answer.
+run_criterion is the one runner: it hands every check the same labeling
+budget, times every check on its own, and a check that runs out of its
+labeling budget reports "budget-exhausted" instead of a silent partial answer.
 """
 
 from __future__ import annotations
@@ -717,24 +717,22 @@ SUITES = {
 }
 
 
-def run_criterion(name: str, budget: int | None = None) -> list[CheckResult]:
+def run_criterion(name: str, budget: int = DEFAULT_LABELING_BUDGET) -> list[CheckResult]:
     """Run one criterion's checks from scratch, in table order.
 
-    Every check runs under the same labeling budget, DEFAULT_LABELING_BUDGET
-    when budget is None, and is timed on its own.  A check that exhausts the
-    budget fails with "budget-exhausted: ..." as its computed value, and the
-    run goes on.
+    Every check runs under the same labeling budget and is timed on its
+    own.  A check that exhausts the budget fails with "budget-exhausted:
+    ..." as its computed value, and the run goes on.
     """
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion: {name!r}")
-    labelings = DEFAULT_LABELING_BUDGET if budget is None else budget
     results = []
     for check in CHECKS:
         if check.criterion != name:
             continue
         started = time.perf_counter()
         try:
-            computed, passed = check.compute(labelings)
+            computed, passed = check.compute(budget)
         except BudgetExceededError as exc:
             computed, passed = f"budget-exhausted: {exc}", False
         results.append(
@@ -754,7 +752,7 @@ def run_criterion(name: str, budget: int | None = None) -> list[CheckResult]:
     return results
 
 
-def run_suite(suite: str, budget: int | None = None) -> RunReport:
+def run_suite(suite: str, budget: int = DEFAULT_LABELING_BUDGET) -> RunReport:
     """Run one of the named suites; execution is serial, so reports are
     deterministic apart from their timing fields."""
     if suite not in SUITES:

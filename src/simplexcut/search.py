@@ -3,9 +3,13 @@
 Both search modes certify global minima over the non-opposite cut class:
 exhaustive scans the full mixed-radix labeling space, branch and bound
 assigns nodes in decreasing incident-weight order and prunes with the
-weight of the already-bichromatic edges.  Both, and the max-flow, work on
-the integer numerators of the weight map over its common denominator, so
-reported costs are exact rationals.
+weight of the already-bichromatic edges.  Branch and bound reads each
+rank's label costs from a memo keyed by the labels of its back
+neighbours, and counts a rank whose every child would be pruned as
+explored without entering it; the tree, its node count, the budget stop
+and the argmin are those of the node-by-node walk.  Both modes, and the
+max-flow, work on the integer numerators of the weight map over its
+common denominator, so reported costs are exact rationals.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import itemgetter
 
 from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
 from .errors import BudgetExceededError
@@ -50,13 +55,18 @@ class SearchResult:
     explored counts complete labelings evaluated in exhaustive mode and
     label assignments (search-tree nodes) in branch-and-bound mode.  When
     proven_optimal is False the budget ran out and min_cost/argmin only
-    describe the best cut seen so far.
+    describe the best cut seen so far.  incumbents holds (cost, explored)
+    for each strict improvement the search made, in order (branch and
+    bound starts from a seed cut, which is not listed); rank_skips counts
+    the ranks branch and bound pruned whole, without entering them.
     """
 
     min_cost: Fraction
     argmin: CutLabeling
     explored: int
     proven_optimal: bool
+    incumbents: tuple[tuple[Fraction, int], ...] = ()
+    rank_skips: int = 0
 
 
 def _label_choices(g: SimplexGraph) -> list[tuple[int, ...]]:
@@ -74,7 +84,9 @@ def _label_choices(g: SimplexGraph) -> list[tuple[int, ...]]:
 
 def _within_budget(choices: list[tuple[int, ...]], max_labelings: int):
     """Every labeling of a per-node choice family, in mixed-radix order;
-    refuses before the first one when there are more than max_labelings."""
+    refuses before the first one when there are more than max_labelings,
+    and refuses a budget below 1 by SearchBudget's rule."""
+    SearchBudget(max_labelings)
     space = prod(map(len, choices))
     if space > max_labelings:
         raise BudgetExceededError(f"{space} labelings exceed the budget of {max_labelings}")
@@ -125,15 +137,17 @@ def _seed_cuts(g: SimplexGraph) -> list[CutLabeling]:
 def _exhaustive_min(w: WeightMap, max_labelings: int):
     weighted = _weighted_edges(w)
     best_cost = best_labels = None
+    improvements: list[tuple[int, int]] = []
     explored = 0
     for labels in product(*_label_choices(w.graph)):
         if explored >= max_labelings:
-            return best_cost, best_labels, explored, False
+            return best_cost, best_labels, explored, False, improvements, 0
         explored += 1
         c = _price(weighted, labels)
         if best_cost is None or c < best_cost:
             best_cost, best_labels = c, labels
-    return best_cost, best_labels, explored, True
+            improvements.append((c, explored))
+    return best_cost, best_labels, explored, True, improvements, 0
 
 
 def _branch_and_bound_min(w: WeightMap, max_labelings: int):
@@ -146,54 +160,106 @@ def _branch_and_bound_min(w: WeightMap, max_labelings: int):
         incident[u] += x
         incident[v] += x
     order = sorted(range(nnodes), key=lambda v: (-incident[v], v))
-    rank = {node: r for r, node in enumerate(order)}
+    rank = [0] * nnodes
+    for r, node in enumerate(order):
+        rank[node] = r
 
     choices = _label_choices(g)
     rank_choices = [choices[node] for node in order]
-    # for each rank, weighted edges back to already-assigned nodes
+    # for each rank, (lower rank, numerator) of its weighted edges back to
+    # the ranks assigned before it
     back: list[list[tuple[int, int]]] = [[] for _ in range(nnodes)]
     for u, v, x in weighted:
-        if rank[u] > rank[v]:
-            u, v = v, u
-        back[rank[v]].append((u, x))
+        ru, rv = sorted((rank[u], rank[v]))
+        back[rv].append((ru, x))
+    # A rank's label costs depend only on its back neighbours' labels.
+    # back_labels[r] reads them from the rank-indexed labels as a key, and
+    # memo[r] maps the key to (cost increment of each choice in choice
+    # order, least increment).  The memo grows with the distinct back-label
+    # patterns met, not with the tree.  A rank with no back edges has one
+    # key, ().
+    back_labels = [
+        itemgetter(*(q for q, _ in b)) if b else (lambda labels: ()) for b in back
+    ]
+    memo: list[dict] = [{} for _ in range(nnodes)]
+
+    def increments(r: int, labels: list[int]):
+        inc = tuple(
+            sum(x for q, x in back[r] if labels[q] != label) for label in rank_choices[r]
+        )
+        return inc, min(inc)
 
     # the first cheapest seed cut is the starting incumbent
     seeds = [(_price(weighted, p.labels), p.labels) for p in _seed_cuts(g)]
     incumbent, best_labels = min(seeds, key=lambda seed: seed[0])
+    best_ranked = None  # rank-indexed labels of the last strict improvement
+    improvements: list[tuple[int, int]] = []
+    rank_skips = 0
 
-    label_of = [0] * nnodes  # indexed by node id
-    choice_count = [len(c) for c in rank_choices]
+    labels = [0] * nnodes  # indexed by rank
     last = nnodes - 1
+    # per rank on the current path: increments, next choice, partial cost
+    rank_inc: list[tuple[int, ...]] = [()] * nnodes
     choice_idx = [0] * nnodes
-    partial = [0] * (nnodes + 1)
+    partial = [0] * nnodes
     explored = 0
+    complete = True
+    # the current rank's place is kept in locals (inc, n, ci, p) and saved
+    # to the per-rank lists only on descent; rank 0 has no back edges
     r = 0
-    while r >= 0:
-        ci = choice_idx[r]
-        if ci >= choice_count[r]:
-            choice_idx[r] = 0
+    inc = rank_inc[0] = (0,) * len(rank_choices[0])
+    n = len(inc)
+    ci = p = 0
+    while True:
+        if ci >= n:
+            if r == 0:
+                break
             r -= 1
+            inc = rank_inc[r]
+            n = len(inc)
+            ci = choice_idx[r]
+            p = partial[r]
             continue
-        choice_idx[r] = ci + 1
         if explored >= max_labelings:
-            return incumbent, best_labels, explored, False
+            complete = False
+            break
         explored += 1
-        label = rank_choices[r][ci]
-        node = order[r]
-        c = partial[r]
-        for u, wt in back[r]:
-            if label_of[u] != label:
-                c += wt
+        c = p + inc[ci]
+        ci += 1
         if c >= incumbent:
             continue
-        label_of[node] = label
+        labels[r] = rank_choices[r][ci - 1]
         if r == last:
             incumbent = c
-            best_labels = tuple(label_of)
+            best_ranked = tuple(labels)
+            improvements.append((c, explored))
             continue
-        partial[r + 1] = c
+        key = back_labels[r + 1](labels)
+        entry = memo[r + 1].get(key)
+        if entry is None:
+            entry = memo[r + 1][key] = increments(r + 1, labels)
+        child, low = entry
+        if c + low >= incumbent:
+            # Whole-rank pruning: every child would be pruned, and a pruned
+            # child never moves the incumbent, so count them all as explored
+            # without entering the rank.  The budget stop stays exact: if the
+            # budget ends inside this rank, a node-by-node walk stops there.
+            explored += len(child)
+            if explored > max_labelings:
+                explored = max_labelings
+                complete = False
+                break
+            rank_skips += 1
+            continue
+        choice_idx[r] = ci
         r += 1
-    return incumbent, best_labels, explored, True
+        inc = rank_inc[r] = child
+        n = len(child)
+        ci = 0
+        p = partial[r] = c
+    if best_ranked is not None:
+        best_labels = tuple(best_ranked[rank[node]] for node in range(nnodes))
+    return incumbent, best_labels, explored, complete, improvements, rank_skips
 
 
 def min_non_opposite_cost(w: WeightMap, budget: SearchBudget | None = None) -> SearchResult:
@@ -206,14 +272,19 @@ def min_non_opposite_cost(w: WeightMap, budget: SearchBudget | None = None) -> S
     """
     if budget is None:
         budget = SearchBudget()
-    # each search returns (cost numerator, labels, explored, complete)
+    # each search returns (cost numerator, labels, explored, complete,
+    # (numerator, explored) per improvement, whole-rank skips)
     search = _exhaustive_min if budget.mode == "exhaustive" else _branch_and_bound_min
-    numerator, labels, explored, complete = search(w, budget.max_labelings)
+    numerator, labels, explored, complete, improvements, rank_skips = search(
+        w, budget.max_labelings
+    )
     return SearchResult(
         min_cost=Fraction(numerator, w.den),
         argmin=CutLabeling(w.graph, labels),
         explored=explored,
         proven_optimal=complete,
+        incumbents=tuple((Fraction(c, w.den), at) for c, at in improvements),
+        rank_skips=rank_skips,
     )
 
 

@@ -244,13 +244,21 @@ def test_enumerate_count_refuses_small_budget():
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize("route", ["count", "instance"])
 def test_enumerate_budget_below_one_is_exhausted(route, budget, triangle9):
-    # both routes give one verdict: a budget below 1 is exhausted, not invalid
+    # both routes give one verdict and one message: a budget below 1 is
+    # exhausted, not invalid, whatever the size of the labeling space
     target = ("--k", "3", "--n", "2") if route == "count" else ("--instance", str(triangle9))
     proc = run("enumerate", *target, "--budget", budget, expect=1)
     err = stderr_error(proc)
     assert err["error"] == "budget-exhausted"
-    if route == "instance":
-        assert err["message"] == f"a budget of {budget} allows no labeling"
+    assert err["message"] == f"a budget of {budget} allows no labeling"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_sperner_verify_budget_below_one_is_exhausted(budget):
+    proc = run("sperner-verify", "--k", "3", "--n", "2", "--budget", budget, expect=1)
+    err = stderr_error(proc)
+    assert err["error"] == "budget-exhausted"
+    assert err["message"] == f"a budget of {budget} allows no labeling"
 
 
 def test_sperner_verify_plain():

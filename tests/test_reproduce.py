@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from simplexcut import reproduce
+from simplexcut import DEFAULT_LABELING_BUDGET, reproduce
 from simplexcut.reproduce import (
     CRITERIA,
     PROVENANCES,
@@ -101,7 +101,8 @@ def test_run_suite_report_shape():
     report = run_suite("lemmas")
     assert isinstance(report, RunReport)
     assert report.passed
-    assert report.parameters == {"suite": "lemmas", "budget": None}
+    # the report states the budget its checks ran under, the default here
+    assert report.parameters == {"suite": "lemmas", "budget": DEFAULT_LABELING_BUDGET}
     doc = report.as_dict()
     assert set(doc) == {"command", "parameters", "passed", "elapsed_s", "checks"}
     assert {c.criterion for c in report.checks} == set(SUITES["lemmas"])

@@ -1,5 +1,6 @@
 """Exact minimum non-opposite cuts: enumeration, pruning, flows."""
 
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -24,6 +25,7 @@ from simplexcut import (
     nonopposite_cost_floor,
     support,
 )
+from simplexcut.search import _label_choices, _price, _seed_cuts, _weighted_edges
 
 # exact values proven by full enumeration or certified branch-and-bound
 MIN_J_DELTA_3_3 = Fraction(1)
@@ -116,8 +118,129 @@ def test_branch_and_bound_stops_on_combined_n6():
     assert not res.proven_optimal
     assert res.explored == 2_000_000
     assert res.min_cost == Fraction(6158217, 5000000)
+    assert hashlib.sha256(bytes(res.argmin.labels)).hexdigest() == (
+        "3fbe6b584b812c7f97f12369febdf5d777ac7802db56cba2372818b555398ee4"
+    )
     assert is_non_opposite(res.argmin)
     assert cost(res.argmin, w) == res.min_cost
+    # no leaf beats the seeded incumbent within the budget
+    assert res.incumbents == ()
+    assert res.rank_skips == 286_840
+
+
+def test_branch_and_bound_counters_on_combined_n3():
+    w = combine(GapParams.tuned(c=Fraction(1, 3)), build_graph(4, 3))
+    res = min_non_opposite_cost(w)
+    # each strict improvement on the seed, with the tree nodes it took
+    assert res.incumbents == (
+        (Fraction(589177, 500000), 20),
+        (Fraction(3534787, 3000000), 3407),
+    )
+    assert res.rank_skips == 6757
+    exhaustive = min_non_opposite_cost(
+        build_base_triangle(3), SearchBudget(max_labelings=5000, mode="exhaustive")
+    )
+    # exhaustive search skips no rank; its first labeling is already a minimum
+    assert exhaustive.rank_skips == 0
+    assert exhaustive.incumbents == ((MIN_J_DELTA_3_3, 1),)
+
+
+def _branch_and_bound_reference(w, max_labelings):
+    """The node-by-node kernel that the rank memo replaced, kept as an
+    oracle: (cost numerator, node-order labels, explored, complete)."""
+    g = w.graph
+    nnodes = len(g.nodes)
+    weighted = _weighted_edges(w)
+
+    incident = [0] * nnodes
+    for u, v, x in weighted:
+        incident[u] += x
+        incident[v] += x
+    order = sorted(range(nnodes), key=lambda v: (-incident[v], v))
+    rank = {node: r for r, node in enumerate(order)}
+
+    choices = _label_choices(g)
+    rank_choices = [choices[node] for node in order]
+    # for each rank, weighted edges back to already-assigned nodes
+    back: list[list[tuple[int, int]]] = [[] for _ in range(nnodes)]
+    for u, v, x in weighted:
+        if rank[u] > rank[v]:
+            u, v = v, u
+        back[rank[v]].append((u, x))
+
+    # the first cheapest seed cut is the starting incumbent
+    seeds = [(_price(weighted, p.labels), p.labels) for p in _seed_cuts(g)]
+    incumbent, best_labels = min(seeds, key=lambda seed: seed[0])
+
+    label_of = [0] * nnodes  # indexed by node id
+    choice_count = [len(c) for c in rank_choices]
+    last = nnodes - 1
+    choice_idx = [0] * nnodes
+    partial = [0] * (nnodes + 1)
+    explored = 0
+    r = 0
+    while r >= 0:
+        ci = choice_idx[r]
+        if ci >= choice_count[r]:
+            choice_idx[r] = 0
+            r -= 1
+            continue
+        choice_idx[r] = ci + 1
+        if explored >= max_labelings:
+            return incumbent, best_labels, explored, False
+        explored += 1
+        label = rank_choices[r][ci]
+        node = order[r]
+        c = partial[r]
+        for u, wt in back[r]:
+            if label_of[u] != label:
+                c += wt
+        if c >= incumbent:
+            continue
+        label_of[node] = label
+        if r == last:
+            incumbent = c
+            best_labels = tuple(label_of)
+            continue
+        partial[r + 1] = c
+        r += 1
+    return incumbent, best_labels, explored, True
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_branch_and_bound_matches_node_by_node_reference(data):
+    sizes = [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3)]
+    g = build_graph(*data.draw(st.sampled_from(sizes)))
+    nums = data.draw(
+        st.lists(st.integers(0, 6), min_size=len(g.edges), max_size=len(g.edges))
+    )
+    w = WeightMap(g, {e: Fraction(x) for e, x in enumerate(nums)})
+    whole = _branch_and_bound_reference(w, 10**7)
+    assert whole[3]
+    size = whole[2]
+    # budgets anywhere in the tree, and just below, at and just above its size
+    budget = data.draw(
+        st.one_of(
+            st.integers(1, size + 2),
+            st.sampled_from([max(size - 1, 1), size, size + 1, size + 2]),
+        )
+    )
+    numerator, labels, explored, complete = _branch_and_bound_reference(w, budget)
+    res = min_non_opposite_cost(w, SearchBudget(max_labelings=budget))
+    assert res.min_cost == Fraction(numerator, w.den)
+    assert res.argmin.labels == labels
+    assert res.explored == explored
+    assert res.proven_optimal == complete
+    # the improvements strictly lower the incumbent, in tree order, down to
+    # the reported minimum
+    costs = [c for c, _ in res.incumbents]
+    nodes = [at for _, at in res.incumbents]
+    assert costs == sorted(set(costs), reverse=True)
+    assert nodes == sorted(set(nodes))
+    if res.incumbents:
+        assert costs[-1] == res.min_cost
+        assert nodes[-1] <= res.explored
 
 
 @given(st.data())
