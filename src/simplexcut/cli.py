@@ -317,6 +317,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    SearchBudget(args.budget)  # a budget below 1 is refused before any check runs
     report = run_suite(args.suite, budget=args.budget)
     _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
     if not report.passed:

@@ -7,6 +7,19 @@ node table and recovers n by inverting the node count for the given k.
 Zero-weight edges are omitted unless explicitly included.  Each distinct
 weight is rendered or parsed once, however many edges carry it.  A
 malformed document raises ValueError, whatever is wrong with it.
+
+The edge section of a DIMACS document is most of its bytes (about 31 per
+edge; 14.5 MB at k = 4, n = 78), so it is written and read a block at a
+time with list-level operations instead of one Python step per line.
+Blocks of EMIT_BLOCK_ROWS edges are joined from columns of node names
+and weight texts.  The reader takes a slice of PARSE_SLICE_CHARS
+characters at one go only when every line in it is an edge line as the
+emitter writes them and the rows continue the edge order into empty
+slots; that is every slice of an emitted document but the one holding
+the header.  Every other slice goes through the general line-by-line
+reader, which accepts lines in any order, comments, odd whitespace and
+number forms, and is the source of every error message: the list-level
+path only ever returns the result the line reader would.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, compress, islice
 from math import lcm
 
 from .cuts import CutLabeling
@@ -26,10 +39,14 @@ from .lattice import SimplexGraph, build_graph, node_count, terminal_nodes
 INSTANCE_FORMAT = "simplexcut-instance"
 CUT_FORMAT = "simplexcut-cut"
 FORMAT_VERSION = 1
-# edge lines joined into one string at a time when emitting DIMACS
-EMIT_BLOCK_ROWS = 4096
-# characters of DIMACS text split into lines at a time when parsing
-PARSE_SLICE_CHARS = 1 << 20
+# edge rows put together into one string at a time when emitting DIMACS.
+# The block size moves where glibc leaves holes in its heap: at n = 78 the
+# round trip peaked at 135-136 MB RSS with 8192 rows in each of 24 run
+# directories tried, and at 136 or 140 MB, by directory, with 4096 rows
+EMIT_BLOCK_ROWS = 8192
+# characters of DIMACS text read at a time when parsing; a slice of edge
+# lines splits into tokens that take about 7 times its size
+PARSE_SLICE_CHARS = 1 << 16
 
 
 def render_rational(x: Fraction) -> str:
@@ -63,6 +80,36 @@ class ParsedInstance:
     tag: str | None = None
     c: Fraction | None = None
     lam: tuple[Fraction, ...] | None = None
+
+
+class _NodeNames:
+    """str(r) for the nodes r of a window that slides up the node order.
+
+    Emitting and parsing DIMACS go through the edges in order, and the
+    edges of one block span a few thousand nodes, most of them shared with
+    the next block.  Sliding the window names each node about once, and
+    never holds the names of all nodes at once.
+    """
+
+    def __init__(self):
+        self.names: dict[int, str] = {}
+        self.lo, self.hi = 0, -1  # the window holds the names of lo..hi
+
+    def window(self, lo: int, hi: int) -> dict[int, str]:
+        """The names of at least the nodes lo..hi."""
+        names = self.names
+        if lo < self.lo or lo > self.hi + 1:
+            names.clear()
+            self.hi = lo - 1
+        else:
+            for r in range(self.lo, lo):
+                del names[r]
+        if hi > self.hi:
+            new = range(self.hi + 1, hi + 1)
+            names.update(zip(new, map(str, new)))
+            self.hi = hi
+        self.lo = lo
+        return names
 
 
 def _edge_rows(w: WeightMap, include_zero_edges: bool) -> Iterator[tuple[int, int, str]]:
@@ -109,8 +156,8 @@ def emit_instance_dimacs(
     """The DIMACS-like document: comment lines, the problem line, one
     terminal line per corner, then one edge line per emitted edge.
 
-    Edge lines are joined EMIT_BLOCK_ROWS at a time, so no list of every
-    line is ever held: the peak is about the document and its blocks.
+    Edge lines are joined EMIT_BLOCK_ROWS edges at a time, so no list of
+    every line is ever held: the peak is about the document and its blocks.
     """
     g = w.graph
     row_count = len(w.nums) if include_zero_edges else len(w.weights)
@@ -124,11 +171,38 @@ def emit_instance_dimacs(
     lines.append(f"p mwc {len(g.nodes)} {row_count} {g.k}")
     for i, t in enumerate(g.terminals, start=1):
         lines.append(f"t {t} {i}")
-    blocks = ["\n".join(lines) + "\n"]
-    rows = (f"e {u} {v} {wt}\n" for u, v, wt in _edge_rows(w, include_zero_edges))
-    while block := "".join(islice(rows, EMIT_BLOCK_ROWS)):
-        blocks.append(block)
-    return "".join(blocks)
+    return "".join(["\n".join(lines) + "\n", *_edge_blocks(w, include_zero_edges)])
+
+
+def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
+    """The edge lines "e u v p/q" of the emitted edges in edge order,
+    joined EMIT_BLOCK_ROWS edges at a time.
+
+    A block is put together from lists: compress drops its zero-weight
+    edges, node names come from a sliding window of str(r) for r from the
+    block's first u to its largest v, and weight texts from one dict over
+    the distinct numerators.  No row is formatted on its own.
+    """
+    edges, nums = w.graph.edges, w.nums
+    texts = {x: f" {render_rational(Fraction(x, w.den))}\n" for x in set(nums)}
+    names = _NodeNames()
+    for start in range(0, len(nums), EMIT_BLOCK_ROWS):
+        block = edges[start : start + EMIT_BLOCK_ROWS]
+        block_nums = nums[start : start + EMIT_BLOCK_ROWS]
+        if not include_zero_edges:
+            block = list(compress(block, block_nums))
+            block_nums = list(compress(block_nums, block_nums))
+        if not block:
+            continue
+        ends = list(chain.from_iterable(block))
+        name = names.window(ends[0], max(ends[1::2])).__getitem__
+        # "e ", u, " ", v, " p/q\n" for each row
+        parts = [" "] * (5 * len(block))
+        parts[0::5] = ["e "] * len(block)
+        parts[1::5] = map(name, ends[0::2])
+        parts[3::5] = map(name, ends[1::2])
+        parts[4::5] = map(texts.__getitem__, block_nums)
+        yield "".join(parts)
 
 
 def _invert_node_count(k: int, count: int) -> int:
@@ -175,7 +249,8 @@ def _graph_at_corners(k: int, n: int, terminal_rows: list[tuple[int, int]]) -> S
 
 
 class _WeightSlots:
-    """Edge weights read one (u, v, "p/q") row at a time.
+    """Edge weights read one (u, v, "p/q") row at a time (add), or a run
+    of rows in edge order at one go (fill).
 
     Each row goes straight into its edge's slot.  A slot holds a code for
     the row's weight text (0 for an edge no row names); each distinct text
@@ -193,6 +268,7 @@ class _WeightSlots:
         # the edge after the last one filled: emitted rows come in edge
         # order, so this is usually the next row's edge
         self.hint = 0
+        self.names = _NodeNames()
 
     def add(self, u: int, v: int, text: str) -> None:
         e = self.hint
@@ -214,6 +290,41 @@ class _WeightSlots:
             code = self.codes[text] = len(self.values)
         self.slots[e] = code
         self.hint = e + 1
+
+    def fill(self, tokens: list[str]) -> bool:
+        """Fill the slots of a run of edge rows at one go.
+
+        tokens holds four per row: "e", u, v and the weight text.  The run
+        is taken when its rows continue from the hint in edge order into
+        empty slots and each new weight text parses to a nonnegative
+        rational; the texts are parsed once each, in document order, as add
+        would.  Otherwise nothing changes and the result is False: add then
+        reads the rows one by one, and raises the error if there is one.
+        """
+        h, m = self.hint, len(tokens) // 4
+        ends = list(chain.from_iterable(self.edges[h : h + m]))
+        if len(ends) != 2 * m or any(self.slots[h : h + m]):
+            return False
+        # endpoints must be written as str writes them; other forms ("03",
+        # "+3") are left to add, which reads them with int
+        name = self.names.window(ends[0], max(ends[1::2])).__getitem__
+        us, vs = list(map(name, ends[0::2])), list(map(name, ends[1::2]))
+        if tokens[1::4] != us or tokens[2::4] != vs:
+            return False
+        texts = tokens[3::4]
+        new = [t for t in dict.fromkeys(texts) if t not in self.codes]
+        try:
+            values = [parse_rational(t) for t in new]
+        except ValueError:
+            return False
+        if any(x < 0 for x in values):
+            return False
+        first = len(self.values) + 1
+        self.codes.update(zip(new, range(first, first + len(new))))
+        self.values += values
+        self.slots[h : h + m] = map(self.codes.__getitem__, texts)
+        self.hint = h + m
+        return True
 
     def weight_map(self) -> WeightMap:
         den = lcm(1, *(x.denominator for x in self.values))
@@ -265,29 +376,79 @@ def parse_instance_json(text: str) -> ParsedInstance:
     )
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of text.splitlines(), split off PARSE_SLICE_CHARS at a time.
+def _slices(text: str) -> Iterator[str]:
+    """text in slices of about PARSE_SLICE_CHARS characters.
 
-    Each slice ends just after a newline, so no line break (not even
-    "\\r\\n") straddles two slices, and the lines are exactly those of the
-    whole text.
+    Each slice but the last ends just after a newline, so no line break
+    (not even "\\r\\n") straddles two slices, and the lines of the slices
+    are exactly those of the whole text.
     """
     start = 0
     while start < len(text):
         end = text.find("\n", start + PARSE_SLICE_CHARS - 1) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
+
+
+# whitespace other than " ", "\r" and "\n": str.split() splits at it, but a
+# line's kind ends only at a space, and all but tab and \x1f end lines
+_ODD_WHITESPACE = "\t\v\f\x1c\x1d\x1e\x1f"
+
+
+def _edge_tokens(piece: str) -> list[str] | None:
+    """piece.split() when every line of piece is an edge line that the
+    line reader splits into the same four tokens "e", u, v, weight text;
+    None for any other slice.
+
+    The slice must be ASCII, hold no odd whitespace and no "\\r" outside
+    "\\r\\n", so that its lines are those between its newlines; every line
+    must start with "e "; and its tokens must come four per line with "e"
+    at every fourth place and nowhere else.  Its "e" tokens then are its
+    line starts, four tokens apart.
+    """
+    if not piece.startswith("e ") or not piece.isascii():
+        return None
+    if any(c in piece for c in _ODD_WHITESPACE):
+        return None
+    if "\r" in piece and piece.count("\r") != piece.count("\r\n"):
+        return None
+    rows = piece.count("\n") + (not piece.endswith("\n"))
+    if piece.count("\ne ") != rows - 1:
+        return None
+    tokens = piece.split()
+    if len(tokens) != 4 * rows or tokens.count("e") != rows or tokens[::4].count("e") != rows:
+        return None
+    return tokens
+
+
+def _add_edge_lines(slots: _WeightSlots, lines: list[str]) -> None:
+    """Add the edge rows of lines that were read once before the graph
+    existed; every other line was taken in on that first reading."""
+    for line in lines:
+        kind, _, rest = line.strip().partition(" ")
+        if kind == "e":
+            u, v, wt = rest.split()
+            slots.add(int(u), int(v), wt)
 
 
 def parse_instance_dimacs(text: str) -> ParsedInstance:
     """Parse the DIMACS-like format; its lines may come in any order.
 
-    The text is split into lines one slice of about PARSE_SLICE_CHARS at a
-    time, so only one slice's lines are held at once.  The lattice graph
-    is built once the problem line and all k terminal lines are read.
-    From then on each edge line goes straight into its edge's slot; the
-    edge lines read before that are only counted, and read again from the
-    text once the graph exists.
+    The text is read one slice of about PARSE_SLICE_CHARS characters at a
+    time, so only one slice's lines or tokens are held at once.  A slice
+    of edge lines only, as emit_instance_dimacs writes them, is split into
+    tokens and taken in at one go (_edge_tokens, _WeightSlots.fill) when
+    its rows continue the edge order into empty slots.  Every other slice
+    (the header, comments, rows out of order, duplicates, odd whitespace
+    or number forms, any error) is read line by line.  That general reader
+    remains the one definition of the format and the source of every error
+    message; a slice is taken at one go only when the result is the one
+    the line reader would give.
+
+    The lattice graph is built once the problem line and all k terminal
+    lines are read.  The edge lines before that are only counted, and the
+    slices before the header's slice, then its lines before the header,
+    are read again for their edge rows once the graph exists.
     """
     tag = None
     c_value: Fraction | None = None
@@ -296,54 +457,56 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     terminal_rows: list[tuple[int, int]] = []
     slots: _WeightSlots | None = None
     edge_lines = 0
-    for raw in _lines(text):
-        line = raw.strip()
-        if not line:
+    for index, piece in enumerate(_slices(text)):
+        tokens = _edge_tokens(piece)
+        if tokens is not None and (slots is None or slots.fill(tokens)):
+            edge_lines += len(tokens) // 4
             continue
-        kind, _, rest = line.partition(" ")
-        fields = rest.split()
-        if kind == "e":
-            if len(fields) != 3:
-                raise ValueError(f"malformed edge line: {line!r}")
-            u, v, wt = fields
-            edge_lines += 1
-            if slots is not None:
-                slots.add(int(u), int(v), wt)
-            continue
-        if kind == "c":
-            if fields[:1] == ["tag"] and len(fields) == 2:
-                tag = fields[1]
-            elif fields[:1] == ["c"] and len(fields) == 2:
-                c_value = parse_rational(fields[1])
-            elif fields[:1] == ["lambda"]:
-                lam = tuple(parse_rational(f) for f in fields[1:])
-            continue
-        if kind == "p":
-            if header is not None:
-                raise ValueError("multiple problem lines")
-            if len(fields) != 4 or fields[0] != "mwc":
-                raise ValueError(f"malformed problem line: {line!r}")
-            declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
-            header = (declared_edges, k, _invert_node_count(k, declared_nodes))
-        elif kind == "t":
-            if len(fields) != 2:
-                raise ValueError(f"malformed terminal line: {line!r}")
-            terminal_rows.append((int(fields[0]), int(fields[1])))
-        else:
-            raise ValueError(f"unknown line kind: {kind!r}")
-        if slots is None and header is not None and len(terminal_rows) == header[1]:
-            slots = _WeightSlots(_graph_at_corners(header[1], header[2], terminal_rows))
-            # the edge lines read so far were only counted: read them again
-            early = edge_lines
-            if early:
-                for again in _lines(text):
-                    head, _, tail = again.strip().partition(" ")
-                    if head == "e":
-                        u, v, wt = tail.split()
-                        slots.add(int(u), int(v), wt)
-                        early -= 1
-                        if not early:
-                            break
+        lines = piece.splitlines()
+        for i, raw in enumerate(lines):
+            line = raw.strip()
+            if not line:
+                continue
+            kind, _, rest = line.partition(" ")
+            fields = rest.split()
+            if kind == "e":
+                if len(fields) != 3:
+                    raise ValueError(f"malformed edge line: {line!r}")
+                u, v, wt = fields
+                edge_lines += 1
+                if slots is not None:
+                    slots.add(int(u), int(v), wt)
+                continue
+            if kind == "c":
+                if fields[:1] == ["tag"] and len(fields) == 2:
+                    tag = fields[1]
+                elif fields[:1] == ["c"] and len(fields) == 2:
+                    c_value = parse_rational(fields[1])
+                elif fields[:1] == ["lambda"]:
+                    lam = tuple(parse_rational(f) for f in fields[1:])
+                continue
+            if kind == "p":
+                if header is not None:
+                    raise ValueError("multiple problem lines")
+                if len(fields) != 4 or fields[0] != "mwc":
+                    raise ValueError(f"malformed problem line: {line!r}")
+                declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+                header = (declared_edges, k, _invert_node_count(k, declared_nodes))
+            elif kind == "t":
+                if len(fields) != 2:
+                    raise ValueError(f"malformed terminal line: {line!r}")
+                terminal_rows.append((int(fields[0]), int(fields[1])))
+            else:
+                raise ValueError(f"unknown line kind: {kind!r}")
+            if slots is None and header is not None and len(terminal_rows) == header[1]:
+                slots = _WeightSlots(_graph_at_corners(header[1], header[2], terminal_rows))
+                # the edge lines read so far were only counted: read them again
+                if edge_lines:
+                    for earlier in islice(_slices(text), index):
+                        earlier_tokens = _edge_tokens(earlier)
+                        if earlier_tokens is None or not slots.fill(earlier_tokens):
+                            _add_edge_lines(slots, earlier.splitlines())
+                    _add_edge_lines(slots, lines[:i])
     if header is None:
         raise ValueError("missing problem line")
     declared_edges, k, _ = header

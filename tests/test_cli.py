@@ -18,6 +18,7 @@ import pytest
 
 import simplexcut
 from simplexcut import build_graph, cli, emit_cut, exhaustive_extremal, midlines, parse_instance
+from simplexcut.reproduce import SUITES
 
 COMMAND = [sys.executable, "-m", "simplexcut"]
 PACKAGE_ROOT = str(Path(simplexcut.__file__).parents[1])
@@ -417,6 +418,17 @@ def test_reproduce_flags_budget_failures():
     assert "exhaustive-min-face" in err["failing"]
     doc = report(proc)
     assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_reproduce_budget_below_one_is_exhausted(suite, budget):
+    # refused before any check runs, whether or not the suite searches
+    proc = run("reproduce", "--suite", suite, "--budget", budget, expect=1)
+    assert proc.stdout == ""
+    err = stderr_error(proc)
+    assert err["error"] == "budget-exhausted"
+    assert err["message"] == f"a budget of {budget} allows no labeling"
 
 
 def test_usage_error_exit_code():

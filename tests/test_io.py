@@ -467,3 +467,237 @@ def test_parse_instance_fuzz_raises_only_value_error(text):
 @settings(max_examples=200, deadline=None)
 def test_parse_cut_fuzz_raises_only_value_error(text):
     _rejects_only_with_value_error(parse_cut, text)
+
+
+# The line-by-line DIMACS reader as it stood before slices of edge lines
+# were read at one go, kept as an oracle: on any text the sliced reader must
+# give the same instance, or raise ValueError with the same message.
+
+
+def _reference_lines(text):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + sio.PARSE_SLICE_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _reference_parse_dimacs(text):
+    tag = None
+    c_value = None
+    lam = None
+    header = None
+    terminal_rows = []
+    slots = None
+    edge_lines = 0
+    for raw in _reference_lines(text):
+        line = raw.strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        fields = rest.split()
+        if kind == "e":
+            if len(fields) != 3:
+                raise ValueError(f"malformed edge line: {line!r}")
+            u, v, wt = fields
+            edge_lines += 1
+            if slots is not None:
+                slots.add(int(u), int(v), wt)
+            continue
+        if kind == "c":
+            if fields[:1] == ["tag"] and len(fields) == 2:
+                tag = fields[1]
+            elif fields[:1] == ["c"] and len(fields) == 2:
+                c_value = parse_rational(fields[1])
+            elif fields[:1] == ["lambda"]:
+                lam = tuple(parse_rational(f) for f in fields[1:])
+            continue
+        if kind == "p":
+            if header is not None:
+                raise ValueError("multiple problem lines")
+            if len(fields) != 4 or fields[0] != "mwc":
+                raise ValueError(f"malformed problem line: {line!r}")
+            declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+            header = (declared_edges, k, sio._invert_node_count(k, declared_nodes))
+        elif kind == "t":
+            if len(fields) != 2:
+                raise ValueError(f"malformed terminal line: {line!r}")
+            terminal_rows.append((int(fields[0]), int(fields[1])))
+        else:
+            raise ValueError(f"unknown line kind: {kind!r}")
+        if slots is None and header is not None and len(terminal_rows) == header[1]:
+            slots = sio._WeightSlots(sio._graph_at_corners(header[1], header[2], terminal_rows))
+            early = edge_lines
+            if early:
+                for again in _reference_lines(text):
+                    head, _, tail = again.strip().partition(" ")
+                    if head == "e":
+                        u, v, wt = tail.split()
+                        slots.add(int(u), int(v), wt)
+                        early -= 1
+                        if not early:
+                            break
+    if header is None:
+        raise ValueError("missing problem line")
+    declared_edges, k, _ = header
+    if slots is None or len(terminal_rows) != k:
+        raise ValueError("terminal lines do not match the lattice")
+    if edge_lines != declared_edges:
+        raise ValueError(f"problem line announces {declared_edges} edges, found {edge_lines}")
+    return sio.ParsedInstance(weights=slots.weight_map(), tag=tag, c=c_value, lam=lam)
+
+
+def _outcome(parse, text):
+    try:
+        parsed = parse(text)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return parsed.weights, parsed.tag, parsed.c, parsed.lam
+
+
+_DIMACS_TEXTS = [t for t in _FUZZ_TEXTS if not t.startswith("{")]
+_DIMACS_TEXTS.append(emit_instance_dimacs(build_component(4, build_graph(4, 5))))
+
+
+ARABIC_DIGITS = "".join(map(chr, range(0x660, 0x66A)))
+
+
+def _odd_forms(token):
+    """Ways to write a token that int(), str.split() or str.splitlines()
+    read differently from its plain form."""
+    forms = ["+" + token, "0" + token, token[:1] + "_" + token[1:], token + "\t", "e\t" + token]
+    forms.append(token.translate(str.maketrans("0123456789", ARABIC_DIGITS)))
+    forms += [token + "\r", "\t", "e\t1", "\r", "+3", "03", "1_0", "\u0663"]
+    return forms
+
+
+@st.composite
+def _odd_token_mutation(draw, texts):
+    """Write one token of one line in an odd form."""
+    lines = draw(st.sampled_from(texts)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    j = draw(st.integers(0, len(tokens) - 1))
+    tokens[j] = draw(st.sampled_from(_odd_forms(tokens[j])))
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _edges_first(text):
+    lines = text.splitlines()
+    return "\n".join(sorted(lines, key=lambda line: not line.startswith("e "))) + "\n"
+
+
+_LAYOUTS = {
+    "as emitted": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone cr": lambda text: text.replace("\n", "\r"),
+    "edges first": _edges_first,
+    "edges first, crlf": lambda text: _edges_first(text).replace("\n", "\r\n"),
+}
+
+
+@given(
+    st.one_of(
+        st.sampled_from(_DIMACS_TEXTS),
+        _line_mutation(_DIMACS_TEXTS),
+        _text_mutation(_DIMACS_TEXTS),
+        _odd_token_mutation(_DIMACS_TEXTS),
+    ),
+    st.sampled_from(sorted(_LAYOUTS)),
+)
+@settings(max_examples=400, deadline=None)
+def test_sliced_reader_matches_line_reader(text, layout):
+    text = _LAYOUTS[layout](text)
+    default = sio.PARSE_SLICE_CHARS
+    try:
+        for slice_chars in (64, default):
+            sio.PARSE_SLICE_CHARS = slice_chars
+            expected = _outcome(_reference_parse_dimacs, text)
+            assert _outcome(sio.parse_instance_dimacs, text) == expected, slice_chars
+    finally:
+        sio.PARSE_SLICE_CHARS = default
+
+
+def test_edge_slices_are_read_at_one_go(monkeypatch, n48_document):
+    # only the edge rows in the header's slice go through add one by one;
+    # every later slice is taken in whole, so a silent fall-back to the line
+    # reader fails here
+    w, text = n48_document
+    calls = []
+    add = sio._WeightSlots.add
+
+    def counted(self, u, v, wt):
+        calls.append((u, v))
+        add(self, u, v, wt)
+
+    monkeypatch.setattr(sio._WeightSlots, "add", counted)
+    first = next(sio._slices(text))
+    assert sio.parse_instance(text).weights == w
+    assert len(first) < len(text) // 50
+    assert len(calls) == sum(line.startswith("e ") for line in first.splitlines())
+
+
+def _two_rows(edit):
+    # apply edit to rows i and i + 1
+    return lambda lines, i: lines[:i] + edit(lines[i], lines[i + 1]) + lines[i + 2 :]
+
+
+def _first_three(row):
+    return row.rsplit(" ", 1)[0]
+
+
+def _weight(row):
+    return row.rsplit(" ", 1)[1]
+
+
+# Edits of edge rows that a slice test could let through: each keeps most of
+# the shape of "e u v w" lines, so only one of _edge_tokens' or fill's tests
+# tells the slice apart from rows read one by one.
+_ROW_EDITS = {
+    "two rows on one line": _two_rows(lambda a, b: [f"{a} {b}"]),
+    "weight moved to the next line": _two_rows(lambda a, b: [_first_three(a), f"{_weight(a)} {b}"]),
+    "weight moved to the next row": _two_rows(lambda a, b: [_first_three(a), f"{b} {_weight(a)}"]),
+    "e moved to the row before": _two_rows(lambda a, b: [f"{a} e", _first_three(b)]),
+    "blank line between rows": _two_rows(lambda a, b: [a, "", b]),
+    "spaces around tokens": _two_rows(lambda a, b: [f" {a}  ", b.replace(" ", "  ")]),
+    "unknown kind": _two_rows(lambda a, b: [a, "x" + b[1:]]),
+    "lone cr in a row": _two_rows(lambda a, b: [a, f"{_first_three(b)}\r{_weight(b)}"]),
+    "vertical tab in a row": _two_rows(lambda a, b: [a, f"{_first_three(b)}\v{_weight(b)}"]),
+    "line separator in a row": _two_rows(lambda a, b: [a, f"{_first_three(b)}\u2028{_weight(b)}"]),
+    "tab in a row": _two_rows(lambda a, b: [a, b.replace(" ", "\t", 2)]),
+    "odd digits": _two_rows(lambda a, b: [a.replace(" ", " +", 1), b.replace(" ", " 0", 2)]),
+    "arabic digits": _two_rows(lambda a, b: [a, b.translate(str.maketrans("0123456789", ARABIC_DIGITS))]),
+    "negative weight": _two_rows(lambda a, b: [a, f"{_first_three(b)} -{_weight(b)}"]),
+    "rows swapped": _two_rows(lambda a, b: [b, a]),
+    "row repeated first": lambda lines, i: [lines[i], *lines],
+    "rows repeated at the end": lambda lines, i: lines + lines[i : i + 8],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_ROW_EDITS))
+def test_sliced_reader_matches_line_reader_on_edited_rows(edit):
+    text = emit_instance_dimacs(build_component(4, build_graph(4, 5)), tag="t")
+    lines = text.splitlines()
+    default = sio.PARSE_SLICE_CHARS
+    try:
+        for i in range(len(lines) // 2, len(lines) // 2 + 8):
+            edited = "\n".join(_ROW_EDITS[edit](lines, i)) + "\n"
+            for variant in (edited, edited.replace("\n", "\r\n"), _edges_first(edited)):
+                for slice_chars in (64, 200, default):
+                    sio.PARSE_SLICE_CHARS = slice_chars
+                    expected = _outcome(_reference_parse_dimacs, variant)
+                    assert _outcome(sio.parse_instance_dimacs, variant) == expected
+    finally:
+        sio.PARSE_SLICE_CHARS = default
+
+
+def test_rows_past_the_last_edge_fall_back_to_the_line_reader(monkeypatch):
+    # the first slice ends with the last edge, so the next slice's rows
+    # would continue from past the end of the edge list
+    text = emit_instance_dimacs(build_base_triangle(3))
+    again = text + "".join(line + "\n" for line in text.splitlines() if line.startswith("e "))
+    monkeypatch.setattr(sio, "PARSE_SLICE_CHARS", len(text))
+    assert next(sio._slices(again)) == text
+    assert _outcome(sio.parse_instance_dimacs, again) == ("rejected", "duplicate edge (0, 1)")
+    assert _outcome(_reference_parse_dimacs, again) == ("rejected", "duplicate edge (0, 1)")
