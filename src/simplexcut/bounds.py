@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cuts import corner_caps, cost, isolate_terminals, midlines_extended
-from .instances import GapParams, combine
+from .instances import GapParams, check_resolution, combine
 from .lattice import build_graph
 
 _SIX_FIFTHS = Fraction(6, 5)
@@ -189,6 +189,7 @@ def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
             best = min(best, shared + 135 * a4 * p * p * p)
         return Fraction(best, 30 * d * pqq)
     c = params.c
+    check_resolution(n, params.lams(), c)
     g = build_graph(4, n)
     w = combine(params, g)
     cuts = [midlines_extended(g), isolate_terminals(g)]

@@ -24,6 +24,7 @@ from .instances import (
     GapParams,
     build_base_triangle,
     build_component,
+    check_resolution,
     combine,
 )
 from .io import (
@@ -110,6 +111,7 @@ def cmd_gen(args) -> int:
     elif tag == "combined":
         params = _gap_params(args)
         c, lam = params.c, params.lams()
+        check_resolution(args.n, lam, c)
         w = combine(params, build_graph(4, args.n))
     else:
         if lam is not None:
@@ -117,6 +119,7 @@ def cmd_gen(args) -> int:
         index = _COMPONENT_INDEX[tag]
         if index != 3 and c is not None:
             raise ValueError(f"the {tag} component takes no --c")
+        check_resolution(args.n, [i == index for i in range(1, 5)], c)
         w = build_component(index, build_graph(4, args.n), c=c)
         if index != 3:
             c = None

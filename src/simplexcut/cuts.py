@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_edges, support
+from .lattice import SimplexGraph, boundary_edges, cap_depth, support
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,20 +53,16 @@ class CutLabeling:
 
 def delta(p: CutLabeling) -> tuple[int, ...]:
     """Indices of the edges whose endpoints carry different labels."""
-    labels = p.labels
-    return tuple(
-        e for e, (u, v) in enumerate(p.graph.edges) if labels[u] != labels[v]
-    )
+    g, labels = p.graph, p.labels
+    return tuple(e for e, u, v in zip(count(), g.tails, g.heads) if labels[u] != labels[v])
 
 
 def cost(p: CutLabeling, w: WeightMap) -> Fraction:
     """Total weight of the cut-set, exact."""
     if p.graph is not w.graph:
         raise ValueError("cut and weights live on different graphs")
-    labels = p.labels
-    cut = sum(
-        x for (u, v), x in zip(p.graph.edges, w.nums) if x and labels[u] != labels[v]
-    )
+    g, labels = p.graph, p.labels
+    cut = sum(x for u, v, x in zip(g.tails, g.heads, w.nums) if x and labels[u] != labels[v])
     return Fraction(cut, w.den)
 
 
@@ -88,12 +84,11 @@ def is_fragmenting(p: CutLabeling) -> bool:
     """
     if p.graph.k != 3:
         raise ValueError("fragmenting is a predicate on three-terminal graphs")
-    labels = p.labels
+    g, labels = p.graph, p.labels
     for pair in combinations((1, 2, 3), 2):
         crossings = 0
-        for e in boundary_edges(p.graph, pair):
-            u, v = p.graph.edges[e]
-            if labels[u] != labels[v]:
+        for e in boundary_edges(g, pair):
+            if labels[g.tails[e]] != labels[g.heads[e]]:
                 crossings += 1
                 if crossings == 2:
                     break
@@ -177,13 +172,7 @@ def corner_caps(g: SimplexGraph, c: Fraction) -> CutLabeling:
     """
     if g.k != 4:
         raise ValueError("corner caps live on a four-terminal graph")
-    c = Fraction(c)
-    if not 0 < c < Fraction(1, 2):
-        raise ValueError(f"cap depth out of range: {c}")
-    depth = c * g.n
-    if depth.denominator != 1:
-        raise ValueError(f"cap depth {c} is not integral at resolution {g.n}")
-    level = g.n - int(depth)
+    level = g.n - cap_depth(c, g.n)
     labels = []
     for node, p in enumerate(g.nodes):
         if node == g.terminals[3]:

@@ -18,7 +18,7 @@ from itertools import combinations, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .lattice import SimplexGraph, boundary_edges, build_graph, face_of, red_regions
+from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, face_of, red_regions
 
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 
@@ -201,6 +201,20 @@ class GapParams:
         )
 
 
+def check_resolution(n: int, lams, c: Fraction | None = None) -> None:
+    """Refuse a resolution n >= 1, before any graph is built, at which a
+    component that lams (face, lines, cycles, uniform) weighs nonzero
+    cannot be built: the face needs n divisible by 3, the cycles a cap
+    depth c with c*n integral.  build_graph refuses an n below 1 itself.
+    """
+    if n >= 1 and lams[0] and (n % 3 != 0 or n < 3):
+        raise ValueError("base triangle needs a resolution divisible by 3")
+    if n >= 1 and lams[2]:
+        if c is None:
+            raise ValueError("the cycles component needs a cap depth")
+        cap_depth(c, n)
+
+
 def build_base_triangle(n: int) -> WeightMap:
     """The three-terminal base instance of total weight exactly n.
 
@@ -218,8 +232,7 @@ def build_base_triangle(n: int) -> WeightMap:
     and bound certifies exactly 1, below 6/5 - 1/n = 31/30, so that floor
     does not hold at every n.
     """
-    if n % 3 != 0 or n < 3:
-        raise ValueError("base triangle needs a resolution divisible by 3")
+    check_resolution(n, (1, 0, 0, 0))
     g = build_graph(3, n)
     m = n // 3
     # numerators over 5n, so rho = 3/(5n) is 3
@@ -228,7 +241,7 @@ def build_base_triangle(n: int) -> WeightMap:
     for pair in combinations((1, 2, 3), 2):
         for d, e in enumerate(boundary_edges(g, pair), start=1):
             boundary[e] = d
-    for e, (u, v) in enumerate(g.edges):
+    for e, (u, v) in enumerate(zip(g.tails, g.heads)):
         if e in boundary:
             d = boundary[e]
             nums[e] = 3 * max(m - d + 1, d - 2 * m, 1)
@@ -256,12 +269,13 @@ def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> W
     if g.k != 4:
         raise ValueError("components are defined on four-terminal graphs")
     n = g.n
+    check_resolution(n, [i == index for i in range(1, 5)], c)
     nums = [0] * len(g.edges)
     if index == 1:
         base = build_base_triangle(n)
         sub, to_parent = face_of(g, (1, 2, 3))
-        for (a, b), x in zip(sub.edges, base.nums):
-            e4 = g.edge_between(to_parent[a], to_parent[b])
+        up = to_parent.__getitem__
+        for e4, x in zip(map(g.edge_between, map(up, sub.tails), map(up, sub.heads)), base.nums):
             assert e4 is not None
             nums[e4] = x
         return WeightMap.from_numerators(g, base.den, nums)
@@ -271,8 +285,6 @@ def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> W
                 nums[e] = 1
         return WeightMap.from_numerators(g, 3, nums)
     if index == 3:
-        if c is None:
-            raise ValueError("the cycles component needs a cap depth")
         c = Fraction(c)
         regions = red_regions(g, c)
         # 1/(9c) = c.denominator / (9 c.numerator)
@@ -291,6 +303,7 @@ def combine(params: GapParams, g: SimplexGraph) -> WeightMap:
     instantiated (and its integrality at this resolution enforced) when
     lam3 > 0.
     """
+    check_resolution(g.n, params.lams(), params.c)
     parts = []
     for i, lam in enumerate(params.lams(), start=1):
         if lam == 0:

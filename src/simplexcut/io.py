@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import lcm
 
 from .cuts import CutLabeling
@@ -115,7 +115,7 @@ class _NodeNames:
 def _edge_rows(w: WeightMap, include_zero_edges: bool) -> Iterator[tuple[int, int, str]]:
     """(u, v, rendered weight) for each emitted edge, in edge order."""
     rendered: dict[int, str] = {}
-    for (u, v), x in zip(w.graph.edges, w.nums):
+    for u, v, x in zip(w.graph.tails, w.graph.heads, w.nums):
         if x or include_zero_edges:
             text = rendered.get(x)
             if text is None:
@@ -183,24 +183,23 @@ def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
     block's first u to its largest v, and weight texts from one dict over
     the distinct numerators.  No row is formatted on its own.
     """
-    edges, nums = w.graph.edges, w.nums
+    g, nums = w.graph, w.nums
     texts = {x: f" {render_rational(Fraction(x, w.den))}\n" for x in set(nums)}
     names = _NodeNames()
     for start in range(0, len(nums), EMIT_BLOCK_ROWS):
-        block = edges[start : start + EMIT_BLOCK_ROWS]
-        block_nums = nums[start : start + EMIT_BLOCK_ROWS]
+        rows = slice(start, start + EMIT_BLOCK_ROWS)
+        us, vs, block_nums = g.tails[rows], g.heads[rows], nums[rows]
         if not include_zero_edges:
-            block = list(compress(block, block_nums))
+            us, vs = list(compress(us, block_nums)), list(compress(vs, block_nums))
             block_nums = list(compress(block_nums, block_nums))
-        if not block:
+        if not us:
             continue
-        ends = list(chain.from_iterable(block))
-        name = names.window(ends[0], max(ends[1::2])).__getitem__
+        name = names.window(us[0], max(vs)).__getitem__
         # "e ", u, " ", v, " p/q\n" for each row
-        parts = [" "] * (5 * len(block))
-        parts[0::5] = ["e "] * len(block)
-        parts[1::5] = map(name, ends[0::2])
-        parts[3::5] = map(name, ends[1::2])
+        parts = [" "] * (5 * len(us))
+        parts[0::5] = ["e "] * len(us)
+        parts[1::5] = map(name, us)
+        parts[3::5] = map(name, vs)
         parts[4::5] = map(texts.__getitem__, block_nums)
         yield "".join(parts)
 
@@ -260,11 +259,11 @@ class _WeightSlots:
 
     def __init__(self, g: SimplexGraph):
         self.graph = g
-        self.edges = g.edges
+        self.tails, self.heads = g.tails, g.heads
         self.edge_between = g.edge_between  # bound once: add runs per edge
         self.codes: dict[str, int] = {}
         self.values: list[Fraction] = []
-        self.slots = [0] * len(g.edges)
+        self.slots = [0] * len(g.tails)
         # the edge after the last one filled: emitted rows come in edge
         # order, so this is usually the next row's edge
         self.hint = 0
@@ -272,7 +271,7 @@ class _WeightSlots:
 
     def add(self, u: int, v: int, text: str) -> None:
         e = self.hint
-        if e == len(self.edges) or self.edges[e] != (u, v):
+        if e == len(self.tails) or self.tails[e] != u or self.heads[e] != v:
             e = self.edge_between(u, v)
             if e is None:
                 g = self.graph
@@ -302,14 +301,13 @@ class _WeightSlots:
         reads the rows one by one, and raises the error if there is one.
         """
         h, m = self.hint, len(tokens) // 4
-        ends = list(chain.from_iterable(self.edges[h : h + m]))
-        if len(ends) != 2 * m or any(self.slots[h : h + m]):
+        us, vs = self.tails[h : h + m], self.heads[h : h + m]
+        if len(us) != m or any(self.slots[h : h + m]):
             return False
         # endpoints must be written as str writes them; other forms ("03",
         # "+3") are left to add, which reads them with int
-        name = self.names.window(ends[0], max(ends[1::2])).__getitem__
-        us, vs = list(map(name, ends[0::2])), list(map(name, ends[1::2]))
-        if tokens[1::4] != us or tokens[2::4] != vs:
+        name = self.names.window(us[0], max(vs)).__getitem__
+        if tokens[1::4] != list(map(name, us)) or tokens[2::4] != list(map(name, vs)):
             return False
         texts = tokens[3::4]
         new = [t for t in dict.fromkeys(texts) if t not in self.codes]

@@ -15,23 +15,25 @@ gives in closed form (Knuth, TAOCP Vol. 4A, section 7.2.1.3).  The graph is
 built from rank differences: with prefix sums S_m = p_1 + ... + p_m, moving
 one unit of mass from coordinate i to a later coordinate j raises the rank
 by pot_j - pot_i, where pot_j = sum over m < j of C(S_m + m - 2, m - 1)
-(the m = 1 term is 1).  No neighbour is looked up by its coordinates.
+(the m = 1 term is 1).  No neighbour is looked up by its coordinates, and
+the ranks are computed a whole column of nodes at a time.
 
-Memory: index, edges and adj share one int object per node, so a graph
-holds about 120 bytes per edge on CPython 3.11 (56 MiB for the 492,960
-edges of k = 4, n = 78), most of it the (u, v) tuples and adj tuples.
+Memory: an edge is one entry in each of two int columns, and index and
+the columns share one int object per node, so a graph holds about 48
+bytes per edge on CPython 3.11 (22 MiB for the 492,960 edges of k = 4,
+n = 78).  The adjacency tuples are built only when adj is first read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
-from operator import getitem
-from typing import Iterator
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress, repeat
+from operator import add, sub
 
 Point = tuple[int, ...]
 
@@ -85,24 +87,40 @@ class SimplexGraph:
 
     nodes      colex-sorted coordinate tuples
     index      point -> node index
-    edges      (u, v) node-index pairs with u < v, sorted
-    first      edges[first[u]:first[u+1]] are the edges (u, v) with v > u;
+    tails      the e-th edge is (tails[e], heads[e]), tails[e] < heads[e];
+    heads      edges are sorted by (tail, head)
+    first      edges first[u]:first[u+1] are the edges (u, v) with v > u;
                len(first) == len(nodes) + 1
-    adj        adj[u] = tuple of u's neighbours, ascending
     terminals  terminals[i] = node index of the point n*e(i+1)
+    edges      read-only (u, v) view of tails and heads, holding no pairs
+    adj        adj[u] = tuple of u's neighbours, ascending; built on first
+               read and kept
     """
 
     k: int
     n: int
     nodes: tuple[Point, ...]
     index: dict[Point, int]
-    edges: tuple[tuple[int, int], ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
     first: tuple[int, ...]
-    adj: tuple[tuple[int, ...], ...]
     terminals: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"SimplexGraph(k={self.k}, n={self.n})"
+
+    @property
+    def edges(self) -> "_EdgeView":
+        return _EdgeView(self.tails, self.heads)
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        lower: list[list[int]] = [[] for _ in self.nodes]
+        for u, v in zip(self.tails, self.heads):
+            lower[v].append(u)
+        # edges are sorted by tail, so each lower list comes out ascending
+        heads, first = self.heads, self.first
+        return tuple(tuple(lo) + heads[a:b] for lo, a, b in zip(lower, first, first[1:]))
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Index of the edge joining u and v, or None if they are not neighbours."""
@@ -111,15 +129,33 @@ class SimplexGraph:
         if not 0 <= u < v < len(self.nodes):
             return None
         hi = self.first[u + 1]
-        e = bisect_left(self.edges, (u, v), self.first[u], hi)
-        return e if e < hi and self.edges[e][1] == v else None
+        e = bisect_left(self.heads, v, self.first[u], hi)
+        return e if e < hi and self.heads[e] == v else None
+
+
+class _EdgeView(Sequence):
+    """The edges as (u, v) pairs, made on demand from the two columns."""
+
+    def __init__(self, tails: tuple[int, ...], heads: tuple[int, ...]):
+        self.tails, self.heads = tails, heads
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def __getitem__(self, e):
+        if isinstance(e, slice):
+            return tuple(zip(self.tails[e], self.heads[e]))
+        return self.tails[e], self.heads[e]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.tails, self.heads)
 
 
 @lru_cache(maxsize=None)
 def build_graph(k: int, n: int) -> SimplexGraph:
     """Build (and cache) the simplex lattice graph for k terminals at resolution n."""
     nodes = tuple(simplex_points(k, n))
-    # one int object per node, shared by index, edges and adj; arithmetic
+    # one int object per node, shared by index, tails and heads; arithmetic
     # on ranks would make a new int for every edge endpoint
     ids = list(range(len(nodes)))
     index = dict(zip(nodes, ids))
@@ -127,25 +163,28 @@ def build_graph(k: int, n: int) -> SimplexGraph:
     # past coordinate m + 1 (0-based m) when the prefix sum there is s
     steps = [[1] * (n + 1)]
     steps += [[math.comb(s + m - 1, m) for s in range(n + 1)] for m in range(1, k - 1)]
-    # moves i -> j (0-based, i < j) with j ascending and, within one j, i
-    # descending reach the higher neighbours in ascending order
-    moves = [(i, j) for j in range(1, k) for i in range(j - 1, -1, -1)]
-    edges: list[tuple[int, int]] = []
-    first = [0]
-    adj: list[list[int]] = [[] for _ in nodes]
-    for u, p in zip(ids, nodes):
-        pot = (0, *accumulate(map(getitem, steps, accumulate(p))))
-        higher = [ids[u + pot[j] - pot[i]] for i, j in moves if p[i]]
-        # every lower neighbour w < u has already appended u to adj[u]
-        adj[u] += higher
-        for v in higher:
-            adj[v].append(u)
-        edges += [(u, v) for v in higher]
-        first.append(len(edges))
-    graph = SimplexGraph(
-        k, n, nodes, index, tuple(edges), tuple(first), tuple(map(tuple, adj)), terminal_nodes(k, n)
+    # columns over all nodes: coordinates p_m, prefix sums S_m and pot_j
+    cols = list(zip(*nodes))
+    sums = accumulate(cols[:-1], lambda s, col: list(map(add, s, col)))
+    pots = [repeat(0)]
+    pots += accumulate(
+        (list(map(step.__getitem__, s)) for step, s in zip(steps, sums)),
+        lambda a, b: list(map(add, a, b)),
     )
-    assert len(nodes) == node_count(k, n) and len(edges) == edge_count(k, n)
+    # moves i -> j (0-based, i < j) with j ascending and, within one j, i
+    # descending reach the higher neighbours in ascending order; move
+    # (i, j) exists where p_i > 0 and raises the rank by pot_j - pot_i
+    moves = [(i, j) for j in range(1, k) for i in range(j - 1, -1, -1)]
+    movable = [list(map(bool, col)) for col in cols[:-1]]
+    masks = [movable[i] for i, _ in moves]
+    ranks = zip(*(map(add, ids, map(sub, pots[j], pots[i])) for i, j in moves))
+    found = compress(chain.from_iterable(ranks), chain.from_iterable(zip(*masks)))
+    heads = tuple(map(ids.__getitem__, found))
+    counts = list(map(sum, zip(*masks)))
+    tails = tuple(chain.from_iterable(map(repeat, ids, counts)))
+    first = tuple(accumulate(counts, initial=0))
+    graph = SimplexGraph(k, n, nodes, index, tails, heads, first, terminal_nodes(k, n))
+    assert len(nodes) == node_count(k, n) and len(heads) == edge_count(k, n)
     return graph
 
 
@@ -231,19 +270,25 @@ class RedRegions:
         return tuple(sorted(seen))
 
 
+def cap_depth(c: Fraction, n: int) -> int:
+    """The number of lattice levels c*n that a corner cap of depth c spans
+    at resolution n >= 1; c must lie strictly between 0 and 1/2 and make
+    c*n integral, so the result is at least 1."""
+    c = Fraction(c)
+    if not 0 < c < Fraction(1, 2):
+        raise ValueError(f"cap depth out of range: {c}")
+    depth = c * n
+    if depth.denominator != 1:
+        raise ValueError(f"cap depth {c} is not integral at resolution {n}")
+    return int(depth)
+
+
 def red_regions(g: SimplexGraph, c: Fraction) -> RedRegions:
     """Mark the three corner cycles at cap depth c (c*n must be integral)."""
     if g.k != 4:
         raise ValueError("red regions live on four-terminal graphs")
     c = Fraction(c)
-    if not 0 < c < Fraction(1, 2):
-        raise ValueError(f"cap depth out of range: {c}")
-    depth = c * g.n
-    if depth.denominator != 1:
-        raise ValueError(f"cap depth {c} is not integral at resolution {g.n}")
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError("cap depth must reach at least one lattice level")
+    depth = cap_depth(c, g.n)
     level = g.n - depth
     node_sets = []
     edge_sets = []

@@ -95,7 +95,7 @@ def _within_budget(choices: list[tuple[int, ...]], max_labelings: int):
 
 def _weighted_edges(w: WeightMap) -> list[tuple[int, int, int]]:
     """(u, v, numerator) for each edge of nonzero weight, in edge order."""
-    return [(u, v, x) for (u, v), x in zip(w.graph.edges, w.nums) if x]
+    return [(u, v, x) for u, v, x in zip(w.graph.tails, w.graph.heads, w.nums) if x]
 
 
 def _price(weighted: list[tuple[int, int, int]], labels: tuple[int, ...]) -> int:

@@ -40,6 +40,37 @@ def test_summary_counts_wins_by_direction():
     assert rss["median_ratio"] == pytest.approx(145.5 / 205)
     assert (s["nodes_per_s"]["change_wins"], s["nodes_per_s"]["ties"]) == (2, 1)
     assert s["failed"] == {"parent": 0, "change": 1}
+    # 3 wins of 4 pairs is below 9/10
+    assert rss["gain"] is False and s["nodes_per_s"]["gain"] is False
+
+
+@pytest.mark.parametrize(
+    "parent,change,gain",
+    [
+        # 10 of 10 wins, medians 104.5 -> 94.5, parent IQR 4.5
+        (range(100, 110), range(90, 100), True),
+        # 9 of 10 wins (one tie): still a gain
+        (range(100, 110), [*range(90, 99), 109], True),
+        # 8 of 10 wins and two ties: ties count for neither side
+        (range(100, 110), [*range(90, 98), 108, 109], False),
+        # every pair won, but by less than the parent's IQR
+        (range(100, 110), [x - 0.5 for x in range(100, 110)], False),
+        # the medians differ by exactly the IQR: not more than it
+        (range(100, 110), [x - 4.5 for x in range(100, 110)], False),
+    ],
+)
+def test_gain_rule(parent, change, gain):
+    metrics = [
+        {"name": "peak_rss_mb", "better": "lower"},
+        {"name": "nodes_per_s", "better": "higher"},
+    ]
+    pairs = [
+        {"parent": _side(p, -p), "change": _side(c, -c)} for p, c in zip(parent, change)
+    ]
+    s = bench_pairs.summarize(pairs, metrics)
+    # nodes_per_s mirrors peak_rss_mb with the sign flipped and "higher" better
+    assert s["peak_rss_mb"]["gain"] is gain
+    assert s["nodes_per_s"]["gain"] is gain
 
 
 def _git(repo, *args):

@@ -113,6 +113,32 @@ def test_gen_rejects_bad_resolution():
     assert stderr_error(proc)["error"] == "invalid-parameter"
 
 
+_FACE_NEEDS_THIRDS = "base triangle needs a resolution divisible by 3"
+_CAP_NOT_INTEGRAL = "cap depth 1/14 is not integral at resolution 78"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["limits", "--n", "77", "--c", "1/13"], _FACE_NEEDS_THIRDS),
+        (["limits", "--n", "78", "--c", "1/14"], _CAP_NOT_INTEGRAL),
+        (["gen", "--instance", "combined", "--n", "77", "--c", "1/7"], _FACE_NEEDS_THIRDS),
+        (["gen", "--instance", "combined", "--n", "78", "--c", "1/14"], _CAP_NOT_INTEGRAL),
+        (["gen", "--instance", "face", "--n", "77"], _FACE_NEEDS_THIRDS),
+        (["gen", "--instance", "cycles", "--n", "78", "--c", "1/14"], _CAP_NOT_INTEGRAL),
+        (["gen", "--instance", "cycles", "--n", "78"], "the cycles component needs a cap depth"),
+        (["gen", "--instance", "cycles", "--n", "78", "--c", "3/4"], "cap depth out of range: 3/4"),
+    ],
+)
+def test_unusable_resolution_is_refused_before_any_lattice(argv, message, capsys):
+    # refused by instances.check_resolution before build_graph is called at all
+    calls = lambda: sum(build_graph.cache_info()[:2])  # hits + misses
+    before = calls()
+    assert cli.main(argv) == 2
+    assert calls() == before
+    assert json.loads(capsys.readouterr().err) == {"error": "invalid-parameter", "message": message}
+
+
 def test_gen_rejects_misplaced_flags():
     proc = run(
         "gen", "--instance", "lines", "--n", "6", "--c", "1/4", expect=2

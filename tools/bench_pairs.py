@@ -21,8 +21,11 @@ Writes BENCH_<label>.json at the repository root: label, what, command,
 parent_commit, host, rule, notes, a summary per workload and seed (for each
 end-to-end metric of BENCHMARK.json: each side's median, quartiles, min and
 max over the pairs, how many pairs the change won and tied, the ratio of
-the medians and the parent's interquartile range; and the failed operations
-of each side), and every pair with both sides' run.py records.  Times are
+the medians, the parent's interquartile range, and "gain": whether the
+change won at least 9 of every 10 pairs, ties counting for neither side,
+and its median is better than the parent's by more than that range; and
+the failed operations of each side), and every pair with both sides'
+run.py records.  Times are
 run.py's host-scaled medians.  Standard library only.
 """
 
@@ -42,7 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 30
 RULE = (
     "odd pairs run the parent first, even pairs the change first; "
-    "times are run.py's host-scaled medians"
+    "times are run.py's host-scaled medians; a metric's gain holds when the "
+    "change wins at least 9/10 of the pairs (ties count for neither side) and "
+    "the medians differ in its favour by more than the parent's IQR"
 )
 HOST_KEYS = ("python", "implementation", "nproc", "mem_total_mb", "machine")
 
@@ -123,13 +128,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         ties = sum(c == p for p, c in zip(parent, change))
         before, after = _spread(parent), _spread(change)
+        iqr = before["q3"] - before["q1"]
+        gained = (before["median"] - after["median"]) * (1 if lower else -1)
         out[name] = {
             "parent": before,
             "change": after,
             "change_wins": wins,
             "ties": ties,
             "median_ratio": after["median"] / before["median"],
-            "parent_iqr": before["q3"] - before["q1"],
+            "parent_iqr": iqr,
+            "gain": 10 * wins >= 9 * len(pairs) and gained > iqr,
         }
     out["failed"] = {
         side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
