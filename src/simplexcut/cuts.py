@@ -23,7 +23,10 @@ class CutLabeling:
 
     def __post_init__(self):
         g = self.graph
-        labels = tuple(map(int, self.labels))
+        raw = tuple(self.labels)
+        labels = tuple(map(int, raw))
+        if labels != raw:
+            raise ValueError("labels must be integers")
         if len(labels) != len(g.nodes):
             raise ValueError(
                 f"{len(labels)} labels for {len(g.nodes)} nodes"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, face_of, red_regions
 
@@ -68,7 +68,9 @@ class WeightMap:
         common = gcd(den, *nums)
         if common > 1:
             den //= common
-            nums = tuple(x // common for x in nums)
+            # one division, and one int object, per distinct value
+            reduced = {x: x // common for x in set(nums)}
+            nums = tuple(map(reduced.__getitem__, nums))
         wm = object.__new__(cls)
         wm._assign(graph, den, nums)
         return wm
@@ -132,7 +134,10 @@ def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
     """Nonnegative linear combination of weight maps on one graph.
 
     Each lam * nums/den is brought to the common denominator of all the
-    terms, so the sum is taken over integers.
+    terms, so the sum is taken over integers.  An edge's numerator depends
+    only on its row of term numerators, and the terms take few values, so
+    each distinct row is summed once and the map holds one int object per
+    distinct numerator.
     """
     if not parts:
         raise ValueError("nothing to combine")
@@ -143,12 +148,14 @@ def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
             raise ValueError("weight maps live on different graphs")
         terms.append((Fraction(lam), wm))
     den = lcm(*(lam.denominator * wm.den for lam, wm in terms))
-    acc = [0] * len(graph.edges)
-    for lam, wm in terms:
-        if lam:
-            scale = lam.numerator * (den // (lam.denominator * wm.den))
-            acc = list(map(add, acc, map(mul, wm.nums, repeat(scale))))
-    return WeightMap.from_numerators(graph, den, acc)
+    scales = [lam.numerator * (den // (lam.denominator * wm.den)) for lam, wm in terms]
+    shared: dict[int, int] = {}
+    summed = {}
+    for row in set(zip(*(wm.nums for _lam, wm in terms))):
+        x = sum(map(mul, row, scales))
+        summed[row] = shared.setdefault(x, x)
+    rows = zip(*(wm.nums for _lam, wm in terms))
+    return WeightMap.from_numerators(graph, den, map(summed.__getitem__, rows))
 
 
 @dataclass(frozen=True)

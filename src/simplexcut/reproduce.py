@@ -411,15 +411,27 @@ def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
 
     Relabeling must shrink the cut-set and never raise the cost; with
     all_properties it must also keep the auxiliary count and be idempotent.
+    Every map is relabeled and tested, but what depends only on its
+    relabeling q (q's cut edges, cost, auxiliary count and idempotence) is
+    computed once per distinct q.  q's cut-set lies inside the map's when
+    the map separates the endpoints of every edge q cuts.
     """
+    g = w.graph
+    facts: dict[tuple[int, ...], tuple] = {}
     count, ok = 0, True
-    for p in _pinned_maps(w.graph):
+    for p in _pinned_maps(g):
         count += 1
         q = canonicalize(p)
-        ok &= set(delta(q)) <= set(delta(p)) and cost(q, w) <= cost(p, w)
+        known = facts.get(q.labels)
+        if known is None:
+            cut = [(g.tails[e], g.heads[e]) for e in delta(q)]
+            idempotent = not all_properties or canonicalize(q).labels == q.labels
+            known = facts[q.labels] = (cut, cost(q, w), q.auxiliary_count(), idempotent)
+        cut, q_cost, q_aux, idempotent = known
+        labels = p.labels
+        ok &= all(labels[u] != labels[v] for u, v in cut) and q_cost <= cost(p, w)
         if all_properties:
-            ok &= q.auxiliary_count() >= p.auxiliary_count()
-            ok &= canonicalize(q).labels == q.labels
+            ok &= q_aux >= p.auxiliary_count() and idempotent
     return count, ok
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
+from operator import getitem, itemgetter
 
 from .cuts import CutLabeling, delta, is_non_opposite
 from .lattice import simplex_points, support
@@ -108,6 +110,12 @@ def exhaustive_extremal(
     admissible.  Labelings are visited in lexicographic order over per-node
     choice lists; the scan refuses to start when the family size exceeds
     max_labelings.
+
+    Each labeling is counted in C: one itemgetter gathers the labels of
+    every hyperedge's members, flattened, zip regroups them k at a time,
+    and a group is monochromatic when it is one of the k constant tuples.
+    The inadmissible count sums a per-node 0/1 table indexed by label.
+    count_monochromatic is the per-hyperedge reference.
     """
     h = build_hypergraph(k, n)
     choices: list[tuple[int, ...]] = []
@@ -117,18 +125,23 @@ def exhaustive_extremal(
         else:
             choices.append(tuple(support(p)))
     total = len(h.hyperedges)
+    gather = itemgetter(*chain.from_iterable(h.hyperedges))
+    is_constant = frozenset((label,) * k for label in range(1, k + 1)).__contains__
+    # inadmissible[v][label] is 1 when label lies off node v's support
+    inadmissible = [(0, *(int(x == 0) for x in p)) for p in h.nodes]
     best = -1
     witness: tuple[int, ...] = ()
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] = {}
     explored = 0
     for labels in _within_budget(choices, max_labelings):
         explored += 1
-        mono = count_monochromatic(h, labels)
+        members = iter(gather(labels))
+        mono = sum(map(is_constant, zip(*[members] * k)))
         if mono > best:
             best = mono
             witness = labels
         if face_restricted:
-            bad = sum(1 for v, l in enumerate(labels) if h.nodes[v][l - 1] == 0)
+            bad = sum(map(getitem, inadmissible, labels))
             nonmono = total - mono
             cur = by_inadmissible.get(bad)
             if cur is None or nonmono < cur[0]:

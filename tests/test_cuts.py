@@ -52,6 +52,15 @@ def test_labeling_validation():
     for length in (len(labels) - 1, len(labels) + 1):
         with pytest.raises(ValueError, match=f"{length} labels for {len(labels)} nodes"):
             CutLabeling(g, (labels + [5])[:length])
+    # a label must equal its int(): no truncated floats, no digit strings
+    for bad in (1.9, 2.5, "1"):
+        wrong = list(labels)
+        wrong[free] = bad
+        with pytest.raises(ValueError, match="labels must be integers"):
+            CutLabeling(g, wrong)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        CutLabeling(build_graph(3, 1), (1.9, 2, 3))
+    assert CutLabeling(build_graph(3, 1), (1.0, 2, 3)).labels == (1, 2, 3)
 
 
 def test_labeling_equality_and_aux_count():

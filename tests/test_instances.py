@@ -237,6 +237,15 @@ def test_combine_maps_matches_combine():
     assert dict(a.items()) == dict(b.items())
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 4), Fraction(1, 3)])
+def test_combined_map_shares_one_int_per_value(c):
+    # at c = 1/3 the numerators share a factor with the denominator, so the
+    # reduced map is checked too
+    w = combine(GapParams.tuned(c=c), build_graph(4, 12))
+    assert len({id(x) for x in w.nums}) == len(set(w.nums))
+    assert len(set(w.nums)) < 10 < len(w.nums)
+
+
 def test_combine_maps_rejects_mixed_graphs():
     with pytest.raises(ValueError):
         combine_maps(

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from simplexcut import DEFAULT_LABELING_BUDGET, reproduce
+from simplexcut import DEFAULT_LABELING_BUDGET, CutLabeling, build_graph, canonicalize, reproduce
 from simplexcut.reproduce import (
     CRITERIA,
     PROVENANCES,
@@ -155,3 +155,58 @@ def test_each_check_is_timed_on_its_own(monkeypatch):
     for c in totals:
         assert (c.elapsed_s >= 0.05) == (c.id == slow_id), (c.id, c.elapsed_s)
     assert sum(c.elapsed_s for c in report.checks) <= report.elapsed_s
+
+
+def _free_node_to_aux(p):
+    """Reachability relabeling, then one free node sent to the auxiliary label."""
+    q = canonicalize(p)
+    g = q.graph
+    labels = list(q.labels)
+    labels[next(v for v in range(len(labels)) if v not in g.terminals)] = g.k + 1
+    return CutLabeling(g, tuple(labels))
+
+
+def _one_stray_component_to_aux(p):
+    """Send to the auxiliary label only the first same-label component that
+    reachability relabeling sends there.  The cut-set shrinks, the cost
+    cannot grow and the auxiliary count cannot drop, but a map with two
+    such components needs two applications: not idempotent."""
+    g = p.graph
+    labels = list(p.labels)
+    aux = g.k + 1
+    target = canonicalize(p).labels
+    stray = next((v for v, l in enumerate(labels) if target[v] == aux != l), None)
+    if stray is not None:
+        own, stack = labels[stray], [stray]
+        labels[stray] = aux
+        while stack:
+            for v in g.adj[stack.pop()]:
+                if labels[v] == own:
+                    labels[v] = aux
+                    stack.append(v)
+    return CutLabeling(g, tuple(labels))
+
+
+def test_canonicalization_checks_catch_a_cut_growing_relabeling(monkeypatch):
+    monkeypatch.setattr(reproduce, "canonicalize", _free_node_to_aux)
+    checks = run_criterion("canonicalization")
+    assert [c.id for c in checks] == ["canonicalization-sweep", "canonicalization-face-cost"]
+    assert not any(c.passed for c in checks)
+    assert all(c.computed.endswith("violation found") for c in checks)
+    # at zero weights no cost can grow: the cut-set test alone catches it
+    g = build_graph(3, 2)
+    assert reproduce._relabel_sweep(reproduce.WeightMap(g, {}), all_properties=False) == (
+        64,
+        False,
+    )
+
+
+def test_canonicalization_sweep_catches_a_non_idempotent_relabeling(monkeypatch):
+    monkeypatch.setattr(reproduce, "canonicalize", _one_stray_component_to_aux)
+    g = build_graph(3, 2)
+    w = reproduce.WeightMap(g, {e: 1 for e in range(len(g.edges))})
+    # cut-set and cost hold, so the failure below is the idempotence test's
+    assert reproduce._relabel_sweep(w, all_properties=False) == (64, True)
+    (sweep,) = [c for c in run_criterion("canonicalization") if c.id == "canonicalization-sweep"]
+    assert not sweep.passed
+    assert sweep.computed == "64 maps, violation found"

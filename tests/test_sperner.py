@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 
 from simplexcut import sperner
 from simplexcut import (
+    DEFAULT_LABELING_BUDGET,
     BudgetExceededError,
     build_graph,
     build_hypergraph,
@@ -120,19 +122,79 @@ def test_lower_bound_validation():
 
 
 def test_budget_refusal_is_eager(monkeypatch):
-    visited = []
+    drawn = []
+    within_budget = sperner._within_budget
 
-    def counting(h, labels):
-        visited.append(labels)
-        return count_monochromatic(h, labels)
+    def counting(choices, max_labelings):
+        labelings = within_budget(choices, max_labelings)
+        return (drawn.append(labels) or labels for labels in labelings)
 
-    monkeypatch.setattr(sperner, "count_monochromatic", counting)
+    monkeypatch.setattr(sperner, "_within_budget", counting)
     with pytest.raises(BudgetExceededError, match="13824 labelings exceed the budget of 100"):
         exhaustive_extremal(3, 4, max_labelings=100)
-    assert visited == []
+    assert drawn == []
     # a budget of exactly the family size scans it all
     rep = exhaustive_extremal(3, 4, max_labelings=13824)
-    assert rep.explored == len(visited) == 13824
+    assert rep.explored == len(drawn) == 13824
+
+
+def _exhaustive_extremal_reference(k, n, face_restricted):
+    """The per-hyperedge scan: count_monochromatic on every labeling."""
+    h = build_hypergraph(k, n)
+    choices = [
+        tuple(range(1, k + 1)) if face_restricted and p[k - 1] == 0 else tuple(support(p))
+        for p in h.nodes
+    ]
+    total = len(h.hyperedges)
+    best = -1
+    witness = ()
+    by_inadmissible = {}
+    explored = 0
+    for labels in product(*choices):
+        explored += 1
+        mono = count_monochromatic(h, labels)
+        if mono > best:
+            best = mono
+            witness = labels
+        if face_restricted:
+            bad = sum(1 for v, l in enumerate(labels) if h.nodes[v][l - 1] == 0)
+            nonmono = total - mono
+            cur = by_inadmissible.get(bad)
+            if cur is None or nonmono < cur[0]:
+                by_inadmissible[bad] = (nonmono, labels)
+    return sperner.ExtremalReport(
+        k=k,
+        n=n,
+        face_restricted=face_restricted,
+        explored=explored,
+        max_monochromatic=best,
+        witness=witness,
+        by_inadmissible=by_inadmissible if face_restricted else None,
+    )
+
+
+def _family_size(k, n, face_restricted):
+    h = build_hypergraph(k, n)
+    return prod(k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in h.nodes)
+
+
+# every family within the default budget for k = 3 and 4 (the largest are
+# the face-restricted (3, 4) at 419,904 labelings and the plain (4, 3) at
+# 331,776); k = 2 families fit up to n = 21, but the reference takes about
+# 20 s at n = 20, so k = 2 stops at n = 12
+ORACLE_SIZES = [
+    (k, n, face)
+    for k, top in ((2, 12), (3, 5), (4, 4))
+    for n in range(1, top + 1)
+    for face in (False, True)
+    if _family_size(k, n, face) <= DEFAULT_LABELING_BUDGET
+]
+
+
+@pytest.mark.parametrize("k,n,face_restricted", ORACLE_SIZES)
+def test_scan_matches_per_hyperedge_reference(k, n, face_restricted):
+    rep = exhaustive_extremal(k, n, face_restricted=face_restricted)
+    assert rep == _exhaustive_extremal_reference(k, n, face_restricted)
 
 
 def test_cut_size_floor_on_named_cuts():
