@@ -109,25 +109,27 @@ def canonicalize(p: CutLabeling) -> CutLabeling:
     any weighting, the auxiliary count never decreases, and applying the
     operation twice equals applying it once.
     """
-    g = p.graph
+    return CutLabeling(p.graph, reachable_labels(p.graph, p.labels))
+
+
+def reachable_labels(g: SimplexGraph, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """canonicalize on a raw label tuple of g, which it does not validate."""
     adj = g.adj
-    labels = p.labels
     aux = g.k + 1
-    relabel = [aux] * len(g.nodes)
+    relabel = [aux] * len(labels)
     for i, t in enumerate(g.terminals, start=1):
         if relabel[t] != aux:
             continue
         relabel[t] = i
-        # reachability does not depend on visit order, so a stack serves
-        stack = [t]
+        # the component carries t's label throughout; reachability does not
+        # depend on visit order, so a stack serves
+        own, stack = labels[t], [t]
         while stack:
-            u = stack.pop()
-            own = labels[u]
-            for v in adj[u]:
+            for v in adj[stack.pop()]:
                 if labels[v] == own and relabel[v] == aux:
                     relabel[v] = i
                     stack.append(v)
-    return CutLabeling(g, tuple(relabel))
+    return tuple(relabel)
 
 
 def midlines(g: SimplexGraph) -> CutLabeling:

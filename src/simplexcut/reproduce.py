@@ -22,12 +22,12 @@ from typing import Callable
 from .bounds import limitation_min, limitation_sup, nonopposite_cost_floor, optimize_params
 from .cuts import (
     CutLabeling,
-    canonicalize,
     corner_caps,
     cost,
     delta,
     isolate_terminals,
     midlines,
+    reachable_labels,
     terminal_ball,
 )
 from .errors import BudgetExceededError
@@ -42,6 +42,8 @@ from .lattice import build_graph
 from .search import (
     DEFAULT_LABELING_BUDGET,
     SearchBudget,
+    _price,
+    _weighted_edges,
     enumerate_non_opposite,
     min_non_opposite_cost,
     min_terminal_face_cut,
@@ -395,43 +397,39 @@ def _terminal_flow_floor(budget):
 # -- canonicalization -------------------------------------------------------
 
 
-def _pinned_maps(g):
-    """All labelings over [k+1] with terminals pinned (cut condition only)."""
-    pins = {t: i for i, t in enumerate(g.terminals, start=1)}
-    choices = [
-        (pins[node],) if node in pins else tuple(range(1, g.k + 2))
-        for node in range(len(g.nodes))
-    ]
-    for labels in product(*choices):
-        yield CutLabeling(g, labels)
-
-
 def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
     """(pinned maps seen, whether relabeling kept the properties on all).
 
-    Relabeling must shrink the cut-set and never raise the cost; with
-    all_properties it must also keep the auxiliary count and be idempotent.
-    Every map is relabeled and tested, but what depends only on its
-    relabeling q (q's cut edges, cost, auxiliary count and idempotence) is
-    computed once per distinct q.  q's cut-set lies inside the map's when
-    the map separates the endpoints of every edge q cuts.
+    The maps are all labelings over [k+1] with terminals pinned.  Relabeling
+    must shrink the cut-set and never raise the cost; with all_properties it
+    must also keep the auxiliary count and be idempotent.  Every map is
+    relabeled and tested, but q's validity, cut edges, cost, auxiliary count
+    and idempotence are computed once per distinct relabeling q.  q's
+    cut-set lies inside the map's when the map separates the endpoints of
+    every edge q cuts.
     """
     g = w.graph
+    aux = g.k + 1
+    pins = dict(zip(g.terminals, range(1, aux)))
+    choices = [(pins[v],) if v in pins else tuple(range(1, aux + 1)) for v in range(len(g.nodes))]
+    for bound in (min, max):  # every map lies between these two, node by node
+        CutLabeling(g, tuple(map(bound, choices)))
+    weighted = _weighted_edges(w)
     facts: dict[tuple[int, ...], tuple] = {}
     count, ok = 0, True
-    for p in _pinned_maps(g):
+    for labels in product(*choices):
         count += 1
-        q = canonicalize(p)
-        known = facts.get(q.labels)
+        q = reachable_labels(g, labels)
+        known = facts.get(q)
         if known is None:
-            cut = [(g.tails[e], g.heads[e]) for e in delta(q)]
-            idempotent = not all_properties or canonicalize(q).labels == q.labels
-            known = facts[q.labels] = (cut, cost(q, w), q.auxiliary_count(), idempotent)
+            CutLabeling(g, q)
+            cut = [(u, v) for u, v in zip(g.tails, g.heads) if q[u] != q[v]]
+            idempotent = not all_properties or reachable_labels(g, q) == q
+            known = facts[q] = (cut, _price(weighted, q), q.count(aux), idempotent)
         cut, q_cost, q_aux, idempotent = known
-        labels = p.labels
-        ok &= all(labels[u] != labels[v] for u, v in cut) and q_cost <= cost(p, w)
+        ok &= all(labels[u] != labels[v] for u, v in cut) and q_cost <= _price(weighted, labels)
         if all_properties:
-            ok &= q_aux >= p.auxiliary_count() and idempotent
+            ok &= q_aux >= labels.count(aux) and idempotent
     return count, ok
 
 

@@ -7,14 +7,14 @@ weight of the already-bichromatic edges.  Branch and bound reads each
 rank's label costs from a memo keyed by the labels of its back
 neighbours, and counts a rank whose every child would be pruned as
 explored without entering it; the tree, its node count, the budget stop
-and the argmin are those of the node-by-node walk.  Both modes, and the
-max-flow, work on the integer numerators of the weight map over its
-common denominator, so reported costs are exact rationals.
+and the argmin are those of the node-by-node walk.  The min cut is Dinic's
+max-flow, checked against the cut its last residual graph leaves.  Both
+modes and the max-flow work on the integer numerators of the weight map
+over its common denominator, so reported costs are exact rationals.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -24,7 +24,7 @@ from operator import itemgetter
 from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
 from .errors import BudgetExceededError
 from .instances import WeightMap
-from .lattice import SimplexGraph, support
+from .lattice import SimplexGraph, boundary_nodes, support
 
 DEFAULT_LABELING_BUDGET = 2_000_000
 
@@ -291,56 +291,65 @@ def min_non_opposite_cost(w: WeightMap, budget: SearchBudget | None = None) -> S
 def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
     """Exact min-cut weight separating one terminal from its opposite side.
 
-    Runs shortest-augmenting-path max-flow on the integer numerators;
-    the opposite boundary line drains into a super-sink through capacity
-    larger than the total weight.
+    Runs Dinic's max-flow on the integer numerators; the opposite boundary
+    line drains into a super-sink through capacity larger than the total
+    weight.  The arcs leaving the source side of the final residual graph
+    must weigh exactly the flow, which certifies both as optimal.
     """
     g = w.graph
     if g.k != 3:
         raise ValueError("terminal-to-face cuts are defined on three-terminal graphs")
     if terminal not in (1, 2, 3):
         raise ValueError(f"no terminal {terminal}")
-    others = {1, 2, 3} - {terminal}
     source = g.terminals[terminal - 1]
-    sink_side = [
-        node
-        for node, p in enumerate(g.nodes)
-        if set(support(p)) <= others
-    ]
-
+    sink = len(g.nodes)
     inf = sum(w.nums) + 1
-    nnodes = len(g.nodes)
-    sink = nnodes
-    capacity: list[dict[int, int]] = [dict() for _ in range(nnodes + 1)]
-    for u, v, x in _weighted_edges(w):
-        capacity[u][v] = capacity[u].get(v, 0) + x
-        capacity[v][u] = capacity[v].get(u, 0) + x
-    for node in sink_side:
-        capacity[node][sink] = inf
-
+    # arc a ^ 1 is the reverse of arc a: an edge's two arcs are each other's
+    # residual, and a sink arc's reverse starts with no capacity
+    arcs = [(u, v, x, x) for u, v, x in _weighted_edges(w)]
+    arcs += [(node, sink, inf, 0) for node in boundary_nodes(g, tuple({1, 2, 3} - {terminal}))]
+    head, cap, out = [], [], [[] for _ in range(sink + 1)]
+    for u, v, x, back in arcs:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (x, back)
     flow = 0
     while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, cap in capacity[u].items():
-                if cap > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
+        level = [-1] * (sink + 1)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for a in out[u]:
+                if cap[a] and level[head[a]] < 0:
+                    level[head[a]] = level[u] + 1
+                    queue.append(head[a])
+        if level[sink] < 0:
             break
-        bottleneck = inf
-        v = sink
-        while v != source:
-            u = parent[v]
-            bottleneck = min(bottleneck, capacity[u][v])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            capacity[u][v] -= bottleneck
-            capacity[v][u] = capacity[v].get(u, 0) + bottleneck
-            v = u
-        flow += bottleneck
+        # blocking flow: extend a path along level-raising arcs; augment at
+        # the sink and back up to the tail of the first saturated arc
+        current = [0] * (sink + 1)
+        path: list[int] = []
+        while True:
+            u = head[path[-1]] if path else source
+            if u == sink:
+                bottleneck = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= bottleneck
+                    cap[a ^ 1] += bottleneck
+                flow += bottleneck
+                del path[next(j for j, a in enumerate(path) if not cap[a]) :]
+                continue
+            arcs_u, i, up = out[u], current[u], level[u] + 1
+            while i < len(arcs_u) and not (cap[arcs_u[i]] and level[head[arcs_u[i]]] == up):
+                i += 1
+            current[u] = i
+            if i < len(arcs_u):
+                path.append(arcs_u[i])
+            elif path:  # u is dead for this phase: back up past its arc
+                current[head[path.pop() ^ 1]] += 1
+            else:
+                break
+    cut = sum(x if level[u] >= 0 else back for u, v, x, back in arcs if (level[u] < 0) != (level[v] < 0))
+    assert cut == flow, (cut, flow)
     return Fraction(flow, w.den)

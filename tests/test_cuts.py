@@ -26,6 +26,7 @@ from simplexcut import (
     named_cut,
     terminal_ball,
 )
+from simplexcut.cuts import reachable_labels
 
 
 def test_labeling_validation():
@@ -296,8 +297,8 @@ def _canonicalize_reference(p):
 
 
 @st.composite
-def _random_labelings(draw):
-    k = draw(st.sampled_from((3, 4)))
+def _random_labelings(draw, ks=(3, 4)):
+    k = draw(st.sampled_from(ks))
     g = build_graph(k, draw(st.integers(1, 4)))
     labels = draw(st.lists(st.integers(1, k + 1), min_size=len(g.nodes), max_size=len(g.nodes)))
     for i, t in enumerate(g.terminals, start=1):
@@ -309,3 +310,13 @@ def _random_labelings(draw):
 @given(_random_labelings())
 def test_canonicalize_matches_breadth_first_reference(p):
     assert canonicalize(p) == _canonicalize_reference(p)
+
+
+@pytest.mark.parametrize("k", (3, 4))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reachable_labels_matches_breadth_first_reference(k, data):
+    p = data.draw(_random_labelings(ks=(k,)))
+    q = reachable_labels(p.graph, p.labels)
+    assert type(q) is tuple
+    assert q == _canonicalize_reference(p).labels

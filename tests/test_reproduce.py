@@ -6,8 +6,11 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplexcut import DEFAULT_LABELING_BUDGET, CutLabeling, build_graph, canonicalize, reproduce
+from simplexcut import DEFAULT_LABELING_BUDGET, CutLabeling, WeightMap, build_graph, cost, reproduce
+from simplexcut.cuts import reachable_labels
 from simplexcut.reproduce import (
     CRITERIA,
     PROVENANCES,
@@ -157,24 +160,21 @@ def test_each_check_is_timed_on_its_own(monkeypatch):
     assert sum(c.elapsed_s for c in report.checks) <= report.elapsed_s
 
 
-def _free_node_to_aux(p):
+def _free_node_to_aux(g, labels):
     """Reachability relabeling, then one free node sent to the auxiliary label."""
-    q = canonicalize(p)
-    g = q.graph
-    labels = list(q.labels)
-    labels[next(v for v in range(len(labels)) if v not in g.terminals)] = g.k + 1
-    return CutLabeling(g, tuple(labels))
+    q = list(reachable_labels(g, labels))
+    q[next(v for v in range(len(q)) if v not in g.terminals)] = g.k + 1
+    return tuple(q)
 
 
-def _one_stray_component_to_aux(p):
+def _one_stray_component_to_aux(g, labels):
     """Send to the auxiliary label only the first same-label component that
     reachability relabeling sends there.  The cut-set shrinks, the cost
     cannot grow and the auxiliary count cannot drop, but a map with two
     such components needs two applications: not idempotent."""
-    g = p.graph
-    labels = list(p.labels)
+    target = reachable_labels(g, labels)
+    labels = list(labels)
     aux = g.k + 1
-    target = canonicalize(p).labels
     stray = next((v for v, l in enumerate(labels) if target[v] == aux != l), None)
     if stray is not None:
         own, stack = labels[stray], [stray]
@@ -184,11 +184,11 @@ def _one_stray_component_to_aux(p):
                 if labels[v] == own:
                     labels[v] = aux
                     stack.append(v)
-    return CutLabeling(g, tuple(labels))
+    return tuple(labels)
 
 
 def test_canonicalization_checks_catch_a_cut_growing_relabeling(monkeypatch):
-    monkeypatch.setattr(reproduce, "canonicalize", _free_node_to_aux)
+    monkeypatch.setattr(reproduce, "reachable_labels", _free_node_to_aux)
     checks = run_criterion("canonicalization")
     assert [c.id for c in checks] == ["canonicalization-sweep", "canonicalization-face-cost"]
     assert not any(c.passed for c in checks)
@@ -202,7 +202,7 @@ def test_canonicalization_checks_catch_a_cut_growing_relabeling(monkeypatch):
 
 
 def test_canonicalization_sweep_catches_a_non_idempotent_relabeling(monkeypatch):
-    monkeypatch.setattr(reproduce, "canonicalize", _one_stray_component_to_aux)
+    monkeypatch.setattr(reproduce, "reachable_labels", _one_stray_component_to_aux)
     g = build_graph(3, 2)
     w = reproduce.WeightMap(g, {e: 1 for e in range(len(g.edges))})
     # cut-set and cost hold, so the failure below is the idempotence test's
@@ -210,3 +210,19 @@ def test_canonicalization_sweep_catches_a_non_idempotent_relabeling(monkeypatch)
     (sweep,) = [c for c in run_criterion("canonicalization") if c.id == "canonicalization-sweep"]
     assert not sweep.passed
     assert sweep.computed == "64 maps, violation found"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sweep_price_is_cost_over_the_denominator(data):
+    # the sweep prices maps as numerators: _price over _weighted_edges
+    k = data.draw(st.sampled_from((3, 4)))
+    g = build_graph(k, data.draw(st.integers(1, 3)))
+    fracs = st.one_of(st.just(0), st.fractions(min_value=0, max_value=3, max_denominator=12))
+    weights = data.draw(st.lists(fracs, min_size=len(g.edges), max_size=len(g.edges)))
+    w = WeightMap(g, dict(enumerate(weights)))
+    labels = data.draw(st.lists(st.integers(1, k + 1), min_size=len(g.nodes), max_size=len(g.nodes)))
+    for i, t in enumerate(g.terminals, start=1):
+        labels[t] = i
+    p = CutLabeling(g, labels)
+    assert reproduce._price(reproduce._weighted_edges(w), p.labels) == cost(p, w) * w.den

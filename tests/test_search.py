@@ -1,6 +1,7 @@
 """Exact minimum non-opposite cuts: enumeration, pruning, flows."""
 
 import hashlib
+from collections import deque
 from fractions import Fraction
 from math import lcm
 
@@ -293,6 +294,15 @@ def test_terminal_flow_exact_value_small():
     assert values == [Fraction(2, 5)] * 3
 
 
+@pytest.mark.parametrize(
+    "w, value",
+    [(build_base_triangle(60), Fraction(2, 5)), (WeightMap(build_graph(3, 4), {}), 0)],
+    ids=["triangle-n60", "zero-weights-n4"],
+)
+def test_terminal_flow_pinned_values(w, value):
+    assert [min_terminal_face_cut(w, i) for i in (1, 2, 3)] == [value] * 3
+
+
 def test_terminal_flow_rejects_bad_terminal():
     w = build_base_triangle(6)
     with pytest.raises(ValueError):
@@ -334,3 +344,57 @@ def test_terminal_flow_matches_brute_force(data):
     terminal = data.draw(st.sampled_from((1, 2, 3)))
     w = WeightMap(g, weights)
     assert min_terminal_face_cut(w, terminal) == _brute_force_terminal_cut(g, weights, terminal)
+
+
+def _edmonds_karp_reference(w, terminal: int) -> Fraction:
+    """Shortest-augmenting-path max-flow on dict capacities (the terminal
+    cut's former implementation)."""
+    g = w.graph
+    others = {1, 2, 3} - {terminal}
+    source = g.terminals[terminal - 1]
+    sink_side = [node for node, p in enumerate(g.nodes) if set(support(p)) <= others]
+    inf = sum(w.nums) + 1
+    sink = len(g.nodes)
+    capacity: list[dict[int, int]] = [dict() for _ in range(sink + 1)]
+    for u, v, x in _weighted_edges(w):
+        capacity[u][v] = capacity[u].get(v, 0) + x
+        capacity[v][u] = capacity[v].get(u, 0) + x
+    for node in sink_side:
+        capacity[node][sink] = inf
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, cap in capacity[u].items():
+                if cap > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        bottleneck = inf
+        v = sink
+        while v != source:
+            u = parent[v]
+            bottleneck = min(bottleneck, capacity[u][v])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            capacity[u][v] -= bottleneck
+            capacity[v][u] = capacity[v].get(u, 0) + bottleneck
+            v = u
+        flow += bottleneck
+    return Fraction(flow, w.den)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_terminal_flow_matches_edmonds_karp(data):
+    g = build_graph(3, data.draw(st.integers(1, 9)))
+    weight = st.one_of(st.just(0), st.integers(0, 9))
+    nums = data.draw(st.lists(weight, min_size=len(g.edges), max_size=len(g.edges)))
+    w = WeightMap(g, dict(enumerate(nums)))
+    for terminal in (1, 2, 3):
+        assert min_terminal_face_cut(w, terminal) == _edmonds_karp_reference(w, terminal)
