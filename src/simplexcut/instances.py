@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -41,6 +41,8 @@ class WeightMap:
         nums = [0] * len(graph.edges)
         fractions = []
         for e, w in weights.items():
+            if not isinstance(e, int):
+                raise ValueError("edge indices must be integers")
             w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight on edge {e}")
@@ -63,13 +65,15 @@ class WeightMap:
         nums = tuple(nums)
         if len(nums) != len(graph.edges):
             raise ValueError(f"{len(nums)} numerators for {len(graph.edges)} edges")
-        if den < 1 or (nums and min(nums) < 0):
+        # the sign and the common factor depend only on the distinct values
+        values = set(nums)
+        if den < 1 or (values and min(values) < 0):
             raise ValueError("weights must be nonnegative over a positive denominator")
-        common = gcd(den, *nums)
+        common = gcd(den, *values)
         if common > 1:
             den //= common
             # one division, and one int object, per distinct value
-            reduced = {x: x // common for x in set(nums)}
+            reduced = {x: x // common for x in values}
             nums = tuple(map(reduced.__getitem__, nums))
         wm = object.__new__(cls)
         wm._assign(graph, den, nums)
@@ -263,6 +267,29 @@ def build_base_triangle(n: int) -> WeightMap:
     return wm
 
 
+def _component_terms(index: int, g: SimplexGraph, c: Fraction | None) -> tuple[int, int, dict]:
+    """(den, fill, support): edge e weighs (fill + support.get(e, 0))/den."""
+    if g.k != 4:
+        raise ValueError("components are defined on four-terminal graphs")
+    check_resolution(g.n, [i == index for i in range(1, 5)], c)
+    if index == 1:
+        base = build_base_triangle(g.n)
+        sub, to_parent = face_of(g, (1, 2, 3))
+        up = to_parent.__getitem__
+        lifted = map(g.edge_between, map(up, sub.tails), map(up, sub.heads))
+        return base.den, 0, dict(zip(lifted, base.nums))
+    if index == 2:
+        lines = (e for pair in combinations((1, 2, 3), 2) for e in boundary_edges(g, pair))
+        return 3, 0, dict.fromkeys(lines, 1)
+    if index == 3:
+        c = Fraction(c)
+        # 1/(9c) = c.denominator / (9 c.numerator)
+        return 9 * c.numerator, 0, dict.fromkeys(red_regions(g, c).all_edges(), c.denominator)
+    if index == 4:
+        return g.n * g.n, 1, {}
+    raise ValueError(f"no component {index}")
+
+
 def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> WeightMap:
     """One of the four unscaled components on a four-terminal graph.
 
@@ -273,34 +300,11 @@ def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> W
 
     Components 1..3 total exactly n; component 4 totals n + 3 + 2/n.
     """
-    if g.k != 4:
-        raise ValueError("components are defined on four-terminal graphs")
-    n = g.n
-    check_resolution(n, [i == index for i in range(1, 5)], c)
-    nums = [0] * len(g.edges)
-    if index == 1:
-        base = build_base_triangle(n)
-        sub, to_parent = face_of(g, (1, 2, 3))
-        up = to_parent.__getitem__
-        for e4, x in zip(map(g.edge_between, map(up, sub.tails), map(up, sub.heads)), base.nums):
-            assert e4 is not None
-            nums[e4] = x
-        return WeightMap.from_numerators(g, base.den, nums)
-    if index == 2:
-        for pair in combinations((1, 2, 3), 2):
-            for e in boundary_edges(g, pair):
-                nums[e] = 1
-        return WeightMap.from_numerators(g, 3, nums)
-    if index == 3:
-        c = Fraction(c)
-        regions = red_regions(g, c)
-        # 1/(9c) = c.denominator / (9 c.numerator)
-        for e in regions.all_edges():
-            nums[e] = c.denominator
-        return WeightMap.from_numerators(g, 9 * c.numerator, nums)
-    if index == 4:
-        return WeightMap.from_numerators(g, n * n, repeat(1, len(g.edges)))
-    raise ValueError(f"no component {index}")
+    den, fill, support = _component_terms(index, g, c)
+    nums = [fill] * len(g.edges)
+    for e, x in support.items():
+        nums[e] += x
+    return WeightMap.from_numerators(g, den, nums)
 
 
 def combine(params: GapParams, g: SimplexGraph) -> WeightMap:
@@ -308,12 +312,24 @@ def combine(params: GapParams, g: SimplexGraph) -> WeightMap:
 
     Components with zero mixing weight are skipped; in particular c is only
     instantiated (and its integrality at this resolution enforced) when
-    lam3 > 0.
+    lam3 > 0.  Only the edges of the sparse supports are summed one by one.
     """
     check_resolution(g.n, params.lams(), params.c)
-    parts = []
-    for i, lam in enumerate(params.lams(), start=1):
-        if lam == 0:
-            continue
-        parts.append((lam, build_component(i, g, c=params.c if i == 3 else None)))
-    return combine_maps(parts)
+    terms = [
+        (lam, *_component_terms(i, g, params.c))
+        for i, lam in enumerate(params.lams(), start=1)
+        if lam
+    ]
+    den = lcm(*(lam.denominator * d for lam, d, _fill, _support in terms))
+    fill, extra = 0, {}
+    for lam, d, f, support in terms:
+        scale = lam.numerator * (den // (lam.denominator * d))
+        fill += scale * f
+        # the supports overlap on the face boundary, so their terms add up
+        for e, x in support.items():
+            extra[e] = extra.get(e, 0) + scale * x
+    nums = [fill] * len(g.edges)
+    shared = {fill: fill}
+    for e, x in extra.items():
+        nums[e] = shared.setdefault(fill + x, fill + x)
+    return WeightMap.from_numerators(g, den, nums)

@@ -1,7 +1,12 @@
 """tools/bench_pairs.py: the summary of paired benchmark runs, and the copies they run in."""
 
 import importlib.util
+import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,3 +109,71 @@ def test_both_sides_run_from_copies_outside_the_repository(tmp_path):
         for side in (parent, change):
             assert not side.resolve().is_relative_to(repo.resolve())
     assert not parent.exists() and not change.exists()
+
+
+def _alive(pid):
+    # a zombie has exited; it waits only for its parent to reap it
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _poll(condition, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_sigterm_stops_the_run_and_removes_both_copies(tmp_path):
+    repo, temp, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    repo.mkdir()
+    temp.mkdir()
+    # stands in for bench/run.py: starts one sleeping child, like run.py
+    # its worker, then reports both pids and sleeps
+    (repo / "stand_in.py").write_text(
+        "import os, subprocess, sys, time\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        f"with open({str(pids) + '.part'!r}, 'w') as f:\n"
+        "    f.write(f'{os.getpid()} {child.pid}')\n"
+        f"os.replace({str(pids) + '.part'!r}, {str(pids)!r})\n"
+        "time.sleep(60)\n"
+    )
+    (repo / "BENCHMARK.json").write_text(
+        json.dumps({"command": [sys.executable, "stand_in.py"], "end_to_end": []})
+    )
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    driver = tmp_path / "driver.py"
+    driver.write_text(
+        "import importlib.util, sys\n"
+        "from pathlib import Path\n"
+        f"spec = importlib.util.spec_from_file_location('bench_pairs', {_SPEC.origin!r})\n"
+        "bench_pairs = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench_pairs)\n"
+        f"bench_pairs.ROOT = Path({str(repo)!r})\n"
+        "sys.exit(bench_pairs.main(['--parent', 'HEAD', '--workload', 'w', '--seeds', '1',"
+        " '--pairs', '2', '--label', 'sigterm']))\n"
+    )
+
+    proc = subprocess.Popen([sys.executable, str(driver)], env={**os.environ, "TMPDIR": str(temp)})
+    started = []
+    try:
+        _poll(lambda: pids.exists() or proc.poll() is not None)
+        assert proc.poll() is None
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert sorted(path.name.split("-")[1] for path in temp.iterdir()) == ["change", "parent"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        _poll(lambda: not any(map(_alive, started)))
+        assert list(temp.iterdir()) == []
+        assert not (repo / "BENCH_sigterm.json").exists()
+    finally:
+        for pid in [proc.pid, *started]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simplexcut import (
@@ -246,6 +246,41 @@ def test_combined_map_shares_one_int_per_value(c):
     assert len(set(w.nums)) < 10 < len(w.nums)
 
 
+def _dense_combination(params, g):
+    return combine_maps(
+        [
+            (lam, build_component(i, g, c=params.c if i == 3 else None))
+            for i, lam in enumerate(params.lams(), start=1)
+            if lam
+        ]
+    )
+
+
+def _assert_matches_dense(params, g):
+    w, expected = combine(params, g), _dense_combination(params, g)
+    assert w == expected and w.den == expected.den
+    assert len({id(x) for x in w.nums}) == len(set(w.nums))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_combine_matches_dense_combination(data):
+    n = data.draw(st.integers(3, 12))
+    raw = data.draw(st.lists(st.integers(0, 8), min_size=4, max_size=4))
+    if n % 3:
+        raw[0] = 0  # the face needs n divisible by 3
+    total = sum(raw)
+    assume(total > 0)
+    # c*n is integral wherever the cycles weigh; elsewhere it need not be
+    k = data.draw(st.integers(1, (n - 1) // 2))
+    c = Fraction(k, n if raw[2] else n + 1)
+    _assert_matches_dense(GapParams(*(Fraction(r, total) for r in raw), c=c), build_graph(4, n))
+
+
+def test_combine_matches_dense_combination_at_n78():
+    _assert_matches_dense(GapParams.tuned(c=Fraction(1, 13)), build_graph(4, 78))
+
+
 def test_combine_maps_rejects_mixed_graphs():
     with pytest.raises(ValueError):
         combine_maps(
@@ -270,6 +305,10 @@ def test_weight_map_rejects_bad_input():
         WeightMap(g, {0: Fraction(-1, 2)})
     with pytest.raises(ValueError, match="unknown edge"):
         WeightMap(g, {len(g.edges): Fraction(1)})
+    for key in (1.5, 1.0, "1", Fraction(1), None):
+        with pytest.raises(ValueError, match="edge indices must be integers"):
+            WeightMap(g, {key: Fraction(1)})
+    assert WeightMap(g, {True: Fraction(1)}).weights == {1: Fraction(1)}
     with pytest.raises(ValueError):
         WeightMap.from_numerators(g, 1, [0] * (len(g.edges) - 1))
     with pytest.raises(ValueError):

@@ -14,8 +14,10 @@ of a shared host falls on both sides.  Both sides run from temporary
 directories, so neither is measured in a different place: the parent's
 files are extracted with ``git archive``, and the change side is a copy of
 the working tree's tracked files and untracked, non-ignored files.  Both
-copies are removed afterwards; unlike a worktree, an interrupted run
-leaves nothing behind in the repository's git metadata.
+copies are removed afterwards, also when the script is stopped by
+SIGTERM or Ctrl-C, which kill the running bench/run.py and its worker;
+unlike a worktree, an interrupted run leaves nothing behind in the
+repository's git metadata.
 
 Writes BENCH_<label>.json at the repository root: label, what, command,
 parent_commit, host, rule, notes, a summary per workload and seed (for each
@@ -33,12 +35,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,12 +104,28 @@ def sides(root: Path, commit: str):
 def _run(root: Path, command: list[str], workload: str, seed: int) -> dict:
     """One bench/run.py run in root: its record file plus result and exit code."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run([*command, *args], cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    # in a session of its own, so that an interrupted run can end the
+    # process group of run.py and its worker
+    proc = subprocess.Popen(
+        [*command, *args],
+        cwd=root,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = stdout.strip().splitlines()
     # exit 1 with a result line: a pinned output was wrong, which is still a
     # run; without one, a worker failed and no record was written
     if proc.returncode not in (0, 1) or not lines:
-        sys.stderr.write(proc.stderr)
+        sys.stderr.write(stderr)
         raise RuntimeError(f"{' '.join(command + args)} in {root} exited {proc.returncode}")
     record = json.loads((root / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
     record["result"] = json.loads(lines[-1])
@@ -157,6 +177,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
+    # SIGTERM unwinds like Ctrl-C, so the temporary copies are removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = benchmark["command"]
