@@ -59,7 +59,6 @@ from .lattice import (
     boundary_nodes,
     build_graph,
     face_of,
-    face_subgraph,
     red_regions,
     simplex_points,
     support,

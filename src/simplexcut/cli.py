@@ -146,7 +146,7 @@ def cmd_eval_cut(args) -> int:
         p = named_cut(args.cut, g, c=c, alpha=alpha)
     else:
         p = parse_cut(Path(args.cut).read_text())
-        if p.graph is not g:
+        if p.graph != g:
             raise ValueError(
                 f"cut is for k={p.graph.k}, n={p.graph.n}; instance has k={g.k}, n={g.n}"
             )

@@ -16,7 +16,7 @@ from .instances import WeightMap
 from .lattice import SimplexGraph, boundary_edges, cap_depth, support
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CutLabeling:
     graph: SimplexGraph
     labels: tuple[int, ...]
@@ -45,14 +45,6 @@ class CutLabeling:
         aux = self.graph.k + 1
         return sum(1 for l in self.labels if l == aux)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CutLabeling):
-            return NotImplemented
-        return self.graph is other.graph and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((id(self.graph), self.labels))
-
 
 def delta(p: CutLabeling) -> tuple[int, ...]:
     """Indices of the edges whose endpoints carry different labels."""
@@ -62,7 +54,7 @@ def delta(p: CutLabeling) -> tuple[int, ...]:
 
 def cost(p: CutLabeling, w: WeightMap) -> Fraction:
     """Total weight of the cut-set, exact."""
-    if p.graph is not w.graph:
+    if p.graph != w.graph:
         raise ValueError("cut and weights live on different graphs")
     g, labels = p.graph, p.labels
     cut = sum(x for u, v, x in zip(g.tails, g.heads, w.nums) if x and labels[u] != labels[v])

@@ -23,7 +23,7 @@ from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, face_
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, init=False)
 class WeightMap:
     """Nonnegative rational edge weights over a fixed graph.
 
@@ -98,19 +98,6 @@ class WeightMap:
     def __repr__(self) -> str:
         return f"WeightMap(graph={self.graph!r}, den={self.den}, nonzero={len(self.weights)})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightMap):
-            return NotImplemented
-        return (
-            self.graph.k == other.graph.k
-            and self.graph.n == other.graph.n
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.graph.k, self.graph.n, self.den, self.nums))
-
 
 class _NonzeroWeights(Mapping):
     # a view, so that len() counts nonzero numerators without building a
@@ -148,7 +135,7 @@ def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
     graph = parts[0][1].graph
     terms = []
     for lam, wm in parts:
-        if wm.graph is not graph:
+        if wm.graph != graph:
             raise ValueError("weight maps live on different graphs")
         terms.append((Fraction(lam), wm))
     den = lcm(*(lam.denominator * wm.den for lam, wm in terms))
@@ -213,7 +200,7 @@ class GapParams:
 
 
 def check_resolution(n: int, lams, c: Fraction | None = None) -> None:
-    """Refuse a resolution n >= 1, before any graph is built, at which a
+    """Refuse a resolution n >= 1, before any lattice is built, at which a
     component that lams (face, lines, cycles, uniform) weighs nonzero
     cannot be built: the face needs n divisible by 3, the cycles a cap
     depth c with c*n integral.  build_graph refuses an n below 1 itself.

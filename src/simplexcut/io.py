@@ -443,7 +443,7 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     message; a slice is taken at one go only when the result is the one
     the line reader would give.
 
-    The lattice graph is built once the problem line and all k terminal
+    The lattice is built once the problem line and all k terminal
     lines are read.  The edge lines before that are only counted, and the
     slices before the header's slice, then its lines before the header,
     are read again for their edge rows once the graph exists.

@@ -3,16 +3,16 @@
 A point of the lattice is a k-tuple of nonnegative integers summing to n,
 standing for the rational vector x/n on the probability simplex.  Two points
 are adjacent when one is obtained from the other by moving a single unit of
-mass between two coordinates; this unit-distance graph is what every weight
-construction in the package lives on.
+mass between two coordinates; every weight construction in the package
+lives on this unit-distance graph.
 
 Node order is a public contract: points are sorted colexicographically by
 their integer coordinate tuple, and every index that appears in serialized
 instances or labelings refers to that order.
 
 A node's index is its colex rank, which the combinatorial number system
-gives in closed form (Knuth, TAOCP Vol. 4A, section 7.2.1.3).  The graph is
-built from rank differences: with prefix sums S_m = p_1 + ... + p_m, moving
+gives in closed form (Knuth, TAOCP Vol. 4A, section 7.2.1.3).  The edges
+come from rank differences: with prefix sums S_m = p_1 + ... + p_m, moving
 one unit of mass from coordinate i to a later coordinate j raises the rank
 by pot_j - pot_i, where pot_j = sum over m < j of C(S_m + m - 2, m - 1)
 (the m = 1 term is 1).  No neighbour is looked up by its coordinates, and
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, repeat
@@ -81,9 +81,13 @@ def terminal_nodes(k: int, n: int) -> tuple[int, ...]:
     return tuple(math.comb(n + t, t) - 1 for t in range(k))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimplexGraph:
     """Unit-edge graph on the discretized simplex.
+
+    (k, n) fixes every node and edge index, so two graphs are equal, and
+    hash equal, when their k and n are: a cut or a weight map built on one
+    fits any graph equal to it, a copy or an unpickled graph included.
 
     nodes      colex-sorted coordinate tuples
     index      point -> node index
@@ -99,12 +103,12 @@ class SimplexGraph:
 
     k: int
     n: int
-    nodes: tuple[Point, ...]
-    index: dict[Point, int]
-    tails: tuple[int, ...]
-    heads: tuple[int, ...]
-    first: tuple[int, ...]
-    terminals: tuple[int, ...]
+    nodes: tuple[Point, ...] = field(compare=False)
+    index: dict[Point, int] = field(compare=False)
+    tails: tuple[int, ...] = field(compare=False)
+    heads: tuple[int, ...] = field(compare=False)
+    first: tuple[int, ...] = field(compare=False)
+    terminals: tuple[int, ...] = field(compare=False)
 
     def __repr__(self) -> str:
         return f"SimplexGraph(k={self.k}, n={self.n})"
@@ -216,16 +220,15 @@ def boundary_edges(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def face_subgraph(g_key: tuple[int, int], coords: tuple[int, ...]) -> tuple[SimplexGraph, tuple[int, ...]]:
+def face_of(g: SimplexGraph, coords: tuple[int, ...]) -> tuple[SimplexGraph, tuple[int, ...]]:
     """Sub-simplex induced by the nodes supported on the given coordinates.
 
-    Keyed by (k, n) so results share the build_graph cache.  Returns the face
-    as a standalone graph (on len(coords) coordinates) plus to_parent, where
-    to_parent[face node index] = parent node index.  Face node order is the
-    face graph's own colex order.
+    Returns the face as a standalone graph (on len(coords) coordinates)
+    plus to_parent, where to_parent[face node index] = parent node index.
+    Face node order is the face graph's own colex order.  Cached by
+    (g, coords), so every graph equal to g gets the same pair.
     """
-    k, n = g_key
-    parent = build_graph(k, n)
+    k, n = g.k, g.n
     coords = tuple(sorted(coords))
     if len(coords) < 2 or any(not 1 <= c <= k for c in coords) or len(set(coords)) != len(coords):
         raise ValueError(f"bad coordinate subset: {coords}")
@@ -235,12 +238,8 @@ def face_subgraph(g_key: tuple[int, int], coords: tuple[int, ...]) -> tuple[Simp
         q = [0] * k
         for value, c in zip(p, coords):
             q[c - 1] = value
-        to_parent.append(parent.index[tuple(q)])
+        to_parent.append(g.index[tuple(q)])
     return sub, tuple(to_parent)
-
-
-def face_of(g: SimplexGraph, coords: tuple[int, ...]) -> tuple[SimplexGraph, tuple[int, ...]]:
-    return face_subgraph((g.k, g.n), tuple(coords))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 from typing import Callable
 
@@ -44,6 +43,7 @@ from .search import (
     SearchBudget,
     _price,
     _weighted_edges,
+    _within_budget,
     enumerate_non_opposite,
     min_non_opposite_cost,
     min_terminal_face_cut,
@@ -397,12 +397,14 @@ def _terminal_flow_floor(budget):
 # -- canonicalization -------------------------------------------------------
 
 
-def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
+def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int, bool]:
     """(pinned maps seen, whether relabeling kept the properties on all).
 
-    The maps are all labelings over [k+1] with terminals pinned.  Relabeling
-    must shrink the cut-set and never raise the cost; with all_properties it
-    must also keep the auxiliary count and be idempotent.  Every map is
+    The maps are all labelings over [k+1] with terminals pinned; when there
+    are more than budget of them the sweep refuses before the first one.
+    Relabeling must shrink the cut-set and never raise the cost; with
+    all_properties it must also keep the auxiliary count and be idempotent.
+    Every map is
     relabeled and tested, but q's validity, cut edges, cost, auxiliary count
     and idempotence are computed once per distinct relabeling q.  q's
     cut-set lies inside the map's when the map separates the endpoints of
@@ -417,7 +419,7 @@ def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
     weighted = _weighted_edges(w)
     facts: dict[tuple[int, ...], tuple] = {}
     count, ok = 0, True
-    for labels in product(*choices):
+    for labels in _within_budget(choices, budget):
         count += 1
         q = reachable_labels(g, labels)
         known = facts.get(q)
@@ -436,12 +438,12 @@ def _relabel_sweep(w: WeightMap, all_properties: bool) -> tuple[int, bool]:
 def _canonicalization_sweep(budget):
     g = build_graph(3, 2)
     w = WeightMap(g, {e: Fraction(1, len(g.edges)) for e in range(len(g.edges))})
-    count, ok = _relabel_sweep(w, all_properties=True)
+    count, ok = _relabel_sweep(w, budget, all_properties=True)
     return f"{count} maps, {'all hold' if ok else 'violation found'}", count == 64 and ok
 
 
 def _canonicalization_face_cost(budget):
-    count, ok = _relabel_sweep(build_base_triangle(3), all_properties=False)
+    count, ok = _relabel_sweep(build_base_triangle(3), budget, all_properties=False)
     return f"{count} maps, {'all hold' if ok else 'violation found'}", count == 4**7 and ok
 
 

@@ -17,7 +17,15 @@ from pathlib import Path
 import pytest
 
 import simplexcut
-from simplexcut import build_graph, cli, emit_cut, exhaustive_extremal, midlines, parse_instance
+from simplexcut import (
+    build_graph,
+    cli,
+    emit_cut,
+    exhaustive_extremal,
+    isolate_terminals,
+    midlines,
+    parse_instance,
+)
 from simplexcut.reproduce import SUITES
 
 COMMAND = [sys.executable, "-m", "simplexcut"]
@@ -178,17 +186,22 @@ def test_eval_cut_from_file(triangle9, tmp_path):
 
 
 def test_eval_cut_graph_mismatch(triangle9, tmp_path):
-    cut_path = tmp_path / "mid6.json"
-    cut_path.write_text(emit_cut(midlines(build_graph(3, 6))))
-    proc = run(
-        "eval-cut",
-        "--instance",
-        str(triangle9),
-        "--cut",
-        str(cut_path),
-        expect=2,
-    )
-    assert stderr_error(proc)["error"] == "invalid-parameter"
+    # one cut differs from the instance's lattice in n, the other in k
+    for k, n in ((3, 6), (4, 9)):
+        cut_path = tmp_path / f"cut{k}-{n}.json"
+        cut_path.write_text(emit_cut(isolate_terminals(build_graph(k, n))))
+        proc = run(
+            "eval-cut",
+            "--instance",
+            str(triangle9),
+            "--cut",
+            str(cut_path),
+            expect=2,
+        )
+        assert stderr_error(proc) == {
+            "error": "invalid-parameter",
+            "message": f"cut is for k={k}, n={n}; instance has k=3, n=9",
+        }
 
 
 def test_eval_cut_unknown_name(triangle9):

@@ -1,5 +1,6 @@
 """Cut labelings: validation, costs, named cuts, canonicalization."""
 
+import copy
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -87,10 +88,21 @@ def test_delta_and_cost_by_hand():
 
 
 def test_cost_requires_same_graph():
-    p = midlines(build_graph(3, 6))
     w = build_base_triangle(9)
-    with pytest.raises(ValueError):
-        cost(p, w)
+    # one cut differs from the weights' lattice in n, the other in k
+    for p in (midlines(build_graph(3, 6)), isolate_terminals(build_graph(4, 9))):
+        with pytest.raises(ValueError, match="^cut and weights live on different graphs$"):
+            cost(p, w)
+
+
+def test_cut_on_a_copied_graph_fits_the_cached_graph():
+    g = build_graph(3, 6)
+    p = midlines(g)
+    q = CutLabeling(copy.deepcopy(g), p.labels)
+    assert q.graph is not g
+    assert cost(q, build_base_triangle(6)) == cost(p, build_base_triangle(6))
+    assert q == p and hash(q) == hash(p)
+    assert len({p, q}) == 1
 
 
 def test_non_opposite_detection():

@@ -1,5 +1,6 @@
 """Instance weights: the base triangle, the four components, mixing."""
 
+import pickle
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,7 @@ from simplexcut import (
     cost,
     emit_instance_dimacs,
     emit_instance_json,
+    midlines,
     parse_instance,
     red_regions,
 )
@@ -282,13 +284,21 @@ def test_combine_matches_dense_combination_at_n78():
 
 
 def test_combine_maps_rejects_mixed_graphs():
-    with pytest.raises(ValueError):
-        combine_maps(
-            [
-                (Fraction(1, 2), build_component(2, build_graph(4, 4))),
-                (Fraction(1, 2), build_component(2, build_graph(4, 5))),
-            ]
-        )
+    first = build_component(2, build_graph(4, 4))
+    # one map differs from the first map's lattice in n, the other in k
+    for other in (build_component(2, build_graph(4, 5)), WeightMap(build_graph(3, 4), {0: 1})):
+        with pytest.raises(ValueError, match="^weight maps live on different graphs$"):
+            combine_maps([(Fraction(1, 2), first), (Fraction(1, 2), other)])
+
+
+def test_weight_map_survives_a_pickle_round_trip():
+    w = build_base_triangle(6)
+    back = pickle.loads(pickle.dumps(w))
+    assert back.graph is not w.graph
+    assert back == w and hash(back) == hash(w)
+    p = midlines(build_graph(3, 6))
+    assert cost(p, back) == cost(p, w)
+    assert combine_maps([(Fraction(1, 2), w), (Fraction(1, 2), back)]) == w
 
 
 def test_weight_map_default_zero():

@@ -1,5 +1,7 @@
 """Lattice construction: node order, counts, faces, marked regions."""
 
+import copy
+import pickle
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -191,6 +193,26 @@ def test_boundary_sets_cover_all_pairs():
         assert [g.edges[e] for e in edges] == [
             tuple(sorted(ends)) for ends in zip(nodes, nodes[1:])
         ]
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))], ids=["deepcopy", "pickle"]
+)
+def test_graphs_compare_by_k_and_n(clone):
+    g = build_graph(3, 6)
+    twin = clone(g)
+    assert twin is not g and twin.nodes == g.nodes
+    assert twin == g and hash(twin) == hash(g)
+    assert g != build_graph(3, 5) and g != build_graph(4, 6)
+    assert g != (3, 6)
+
+
+def test_face_of_a_copied_graph_is_the_cached_pair():
+    g = build_graph(4, 5)
+    pair = face_of(g, (1, 2, 3))
+    hits = face_of.cache_info().hits
+    assert face_of(copy.deepcopy(g), (1, 2, 3)) is pair
+    assert face_of.cache_info().hits == hits + 1
 
 
 def test_face_is_shared_graph_object():

@@ -136,6 +136,17 @@ def test_budget_failures_are_reported_not_raised(budget):
     assert all("budget" in c.computed for c in failing)
 
 
+@pytest.mark.parametrize("budget", [1000, 4**7])
+def test_canonicalization_sweeps_keep_the_budget(budget):
+    sweep, face_cost = run_criterion("canonicalization", budget=budget)
+    assert sweep.passed and sweep.computed == "64 maps, all hold"
+    if budget < 4**7:
+        assert not face_cost.passed
+        assert face_cost.computed == f"budget-exhausted: 16384 labelings exceed the budget of {budget}"
+    else:
+        assert face_cost.passed and face_cost.computed == "16384 maps, all hold"
+
+
 def test_each_check_is_timed_on_its_own(monkeypatch):
     slow_id = "instance-totals-cycles"
 
@@ -195,7 +206,8 @@ def test_canonicalization_checks_catch_a_cut_growing_relabeling(monkeypatch):
     assert all(c.computed.endswith("violation found") for c in checks)
     # at zero weights no cost can grow: the cut-set test alone catches it
     g = build_graph(3, 2)
-    assert reproduce._relabel_sweep(reproduce.WeightMap(g, {}), all_properties=False) == (
+    w = reproduce.WeightMap(g, {})
+    assert reproduce._relabel_sweep(w, DEFAULT_LABELING_BUDGET, all_properties=False) == (
         64,
         False,
     )
@@ -206,7 +218,7 @@ def test_canonicalization_sweep_catches_a_non_idempotent_relabeling(monkeypatch)
     g = build_graph(3, 2)
     w = reproduce.WeightMap(g, {e: 1 for e in range(len(g.edges))})
     # cut-set and cost hold, so the failure below is the idempotence test's
-    assert reproduce._relabel_sweep(w, all_properties=False) == (64, True)
+    assert reproduce._relabel_sweep(w, DEFAULT_LABELING_BUDGET, all_properties=False) == (64, True)
     (sweep,) = [c for c in run_criterion("canonicalization") if c.id == "canonicalization-sweep"]
     assert not sweep.passed
     assert sweep.computed == "64 maps, violation found"
