@@ -12,19 +12,24 @@ The edge section of a DIMACS document is most of its bytes (about 31 per
 edge; 14.5 MB at k = 4, n = 78), so it is written and read a block at a
 time with list-level operations instead of one Python step per line.
 Blocks of EMIT_BLOCK_ROWS edges are joined from columns of node names
-and weight texts.  The reader takes a slice of PARSE_SLICE_CHARS
-characters at one go only when every line in it is an edge line as the
-emitter writes them and the rows continue the edge order into empty
-slots; that is every slice of an emitted document but the one holding
-the header.  Every other slice goes through the general line-by-line
-reader, which accepts lines in any order, comments, odd whitespace and
-number forms, and is the source of every error message: the list-level
-path only ever returns the result the line reader would.
+and weight texts and appended to the one document string, which grows in
+place, so the document is never held twice.  The reader takes a slice of
+PARSE_SLICE_CHARS characters at one go only when every line in it is an
+edge line as the emitter writes them and the rows continue the edge
+order into empty slots; that is every slice of an emitted document but
+the one holding the header.  Every other slice goes through the general
+line-by-line reader, which accepts lines in any order, comments, odd
+whitespace and number forms, and is the source of every error message:
+the list-level path only ever returns the result the line reader would.
+Either way a row's weight goes into a 4-byte slot of one array, and a
+problem line that announces more edges than its lattice has is refused
+before the lattice is built.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
@@ -34,15 +39,14 @@ from math import lcm
 
 from .cuts import CutLabeling
 from .instances import WeightMap
-from .lattice import SimplexGraph, build_graph, node_count, terminal_nodes
+from .lattice import SimplexGraph, build_graph, edge_count, node_count, terminal_nodes
 
 INSTANCE_FORMAT = "simplexcut-instance"
 CUT_FORMAT = "simplexcut-cut"
 FORMAT_VERSION = 1
-# edge rows put together into one string at a time when emitting DIMACS.
-# The block size moves where glibc leaves holes in its heap: at n = 78 the
-# round trip peaked at 135-136 MB RSS with 8192 rows in each of 24 run
-# directories tried, and at 136 or 140 MB, by directory, with 4096 rows
+# edge rows put together into one string at a time when emitting DIMACS;
+# a block (about 250 KB at 31 bytes per row) is all the emitter holds
+# beside the document it is appended to
 EMIT_BLOCK_ROWS = 8192
 # characters of DIMACS text read at a time when parsing; a slice of edge
 # lines splits into tokens that take about 7 times its size
@@ -156,8 +160,13 @@ def emit_instance_dimacs(
     """The DIMACS-like document: comment lines, the problem line, one
     terminal line per corner, then one edge line per emitted edge.
 
-    Edge lines are joined EMIT_BLOCK_ROWS edges at a time, so no list of
-    every line is ever held: the peak is about the document and its blocks.
+    Edge lines are joined EMIT_BLOCK_ROWS edges at a time, and each block
+    is appended to the document, so no list of every line is ever held.
+    The document is one str that only the local doc refers to while it
+    grows, which CPython 3.11 extends in place (realloc, mremap for large
+    strings): the peak is the document plus one block.  Were there another
+    reference to it, each += would copy the document instead; the text
+    would be the same and only the peak would grow.
     """
     g = w.graph
     row_count = len(w.nums) if include_zero_edges else len(w.weights)
@@ -171,7 +180,10 @@ def emit_instance_dimacs(
     lines.append(f"p mwc {len(g.nodes)} {row_count} {g.k}")
     for i, t in enumerate(g.terminals, start=1):
         lines.append(f"t {t} {i}")
-    return "".join(["\n".join(lines) + "\n", *_edge_blocks(w, include_zero_edges)])
+    doc = "\n".join(lines) + "\n"
+    for block in _edge_blocks(w, include_zero_edges):
+        doc += block
+    return doc
 
 
 def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
@@ -252,9 +264,9 @@ class _WeightSlots:
     of rows in edge order at one go (fill).
 
     Each row goes straight into its edge's slot.  A slot holds a code for
-    the row's weight text (0 for an edge no row names); each distinct text
-    is parsed once, and the weights are put over their common denominator
-    when the map is made.
+    the row's weight text (0 for an edge no row names) in an array of
+    4-byte unsigned ints; each distinct text is parsed once, and the
+    weights are put over their common denominator when the map is made.
     """
 
     def __init__(self, g: SimplexGraph):
@@ -263,7 +275,7 @@ class _WeightSlots:
         self.edge_between = g.edge_between  # bound once: add runs per edge
         self.codes: dict[str, int] = {}
         self.values: list[Fraction] = []
-        self.slots = [0] * len(g.tails)
+        self.slots = array("I", [0]) * len(g.tails)
         # the edge after the last one filled: emitted rows come in edge
         # order, so this is usually the next row's edge
         self.hint = 0
@@ -320,7 +332,7 @@ class _WeightSlots:
         first = len(self.values) + 1
         self.codes.update(zip(new, range(first, first + len(new))))
         self.values += values
-        self.slots[h : h + m] = map(self.codes.__getitem__, texts)
+        self.slots[h : h + m] = array("I", map(self.codes.__getitem__, texts))
         self.hint = h + m
         return True
 
@@ -446,7 +458,9 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
     The lattice is built once the problem line and all k terminal
     lines are read.  The edge lines before that are only counted, and the
     slices before the header's slice, then its lines before the header,
-    are read again for their edge rows once the graph exists.
+    are read again for their edge rows once the graph exists.  A problem
+    line that announces more edges than the lattice has is refused as
+    soon as it is read, so no graph is built for it.
     """
     tag = None
     c_value: Fraction | None = None
@@ -489,7 +503,15 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
                 if len(fields) != 4 or fields[0] != "mwc":
                     raise ValueError(f"malformed problem line: {line!r}")
                 declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
-                header = (declared_edges, k, _invert_node_count(k, declared_nodes))
+                n = _invert_node_count(k, declared_nodes)
+                # more edge lines than edges can never parse: refuse them
+                # before the graph is built or another line read
+                if declared_edges > edge_count(k, n):
+                    raise ValueError(
+                        f"problem line announces {declared_edges} edges, "
+                        f"the lattice has {edge_count(k, n)}"
+                    )
+                header = (declared_edges, k, n)
             elif kind == "t":
                 if len(fields) != 2:
                     raise ValueError(f"malformed terminal line: {line!r}")

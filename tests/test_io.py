@@ -28,6 +28,7 @@ from simplexcut import (
     render_rational,
 )
 from simplexcut import io as sio
+from simplexcut.lattice import edge_count, node_count, terminal_nodes
 
 
 def _sample_instances():
@@ -249,6 +250,21 @@ def test_dimacs_header_alone_builds_no_graph():
     assert build_graph.cache_info().currsize == cached
 
 
+def test_dimacs_refuses_more_edges_than_the_lattice_has(monkeypatch):
+    # the k = 4, n = 78 corners match, but the problem line announces one
+    # edge more than the lattice has: it is refused at that line, before
+    # the graph is built or the terminal lines read.  Other tests may have
+    # cached this graph, so building it is also made to fail
+    k, n = 4, 78
+    announced = edge_count(k, n) + 1
+    corners = "".join(f"t {t} {i}\n" for i, t in enumerate(terminal_nodes(k, n), start=1))
+    monkeypatch.setattr(sio, "build_graph", lambda k, n: pytest.fail(f"built the k={k}, n={n} graph"))
+    cached = build_graph.cache_info().currsize
+    with pytest.raises(ValueError, match=f"announces {announced} edges, the lattice has 492960$"):
+        parse_instance(f"p mwc {node_count(k, n)} {announced} {k}\n" + corners)
+    assert build_graph.cache_info().currsize == cached
+
+
 @given(st.permutations(emit_instance_dimacs(build_base_triangle(3), tag="t").splitlines()))
 @settings(max_examples=50, deadline=None)
 def test_dimacs_lines_in_any_order(lines):
@@ -347,20 +363,24 @@ def _traced_peak(call, *args):
 
 
 def test_emission_peak_memory_is_bounded(n48_document):
-    # edge lines are joined a block at a time, not held as one list
+    # edge lines are joined a block at a time, not held as one list, and
+    # each block is appended to the one document, which grows in place
+    # (1.31 measured on CPython 3.11; a second copy of the document would
+    # take it past 2)
     w, text = n48_document
     assert len(w.graph.edges) == 117_600
     again, peak = _traced_peak(emit_instance_dimacs, w)
     assert again == text
-    assert peak / len(text) <= 2.5
+    assert peak / len(text) <= 1.5
 
 
 def test_parse_peak_memory_is_bounded(n48_document):
-    # the text is split into lines a slice at a time
+    # the text is split into lines a slice at a time, and each edge's slot
+    # takes 4 bytes (0.58 measured on CPython 3.11)
     w, text = n48_document
     parsed, peak = _traced_peak(parse_instance, text)
     assert parsed.weights == w
-    assert peak / len(text) <= 2
+    assert peak / len(text) <= 0.7
 
 
 def test_edges_first_parse_peak_memory_is_bounded(n48_document):
@@ -471,7 +491,9 @@ def test_parse_cut_fuzz_raises_only_value_error(text):
 
 # The line-by-line DIMACS reader as it stood before slices of edge lines
 # were read at one go, kept as an oracle: on any text the sliced reader must
-# give the same instance, or raise ValueError with the same message.
+# give the same instance, or raise ValueError with the same message.  It
+# refuses a problem line that announces more edges than the lattice has at
+# that line, as the sliced reader does.
 
 
 def _reference_lines(text):
@@ -518,7 +540,12 @@ def _reference_parse_dimacs(text):
             if len(fields) != 4 or fields[0] != "mwc":
                 raise ValueError(f"malformed problem line: {line!r}")
             declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
-            header = (declared_edges, k, sio._invert_node_count(k, declared_nodes))
+            n = sio._invert_node_count(k, declared_nodes)
+            if declared_edges > edge_count(k, n):
+                raise ValueError(
+                    f"problem line announces {declared_edges} edges, the lattice has {edge_count(k, n)}"
+                )
+            header = (declared_edges, k, n)
         elif kind == "t":
             if len(fields) != 2:
                 raise ValueError(f"malformed terminal line: {line!r}")

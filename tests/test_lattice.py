@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexcut import (
+    GapParams,
     RedRegions,
     boundary_edges,
     boundary_nodes,
     build_graph,
+    combine,
     face_of,
+    limitation_min,
     red_regions,
     simplex_points,
     support,
@@ -315,15 +318,41 @@ def test_graph_bytes_per_edge():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    # the point -> index dict is built on first read, not by build_graph
+    assert "index" not in vars(g)
     cached = build_graph(4, 48)
     assert (g.tails, g.heads, g.first) == (cached.tails, cached.heads, cached.first)
-    # index, tails and heads share one int object per node
+    # index, once read, tails and heads share one int object per node
     ids = list(g.index.values())
     assert ids == list(range(len(g.nodes)))
     assert all(g.tails[e] is ids[g.tails[e]] and g.heads[e] is ids[g.heads[e]] for e in range(len(g.tails)))
     assert "adj" not in vars(g)
-    # 49.3 measured on CPython 3.11, plus 10%
-    assert held / len(g.tails) <= 54
+    # 42.8 measured on CPython 3.11, plus 10%
+    assert held / len(g.tails) <= 47
+
+
+@given(st.integers(2, 6), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_rank_is_the_node_index(k, n):
+    # built outside the cache, so that index is read here first
+    g = build_graph.__wrapped__(k, n)
+    assert all(g.rank(p) == i for i, p in enumerate(g.nodes))
+    assert "index" not in vars(g)
+    assert g.index == {p: i for i, p in enumerate(g.nodes)}
+
+
+@pytest.mark.parametrize("point", [(3, 0, 0), (2, 1, 2), (5, -1, 0), (2, 2), (2, 1, 1, 0)])
+def test_rank_rejects_points_off_the_lattice(point):
+    with pytest.raises(ValueError, match="not a point"):
+        build_graph(3, 4).rank(point)
+
+
+def test_combine_and_limitation_min_build_no_index():
+    params = GapParams.tuned(c=Fraction(1, 13))
+    g = build_graph(4, 39)
+    combine(params, g)
+    limitation_min(params, n=39)
+    assert "index" not in vars(g)
 
 
 def test_red_region_rejects_bad_depth():
