@@ -21,9 +21,11 @@ the one holding the header.  Every other slice goes through the general
 line-by-line reader, which accepts lines in any order, comments, odd
 whitespace and number forms, and is the source of every error message:
 the list-level path only ever returns the result the line reader would.
-Either way a row's weight goes into a 4-byte slot of one array, and a
-problem line that announces more edges than its lattice has is refused
-before the lattice is built.
+Either way a row's weight goes into a 4-byte slot of one array.  The
+text is read until its problem line and terminal lines build the lattice,
+and read again from the top once the graph exists; a problem line that
+announces a negative edge count, or more edges than its lattice has, is
+refused before the lattice is built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import lcm
 
 from .cuts import CutLabeling
@@ -116,15 +118,9 @@ class _NodeNames:
         return names
 
 
-def _edge_rows(w: WeightMap, include_zero_edges: bool) -> Iterator[tuple[int, int, str]]:
-    """(u, v, rendered weight) for each emitted edge, in edge order."""
-    rendered: dict[int, str] = {}
-    for u, v, x in zip(w.graph.tails, w.graph.heads, w.nums):
-        if x or include_zero_edges:
-            text = rendered.get(x)
-            if text is None:
-                text = rendered[x] = render_rational(Fraction(x, w.den))
-            yield u, v, text
+def _weight_texts(w: WeightMap) -> dict[int, str]:
+    """The weight text "p/q" of each distinct numerator of w."""
+    return {x: render_rational(Fraction(x, w.den)) for x in set(w.nums)}
 
 
 def emit_instance_json(
@@ -135,6 +131,7 @@ def emit_instance_json(
     include_zero_edges: bool = False,
 ) -> str:
     g = w.graph
+    texts, rows = _weight_texts(w), zip(g.tails, g.heads, w.nums)
     doc = {
         "format": INSTANCE_FORMAT,
         "version": FORMAT_VERSION,
@@ -145,7 +142,7 @@ def emit_instance_json(
         "lambda": [render_rational(x) for x in lam] if lam is not None else None,
         "terminals": list(g.terminals),
         "nodes": [list(p) for p in g.nodes],
-        "edges": [list(row) for row in _edge_rows(w, include_zero_edges)],
+        "edges": [[u, v, texts[x]] for u, v, x in rows if x or include_zero_edges],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -196,7 +193,7 @@ def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
     the distinct numerators.  No row is formatted on its own.
     """
     g, nums = w.graph, w.nums
-    texts = {x: f" {render_rational(Fraction(x, w.den))}\n" for x in set(nums)}
+    texts = {x: f" {text}\n" for x, text in _weight_texts(w).items()}
     names = _NodeNames()
     for start in range(0, len(nums), EMIT_BLOCK_ROWS):
         rows = slice(start, start + EMIT_BLOCK_ROWS)
@@ -431,51 +428,29 @@ def _edge_tokens(piece: str) -> list[str] | None:
     return tokens
 
 
-def _add_edge_lines(slots: _WeightSlots, lines: list[str]) -> None:
-    """Add the edge rows of lines that were read once before the graph
-    existed; every other line was taken in on that first reading."""
-    for line in lines:
-        kind, _, rest = line.strip().partition(" ")
-        if kind == "e":
-            u, v, wt = rest.split()
-            slots.add(int(u), int(v), wt)
+def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | ParsedInstance:
+    """Read a DIMACS-like document once, from the top.
 
-
-def parse_instance_dimacs(text: str) -> ParsedInstance:
-    """Parse the DIMACS-like format; its lines may come in any order.
-
-    The text is read one slice of about PARSE_SLICE_CHARS characters at a
-    time, so only one slice's lines or tokens are held at once.  A slice
-    of edge lines only, as emit_instance_dimacs writes them, is split into
-    tokens and taken in at one go (_edge_tokens, _WeightSlots.fill) when
-    its rows continue the edge order into empty slots.  Every other slice
-    (the header, comments, rows out of order, duplicates, odd whitespace
-    or number forms, any error) is read line by line.  That general reader
-    remains the one definition of the format and the source of every error
-    message; a slice is taken at one go only when the result is the one
-    the line reader would give.
-
-    The lattice is built once the problem line and all k terminal
-    lines are read.  The edge lines before that are only counted, and the
-    slices before the header's slice, then its lines before the header,
-    are read again for their edge rows once the graph exists.  A problem
-    line that announces more edges than the lattice has is refused as
-    soon as it is read, so no graph is built for it.
+    Without a graph, edge lines are only checked for their shape, and the
+    lattice graph is returned as soon as the problem line and all k
+    terminal lines are in; a header that never completes is refused at
+    the end of the text.  With the graph, every edge line fills its slot
+    in document order; the header lines on the way passed the first
+    reading, so only edge lines and the lines after the header can raise.
     """
     tag = None
     c_value: Fraction | None = None
     lam: tuple[Fraction, ...] | None = None
     header: tuple[int, int, int] | None = None  # declared edge count, k, n
     terminal_rows: list[tuple[int, int]] = []
-    slots: _WeightSlots | None = None
+    slots = None if graph is None else _WeightSlots(graph)
     edge_lines = 0
-    for index, piece in enumerate(_slices(text)):
+    for piece in _slices(text):
         tokens = _edge_tokens(piece)
         if tokens is not None and (slots is None or slots.fill(tokens)):
             edge_lines += len(tokens) // 4
             continue
-        lines = piece.splitlines()
-        for i, raw in enumerate(lines):
+        for raw in piece.splitlines():
             line = raw.strip()
             if not line:
                 continue
@@ -503,6 +478,8 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
                 if len(fields) != 4 or fields[0] != "mwc":
                     raise ValueError(f"malformed problem line: {line!r}")
                 declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+                if declared_edges < 0:
+                    raise ValueError(f"problem line announces {declared_edges} edges, fewer than 0")
                 n = _invert_node_count(k, declared_nodes)
                 # more edge lines than edges can never parse: refuse them
                 # before the graph is built or another line read
@@ -519,25 +496,41 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
             else:
                 raise ValueError(f"unknown line kind: {kind!r}")
             if slots is None and header is not None and len(terminal_rows) == header[1]:
-                slots = _WeightSlots(_graph_at_corners(header[1], header[2], terminal_rows))
-                # the edge lines read so far were only counted: read them again
-                if edge_lines:
-                    for earlier in islice(_slices(text), index):
-                        earlier_tokens = _edge_tokens(earlier)
-                        if earlier_tokens is None or not slots.fill(earlier_tokens):
-                            _add_edge_lines(slots, earlier.splitlines())
-                    _add_edge_lines(slots, lines[:i])
+                return _graph_at_corners(header[1], header[2], terminal_rows)
     if header is None:
         raise ValueError("missing problem line")
     declared_edges, k, _ = header
-    # slots exist once k terminal lines matched; any further one is extra
+    # without slots, k terminal lines never matched; with them, any further one is extra
     if slots is None or len(terminal_rows) != k:
         raise ValueError("terminal lines do not match the lattice")
     if edge_lines != declared_edges:
-        raise ValueError(
-            f"problem line announces {declared_edges} edges, found {edge_lines}"
-        )
+        raise ValueError(f"problem line announces {declared_edges} edges, found {edge_lines}")
     return ParsedInstance(weights=slots.weight_map(), tag=tag, c=c_value, lam=lam)
+
+
+def parse_instance_dimacs(text: str) -> ParsedInstance:
+    """Parse the DIMACS-like format; its lines may come in any order.
+
+    The text is read one slice of about PARSE_SLICE_CHARS characters at a
+    time, so only one slice's lines or tokens are held at once.  A slice
+    of edge lines only, as emit_instance_dimacs writes them, is split into
+    tokens and taken in at one go (_edge_tokens, _WeightSlots.fill) when
+    its rows continue the edge order into empty slots.  Every other slice
+    (the header, comments, rows out of order, duplicates, odd whitespace
+    or number forms, any error) is read line by line.  That general reader
+    remains the one definition of the format and the source of every error
+    message; a slice is taken at one go only when the result is the one
+    the line reader would give.
+
+    The text is read until the problem line and all k terminal lines are
+    in, which builds the lattice, and read again from the top once the
+    graph exists (_read_dimacs).  An emitted document completes its
+    header in its first slice, so only that slice's first lines are read
+    twice.  A problem line that announces a negative edge count, or more
+    edges than the lattice has, is refused as soon as it is read, so no
+    graph is built for it.
+    """
+    return _read_dimacs(text, _read_dimacs(text, None))
 
 
 def parse_instance(text: str) -> ParsedInstance:

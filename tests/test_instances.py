@@ -1,6 +1,8 @@
 """Instance weights: the base triangle, the four components, mixing."""
 
 import pickle
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -246,6 +248,25 @@ def test_combined_map_shares_one_int_per_value(c):
     w = combine(GapParams.tuned(c=c), build_graph(4, 12))
     assert len({id(x) for x in w.nums}) == len(set(w.nums))
     assert len(set(w.nums)) < 10 < len(w.nums)
+
+
+@pytest.mark.parametrize("den", [1, 2])
+def test_from_numerators_allocates_each_tuple_once(den):
+    # a map has no length, so from_numerators tells tuple() the edge count
+    # and the tuple is allocated at its final size.  At 24,360 edges a
+    # tuple grown from a map would reach 1.25 times that size on the way;
+    # den = 2 also takes the reduction, which maps the numerators again
+    g = build_graph(4, 28)
+    twos = [2] * len(g.edges)
+    tracemalloc.start()
+    try:
+        w = WeightMap.from_numerators(g, den, map(abs, twos))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.nums == (2 // den,) * len(g.edges) and w.den == 1
+    copies = 1 if den == 1 else 2
+    assert peak < (copies + 0.1) * sys.getsizeof(w.nums)
 
 
 def _dense_combination(params, g):

@@ -265,6 +265,44 @@ def test_dimacs_refuses_more_edges_than_the_lattice_has(monkeypatch):
     assert build_graph.cache_info().currsize == cached
 
 
+def test_dimacs_refuses_a_negative_edge_count(monkeypatch):
+    # the k = 3, n = 3 corners match, but no count of edge lines is below
+    # 0: the problem line is refused at that line, before the graph is
+    # built.  Other tests may have cached this graph, so building it is
+    # also made to fail
+    k, n = 3, 3
+    corners = "".join(f"t {t} {i}\n" for i, t in enumerate(terminal_nodes(k, n), start=1))
+    monkeypatch.setattr(sio, "build_graph", lambda k, n: pytest.fail(f"built the k={k}, n={n} graph"))
+    cached = build_graph.cache_info().currsize
+    with pytest.raises(ValueError, match="^problem line announces -1 edges, fewer than 0$"):
+        parse_instance(f"p mwc {node_count(k, n)} -1 {k}\n" + corners)
+    assert build_graph.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("layout", ["as emitted", "edges first"])
+def test_each_parse_builds_the_lattice_once(monkeypatch, layout):
+    # the first reading builds the graph and the second only fills slots:
+    # neither validates the corners, builds a graph or makes slots again
+    w = build_component(4, build_graph(4, 5))
+    text = _LAYOUTS[layout](emit_instance_dimacs(w, tag="t"))
+    built, made = [], []
+    at_corners, init = sio._graph_at_corners, sio._WeightSlots.__init__
+
+    def counted_graph(*args):
+        built.append(args[:2])
+        return at_corners(*args)
+
+    def counted_slots(self, g):
+        made.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(sio, "_graph_at_corners", counted_graph)
+    monkeypatch.setattr(sio._WeightSlots, "__init__", counted_slots)
+    assert parse_instance(text).weights == w
+    assert built == [(4, 5)]
+    assert made == [w.graph]
+
+
 @given(st.permutations(emit_instance_dimacs(build_base_triangle(3), tag="t").splitlines()))
 @settings(max_examples=50, deadline=None)
 def test_dimacs_lines_in_any_order(lines):
@@ -376,7 +414,7 @@ def test_emission_peak_memory_is_bounded(n48_document):
 
 def test_parse_peak_memory_is_bounded(n48_document):
     # the text is split into lines a slice at a time, and each edge's slot
-    # takes 4 bytes (0.58 measured on CPython 3.11)
+    # takes 4 bytes (0.52 measured on CPython 3.11)
     w, text = n48_document
     parsed, peak = _traced_peak(parse_instance, text)
     assert parsed.weights == w
@@ -384,8 +422,8 @@ def test_parse_peak_memory_is_bounded(n48_document):
 
 
 def test_edges_first_parse_peak_memory_is_bounded(n48_document):
-    # edge lines read before the graph exists are counted, not held, and
-    # read again once the terminal lines are in
+    # edge lines read before the graph exists are only checked, not held,
+    # and the text is read again from the top once the graph exists
     w, text = n48_document
     lines = text.splitlines()
     edges_first = "\n".join(sorted(lines, key=lambda line: not line.startswith("e "))) + "\n"
@@ -492,8 +530,8 @@ def test_parse_cut_fuzz_raises_only_value_error(text):
 # The line-by-line DIMACS reader as it stood before slices of edge lines
 # were read at one go, kept as an oracle: on any text the sliced reader must
 # give the same instance, or raise ValueError with the same message.  It
-# refuses a problem line that announces more edges than the lattice has at
-# that line, as the sliced reader does.
+# refuses a problem line that announces a negative edge count, or more edges
+# than the lattice has, at that line, as the sliced reader does.
 
 
 def _reference_lines(text):
@@ -540,6 +578,8 @@ def _reference_parse_dimacs(text):
             if len(fields) != 4 or fields[0] != "mwc":
                 raise ValueError(f"malformed problem line: {line!r}")
             declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+            if declared_edges < 0:
+                raise ValueError(f"problem line announces {declared_edges} edges, fewer than 0")
             n = sio._invert_node_count(k, declared_nodes)
             if declared_edges > edge_count(k, n):
                 raise ValueError(
