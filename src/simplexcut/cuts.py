@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_edges, cap_depth, support
+from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, support
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class CutLabeling:
         labels = tuple(map(int, raw))
         if labels != raw:
             raise ValueError("labels must be integers")
-        if len(labels) != len(g.nodes):
+        if len(labels) != node_count(g.k, g.n):
             raise ValueError(
-                f"{len(labels)} labels for {len(g.nodes)} nodes"
+                f"{len(labels)} labels for {node_count(g.k, g.n)} nodes"
             )
         if min(labels) < 1 or max(labels) > g.k + 1:
             raise ValueError(f"labels must lie in 1..{g.k + 1}")
@@ -141,20 +141,20 @@ def midlines(g: SimplexGraph) -> CutLabeling:
 
 
 def midlines_extended(g: SimplexGraph) -> CutLabeling:
-    """The midlines cut on the bottom face, label 4 everywhere above it."""
+    """The midlines cut on the bottom face, label 4 everywhere above it.
+
+    In colex order the bottom face x4 = 0 is the first C(n+2, 2) nodes, in
+    the face graph's own order, so its labels are the face's midlines.
+    """
     if g.k != 4:
         raise ValueError("the extension lives on a four-terminal graph")
-    n = g.n
-    labels = tuple(
-        4 if p[3] > 0 else 1 if 2 * p[0] >= n else 2 if 2 * p[1] >= n else 3
-        for p in g.nodes
-    )
-    return CutLabeling(g, labels)
+    face = midlines(build_graph(3, g.n)).labels
+    return CutLabeling(g, face + (4,) * (node_count(4, g.n) - len(face)))
 
 
 def isolate_terminals(g: SimplexGraph) -> CutLabeling:
     """Terminals keep their labels; every other node gets the auxiliary label."""
-    labels = [g.k + 1] * len(g.nodes)
+    labels = [g.k + 1] * node_count(g.k, g.n)
     for i, t in enumerate(g.terminals, start=1):
         labels[t] = i
     return CutLabeling(g, tuple(labels))
@@ -170,14 +170,13 @@ def corner_caps(g: SimplexGraph, c: Fraction) -> CutLabeling:
     if g.k != 4:
         raise ValueError("corner caps live on a four-terminal graph")
     level = g.n - cap_depth(c, g.n)
-    labels = []
-    for node, p in enumerate(g.nodes):
-        if node == g.terminals[3]:
-            labels.append(4)
-        elif p[3] == 0 and max(p[:3]) >= level:
-            labels.append(1 + max(range(3), key=lambda i: p[i]))
-        else:
-            labels.append(5)
+    # the bottom face leads the colex order, as in midlines_extended; one
+    # coordinate at most reaches level > n/2
+    labels = [
+        1 + p.index(max(p)) if max(p) >= level else 5 for p in build_graph(3, g.n).nodes
+    ]
+    labels += [5] * (node_count(4, g.n) - len(labels))
+    labels[g.terminals[3]] = 4
     return CutLabeling(g, tuple(labels))
 
 

@@ -174,7 +174,7 @@ def emit_instance_dimacs(
         lines.append(f"c c {render_rational(c)}")
     if lam is not None:
         lines.append("c lambda " + " ".join(render_rational(x) for x in lam))
-    lines.append(f"p mwc {len(g.nodes)} {row_count} {g.k}")
+    lines.append(f"p mwc {node_count(g.k, g.n)} {row_count} {g.k}")
     for i, t in enumerate(g.terminals, start=1):
         lines.append(f"t {t} {i}")
     doc = "\n".join(lines) + "\n"
@@ -283,8 +283,8 @@ class _WeightSlots:
         if e == len(self.tails) or self.tails[e] != u or self.heads[e] != v:
             e = self.edge_between(u, v)
             if e is None:
-                g = self.graph
-                if not (0 <= u < len(g.nodes) and 0 <= v < len(g.nodes)):
+                nodes = node_count(self.graph.k, self.graph.n)
+                if not (0 <= u < nodes and 0 <= v < nodes):
                     raise ValueError(f"edge endpoint out of range: ({u}, {v})")
                 raise ValueError(f"nodes {u} and {v} are not lattice neighbors")
         if self.slots[e]:

@@ -16,13 +16,16 @@ come from rank differences: with prefix sums S_m = p_1 + ... + p_m, moving
 one unit of mass from coordinate i to a later coordinate j raises the rank
 by pot_j - pot_i, where pot_j = sum over m < j of C(S_m + m - 2, m - 1)
 (the m = 1 term is 1).  No neighbour is looked up by its coordinates, and
-the ranks are computed a whole column of nodes at a time.
+the ranks are computed a whole column of nodes at a time, from coordinate
+columns that are built in colex order without making a point tuple.
 
 Memory: an edge is one entry in each of two int columns, and the columns
-share one int object per node, so a graph holds about 42 bytes per edge
-on CPython 3.11 (19.9 MiB for the 492,960 edges of k = 4, n = 78).  A
-point's index comes from rank in closed form; the point -> index dict and
-the adjacency tuples are built only when index or adj is first read.
+share one int object per node, so a graph holds about 21.5 bytes per edge
+on CPython 3.11 (10.1 MiB for the 492,960 edges of k = 4, n = 78).  The
+node count is node_count(k, n) and a point's index comes from rank, both
+in closed form; the node table, the point -> index dict, the edge offsets
+and the adjacency tuples are built only when nodes, index, first or adj is
+first read.
 """
 
 from __future__ import annotations
@@ -39,13 +42,29 @@ from operator import add, sub
 Point = tuple[int, ...]
 
 
-def _compositions(k: int, n: int) -> Iterator[Point]:
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(k - 1, n - head):
-            yield (head,) + tail
+def _colex_columns(k: int, n: int) -> list[list[int]]:
+    """The k coordinate columns of the colex-sorted lattice points.
+
+    Built down from the last coordinate, which colex order sorts first: a
+    block of nodes that shares its coordinates above j, with r units of
+    mass left, splits into the values v = 0..r of coordinate j, and value v
+    covers the C(r - v + j - 1, j - 1) ways to share the rest among the
+    j coordinates below.  No point tuple is made.
+    """
+    if k < 2:
+        raise ValueError("need at least two coordinates")
+    if n < 1:
+        raise ValueError("resolution must be positive")
+    columns = []  # the last coordinate's first
+    blocks = [n]  # mass left in each block, in node order
+    for j in range(k - 1, 0, -1):
+        sizes = [math.comb(s + j - 1, j - 1) for s in range(n + 1)]
+        values = chain.from_iterable(map(range, map((1).__add__, blocks)))
+        blocks = list(chain.from_iterable(range(r, -1, -1) for r in blocks))
+        runs = map(repeat, values, map(sizes.__getitem__, blocks))
+        columns.append(list(chain.from_iterable(runs)))
+    columns.append(blocks)
+    return columns[::-1]
 
 
 def simplex_points(k: int, n: int) -> list[Point]:
@@ -54,13 +73,7 @@ def simplex_points(k: int, n: int) -> list[Point]:
     Returned colexicographically sorted, so the terminal n*e1 comes first
     and n*ek last.  len(result) == C(n+k-1, k-1).
     """
-    if k < 2:
-        raise ValueError("need at least two coordinates")
-    if n < 1:
-        raise ValueError("resolution must be positive")
-    # compositions come out lexicographically, so reversing each one
-    # yields the points in colex order
-    return [c[::-1] for c in _compositions(k, n)]
+    return list(zip(*_colex_columns(k, n)))
 
 
 def support(point: Point) -> tuple[int, ...]:
@@ -89,26 +102,27 @@ class SimplexGraph:
     (k, n) fixes every node and edge index, so two graphs are equal, and
     hash equal, when their k and n are: a cut or a weight map built on one
     fits any graph equal to it, a copy or an unpickled graph included.
+    node_count(k, n) gives the number of nodes without reading nodes.
 
-    nodes      colex-sorted coordinate tuples
-    index      point -> node index, built on first read and kept; rank
-               gives one point's index without it
+    The graph keeps only its edge columns and terminals; the other fields
+    are views built on first read and kept.
+
     tails      the e-th edge is (tails[e], heads[e]), tails[e] < heads[e];
     heads      edges are sorted by (tail, head)
-    first      edges first[u]:first[u+1] are the edges (u, v) with v > u;
-               len(first) == len(nodes) + 1
     terminals  terminals[i] = node index of the point n*e(i+1)
     edges      read-only (u, v) view of tails and heads, holding no pairs
-    adj        adj[u] = tuple of u's neighbours, ascending; built on first
-               read and kept
+    nodes      colex-sorted coordinate tuples; on first read
+    index      point -> node index; on first read.  rank gives one
+               point's index without it
+    first      edges first[u]:first[u+1] are the edges (u, v) with v > u;
+               len(first) == node count + 1; on first read
+    adj        adj[u] = tuple of u's neighbours, ascending; on first read
     """
 
     k: int
     n: int
-    nodes: tuple[Point, ...] = field(compare=False)
     tails: tuple[int, ...] = field(compare=False)
     heads: tuple[int, ...] = field(compare=False)
-    first: tuple[int, ...] = field(compare=False)
     terminals: tuple[int, ...] = field(compare=False)
 
     def __repr__(self) -> str:
@@ -119,10 +133,19 @@ class SimplexGraph:
         return _EdgeView(self.tails, self.heads)
 
     @cached_property
+    def nodes(self) -> tuple[Point, ...]:
+        return tuple(simplex_points(self.k, self.n))
+
+    @cached_property
     def index(self) -> dict[Point, int]:
         # every node ends an edge, so the columns hold each node's shared
         # int object; ranks computed afresh would be new ints
         return dict(zip(self.nodes, sorted({*self.tails, *self.heads})))
+
+    @cached_property
+    def first(self) -> tuple[int, ...]:
+        tails = self.tails
+        return tuple(map(bisect_left, repeat(tails), range(node_count(self.k, self.n) + 1)))
 
     def rank(self, point: Sequence[int]) -> int:
         """The node index of a lattice point: its colex rank.
@@ -143,7 +166,7 @@ class SimplexGraph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        lower: list[list[int]] = [[] for _ in self.nodes]
+        lower: list[list[int]] = [[] for _ in range(node_count(self.k, self.n))]
         for u, v in zip(self.tails, self.heads):
             lower[v].append(u)
         # edges are sorted by tail, so each lower list comes out ascending
@@ -154,11 +177,14 @@ class SimplexGraph:
         """Index of the edge joining u and v, or None if they are not neighbours."""
         if u > v:
             u, v = v, u
-        if not 0 <= u < v < len(self.nodes):
+        if not 0 <= u < v < node_count(self.k, self.n):
             return None
-        hi = self.first[u + 1]
-        e = bisect_left(self.heads, v, self.first[u], hi)
-        return e if e < hi and self.heads[e] == v else None
+        # u's edges are the run of u in the sorted tails, ascending by head
+        tails, heads = self.tails, self.heads
+        lo = bisect_left(tails, u)
+        hi = bisect_left(tails, u + 1, lo)
+        e = bisect_left(heads, v, lo, hi)
+        return e if e < hi and heads[e] == v else None
 
 
 class _EdgeView(Sequence):
@@ -182,16 +208,15 @@ class _EdgeView(Sequence):
 @lru_cache(maxsize=None)
 def build_graph(k: int, n: int) -> SimplexGraph:
     """Build (and cache) the simplex lattice graph for k terminals at resolution n."""
-    nodes = tuple(simplex_points(k, n))
+    # columns over all nodes: coordinates p_m, prefix sums S_m and pot_j
+    cols = _colex_columns(k, n)
     # one int object per node, shared by tails and heads; arithmetic on
     # ranks would make a new int for every edge endpoint
-    ids = list(range(len(nodes)))
+    ids = list(range(len(cols[0])))
     # steps[m][s] = C(s + m - 1, m): the rank gained per unit of mass moved
     # past coordinate m + 1 (0-based m) when the prefix sum there is s
     steps = [[1] * (n + 1)]
     steps += [[math.comb(s + m - 1, m) for s in range(n + 1)] for m in range(1, k - 1)]
-    # columns over all nodes: coordinates p_m, prefix sums S_m and pot_j
-    cols = list(zip(*nodes))
     sums = accumulate(cols[:-1], lambda s, col: list(map(add, s, col)))
     pots = [repeat(0)]
     pots += accumulate(
@@ -207,11 +232,10 @@ def build_graph(k: int, n: int) -> SimplexGraph:
     ranks = zip(*(map(add, ids, map(sub, pots[j], pots[i])) for i, j in moves))
     found = compress(chain.from_iterable(ranks), chain.from_iterable(zip(*masks)))
     heads = tuple(map(ids.__getitem__, found))
-    counts = list(map(sum, zip(*masks)))
+    counts = map(sum, zip(*masks))
     tails = tuple(chain.from_iterable(map(repeat, ids, counts)))
-    first = tuple(accumulate(counts, initial=0))
-    graph = SimplexGraph(k, n, nodes, tails, heads, first, terminal_nodes(k, n))
-    assert len(nodes) == node_count(k, n) and len(heads) == edge_count(k, n)
+    graph = SimplexGraph(k, n, tails, heads, terminal_nodes(k, n))
+    assert len(ids) == node_count(k, n) and len(heads) == edge_count(k, n)
     return graph
 
 

@@ -37,7 +37,7 @@ from .io import (
     parse_instance,
     render_decimal,
 )
-from .lattice import build_graph
+from .lattice import build_graph, node_count
 from .search import (
     DEFAULT_LABELING_BUDGET,
     SearchBudget,
@@ -413,7 +413,8 @@ def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int
     g = w.graph
     aux = g.k + 1
     pins = dict(zip(g.terminals, range(1, aux)))
-    choices = [(pins[v],) if v in pins else tuple(range(1, aux + 1)) for v in range(len(g.nodes))]
+    nodes = range(node_count(g.k, g.n))
+    choices = [(pins[v],) if v in pins else tuple(range(1, aux + 1)) for v in nodes]
     for bound in (min, max):  # every map lies between these two, node by node
         CutLabeling(g, tuple(map(bound, choices)))
     weighted = _weighted_edges(w)

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import floor, log10, prod
 from operator import itemgetter
 
 from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
 from .errors import BudgetExceededError
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_nodes, support
+from .lattice import SimplexGraph, boundary_nodes, node_count, support
 
 DEFAULT_LABELING_BUDGET = 2_000_000
 
@@ -89,8 +89,27 @@ def _within_budget(choices: list[tuple[int, ...]], max_labelings: int):
     SearchBudget(max_labelings)
     space = prod(map(len, choices))
     if space > max_labelings:
-        raise BudgetExceededError(f"{space} labelings exceed the budget of {max_labelings}")
+        raise BudgetExceededError(
+            f"{_count_text(space)} labelings exceed the budget of {max_labelings}"
+        )
     return product(*choices)
+
+
+def _count_text(count: int) -> str:
+    """A positive count in decimal or, when it has more digits than the
+    interpreter converts to str, as "more than 10^N" with the largest
+    such N."""
+    try:
+        return str(count)
+    except ValueError:
+        pass
+    # log10 of a large int is close but not exact; settle N on integers
+    power = floor(log10(count))
+    while 10**power >= count:
+        power -= 1
+    while 10 ** (power + 1) < count:
+        power += 1
+    return f"more than 10^{power}"
 
 
 def _weighted_edges(w: WeightMap) -> list[tuple[int, int, int]]:
@@ -152,7 +171,7 @@ def _exhaustive_min(w: WeightMap, max_labelings: int):
 
 def _branch_and_bound_min(w: WeightMap, max_labelings: int):
     g = w.graph
-    nnodes = len(g.nodes)
+    nnodes = node_count(g.k, g.n)
     weighted = _weighted_edges(w)
 
     incident = [0] * nnodes
@@ -302,7 +321,7 @@ def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
     if terminal not in (1, 2, 3):
         raise ValueError(f"no terminal {terminal}")
     source = g.terminals[terminal - 1]
-    sink = len(g.nodes)
+    sink = node_count(g.k, g.n)
     inf = sum(w.nums) + 1
     # arc a ^ 1 is the reverse of arc a: an edge's two arcs are each other's
     # residual, and a sink arc's reverse starts with no capacity

@@ -111,6 +111,73 @@ def test_both_sides_run_from_copies_outside_the_repository(tmp_path):
     assert not parent.exists() and not change.exists()
 
 
+def _driver(tmp_path, repo, pairs, label):
+    """A script that runs bench_pairs.main on repo, in a process of its own,
+    since main installs a SIGTERM handler."""
+    driver = tmp_path / "driver.py"
+    driver.write_text(
+        "import importlib.util, sys\n"
+        "from pathlib import Path\n"
+        f"spec = importlib.util.spec_from_file_location('bench_pairs', {_SPEC.origin!r})\n"
+        "bench_pairs = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench_pairs)\n"
+        f"bench_pairs.ROOT = Path({str(repo)!r})\n"
+        "sys.exit(bench_pairs.main(['--parent', 'HEAD', '--workload', 'w', '--seeds', '1',"
+        f" '--pairs', '{pairs}', '--label', '{label}']))\n"
+    )
+    return driver
+
+
+def test_every_pair_runs_in_fresh_copies_of_both_sides(tmp_path):
+    repo, temp, log = tmp_path / "repo", tmp_path / "tmp", tmp_path / "cwds"
+    repo.mkdir()
+    temp.mkdir()
+    # stands in for bench/run.py: records its working directory, then
+    # writes a record and a result line as run.py does
+    (repo / "stand_in.py").write_text(
+        "import json, os, sys\n"
+        "args = sys.argv[1:]\n"
+        "workload, seed = args[args.index('--workload') + 1], args[args.index('--seed') + 1]\n"
+        f"with open({str(log)!r}, 'a') as f:\n"
+        "    f.write(os.getcwd() + '\\n')\n"
+        "os.makedirs('.bench_out', exist_ok=True)\n"
+        "record = {'metrics': {'run_s': {'value': 1.0}},"
+        f" 'environment': dict.fromkeys({bench_pairs.HOST_KEYS!r}, 'x')}}\n"
+        "with open(f'.bench_out/{workload}-seed{seed}-trace0.json', 'w') as f:\n"
+        "    json.dump(record, f)\n"
+        "print(json.dumps({'failed': 0}))\n"
+    )
+    (repo / "BENCHMARK.json").write_text(
+        json.dumps(
+            {
+                "command": [sys.executable, "stand_in.py"],
+                "end_to_end": [{"name": "run_s", "better": "lower"}],
+            }
+        )
+    )
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    driver = _driver(tmp_path, repo, pairs=3, label="fresh")
+
+    proc = subprocess.run(
+        [sys.executable, str(driver)],
+        env={**os.environ, "TMPDIR": str(temp)},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cwds = [Path(line) for line in log.read_text().splitlines()]
+    # three pairs of two sides, each run in a directory of its own
+    assert len(cwds) == 6 and len(set(cwds)) == 6
+    assert [cwd.parent for cwd in cwds] == [temp.resolve()] * 6
+    sides_run = [cwd.name.split("-")[1] for cwd in cwds]
+    assert sides_run == ["parent", "change", "change", "parent", "parent", "change"]
+    assert list(temp.iterdir()) == []
+    doc = json.loads((repo / "BENCH_fresh.json").read_text())
+    assert doc["summary"]["w/seed1"]["pairs"] == 3
+
+
 def _alive(pid):
     # a zombie has exited; it waits only for its parent to reap it
     try:
@@ -148,17 +215,7 @@ def test_sigterm_stops_the_run_and_removes_both_copies(tmp_path):
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "parent")
-    driver = tmp_path / "driver.py"
-    driver.write_text(
-        "import importlib.util, sys\n"
-        "from pathlib import Path\n"
-        f"spec = importlib.util.spec_from_file_location('bench_pairs', {_SPEC.origin!r})\n"
-        "bench_pairs = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(bench_pairs)\n"
-        f"bench_pairs.ROOT = Path({str(repo)!r})\n"
-        "sys.exit(bench_pairs.main(['--parent', 'HEAD', '--workload', 'w', '--seeds', '1',"
-        " '--pairs', '2', '--label', 'sigterm']))\n"
-    )
+    driver = _driver(tmp_path, repo, pairs=2, label="sigterm")
 
     proc = subprocess.Popen([sys.executable, str(driver)], env={**os.environ, "TMPDIR": str(temp)})
     started = []

@@ -9,9 +9,11 @@ imported package goes first on its ``PYTHONPATH``.
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -299,6 +301,35 @@ def test_sperner_verify_budget_below_one_is_exhausted(budget):
     err = stderr_error(proc)
     assert err["error"] == "budget-exhausted"
     assert err["message"] == f"a budget of {budget} allows no labeling"
+
+
+# a k = 4 point with support size s has s choices when admissible and s + 1
+# (the auxiliary label added) when non-opposite; C(4, s) * C(n - 1, s - 1)
+# points have support size s, and the four corners are pinned
+@pytest.mark.parametrize(
+    "command,space",
+    [
+        (
+            ("enumerate", "--k", "4", "--n", "100"),
+            3 ** (6 * 99) * 4 ** (4 * comb(99, 2)) * 5 ** comb(99, 3),
+        ),
+        (
+            ("sperner-verify", "--k", "4", "--n", "60"),
+            2 ** (6 * 59) * 3 ** (4 * comb(59, 2)) * 4 ** comb(59, 3),
+        ),
+    ],
+    ids=["enumerate", "sperner-verify"],
+)
+def test_budget_refuses_a_space_too_long_to_print(command, space):
+    # the space has more digits than str converts, so it is named by its
+    # power of ten; the refusal is still exhausted, not a user error
+    proc = run(*command, "--budget", "10", expect=1)
+    err = stderr_error(proc)
+    assert err["error"] == "budget-exhausted"
+    found = re.fullmatch(r"more than 10\^(\d+) labelings exceed the budget of 10", err["message"])
+    assert found
+    power = int(found.group(1))
+    assert 10**power < space <= 10 ** (power + 1)
 
 
 def test_sperner_verify_plain():

@@ -28,6 +28,7 @@ from simplexcut import (
     terminal_ball,
 )
 from simplexcut.cuts import reachable_labels
+from simplexcut.lattice import cap_depth
 
 
 def test_labeling_validation():
@@ -188,6 +189,53 @@ def test_corner_caps_other_components():
         Fraction(9, 2) * c * c + Fraction(27, 2) * c / n + Fraction(12, n * n)
     )
     assert len(delta(p)) == 93
+
+
+def _midlines_extended_scan(g):
+    """Reference: label every node of the tetrahedron from its point."""
+    n = g.n
+    labels = tuple(
+        4 if p[3] > 0 else 1 if 2 * p[0] >= n else 2 if 2 * p[1] >= n else 3
+        for p in g.nodes
+    )
+    return CutLabeling(g, labels)
+
+
+def _corner_caps_scan(g, c):
+    """Reference: label every node of the tetrahedron from its point."""
+    level = g.n - cap_depth(c, g.n)
+    labels = []
+    for node, p in enumerate(g.nodes):
+        if node == g.terminals[3]:
+            labels.append(4)
+        elif p[3] == 0 and max(p[:3]) >= level:
+            labels.append(1 + max(range(3), key=lambda i: p[i]))
+        else:
+            labels.append(5)
+    return CutLabeling(g, tuple(labels))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 21])
+def test_midlines_extended_matches_node_scan(n):
+    g = build_graph(4, n)
+    assert midlines_extended(g) == _midlines_extended_scan(g)
+
+
+@pytest.mark.parametrize(
+    "n,c",
+    [
+        (3, Fraction(1, 3)),
+        (5, Fraction(2, 5)),
+        (8, Fraction(1, 4)),
+        (12, Fraction(1, 12)),
+        (27, Fraction(2, 27)),
+        (39, Fraction(1, 13)),
+        (40, Fraction(3, 40)),
+    ],
+)
+def test_corner_caps_match_node_scan(n, c):
+    g = build_graph(4, n)
+    assert corner_caps(g, c) == _corner_caps_scan(g, c)
 
 
 def test_terminal_ball_census():

@@ -1,17 +1,22 @@
 """Lattice construction: node order, counts, faces, marked regions."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplexcut
 from simplexcut import (
     GapParams,
     RedRegions,
@@ -25,6 +30,9 @@ from simplexcut import (
     simplex_points,
     support,
 )
+from simplexcut.lattice import node_count
+
+PACKAGE_ROOT = Path(simplexcut.__file__).parents[1]
 
 # colexicographic node order is a public contract; frozen by hand
 DELTA_3_2_ORDER = [
@@ -94,6 +102,8 @@ def test_edge_index_round_trip():
 
 
 def _reference_points(k, n):
+    """The compositions of n into k parts, lexicographically: the recursive
+    enumerator simplex_points once reversed point by point."""
     if k == 1:
         return [(n,)]
     return [(head, *tail) for head in range(n + 1) for tail in _reference_points(k - 1, n - head)]
@@ -133,6 +143,18 @@ def _reference_boundary(nodes, edge_index, pair):
     line = [u for u, p in enumerate(nodes) if set(support(p)) <= {i, j}]
     ordered = sorted(line, key=lambda u: -nodes[u][i - 1])
     return tuple(line), tuple(edge_index[min(a, b), max(a, b)] for a, b in zip(ordered, ordered[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("k", range(2, 7))
+def test_simplex_points_match_the_recursive_enumerator(k, n):
+    assert simplex_points(k, n) == [p[::-1] for p in _reference_points(k, n)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bottom_face_is_the_colex_prefix(n):
+    # x4 = 0 on the first C(n+2, 2) nodes, in the face graph's own order
+    assert face_of(build_graph(4, n), (1, 2, 3))[1] == tuple(range(node_count(3, n)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -318,8 +340,10 @@ def test_graph_bytes_per_edge():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the point -> index dict is built on first read, not by build_graph
-    assert "index" not in vars(g)
+    # the node table, the point -> index dict, the offsets and the adjacency
+    # are built on first read, not by build_graph
+    for view in ("nodes", "index", "first", "adj"):
+        assert view not in vars(g)
     cached = build_graph(4, 48)
     assert (g.tails, g.heads, g.first) == (cached.tails, cached.heads, cached.first)
     # index, once read, tails and heads share one int object per node
@@ -327,8 +351,8 @@ def test_graph_bytes_per_edge():
     assert ids == list(range(len(g.nodes)))
     assert all(g.tails[e] is ids[g.tails[e]] and g.heads[e] is ids[g.heads[e]] for e in range(len(g.tails)))
     assert "adj" not in vars(g)
-    # 42.8 measured on CPython 3.11, plus 10%
-    assert held / len(g.tails) <= 47
+    # 21.6 measured on CPython 3.11, plus 10%
+    assert held / len(g.tails) <= 23.8
 
 
 @given(st.integers(2, 6), st.integers(1, 12))
@@ -353,6 +377,27 @@ def test_combine_and_limitation_min_build_no_index():
     combine(params, g)
     limitation_min(params, n=39)
     assert "index" not in vars(g)
+
+
+def test_limits_and_dimacs_round_trip_build_no_node_table():
+    # a fresh interpreter, so that no other test has read the graph's views
+    code = """
+from fractions import Fraction
+from simplexcut import GapParams, build_graph, combine, limitation_min
+from simplexcut.io import emit_instance_dimacs, parse_instance
+params = GapParams.tuned(c=Fraction(1, 13))
+limitation_min(params, n=39)
+g = build_graph(4, 39)
+w = combine(params, g)
+assert parse_instance(emit_instance_dimacs(w)).weights == w
+print(" ".join(sorted(vars(g))))
+"""
+    path = filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.split() == ["heads", "k", "n", "tails", "terminals"]
 
 
 def test_red_region_rejects_bad_depth():

@@ -1,6 +1,7 @@
 """Exact minimum non-opposite cuts: enumeration, pruning, flows."""
 
 import hashlib
+import sys
 from collections import deque
 from fractions import Fraction
 from math import lcm
@@ -26,7 +27,7 @@ from simplexcut import (
     nonopposite_cost_floor,
     support,
 )
-from simplexcut.search import _label_choices, _price, _seed_cuts, _weighted_edges
+from simplexcut.search import _count_text, _label_choices, _price, _seed_cuts, _weighted_edges
 
 # exact values proven by full enumeration or certified branch-and-bound
 MIN_J_DELTA_3_3 = Fraction(1)
@@ -39,6 +40,19 @@ def test_labeling_space_sizes():
     with pytest.raises(BudgetExceededError) as refused:
         enumerate_non_opposite(build_graph(4, 3), max_labelings=1)
     assert str(refused.value) == "136048896 labelings exceed the budget of 1"
+
+
+def test_count_text_names_a_long_count_by_its_power_of_ten():
+    assert _count_text(16384) == "16384"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert _count_text(10**4299) == "1" + "0" * 4299
+        assert _count_text(10**5000) == "more than 10^4999"
+        assert _count_text(10**5000 + 1) == "more than 10^5000"
+        assert _count_text(10**5001 - 1) == "more than 10^5000"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_enumerate_visits_every_cut_once():

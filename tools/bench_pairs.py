@@ -13,8 +13,10 @@ pairs run the parent first, even pairs the change first, so a slow spell
 of a shared host falls on both sides.  Both sides run from temporary
 directories, so neither is measured in a different place: the parent's
 files are extracted with ``git archive``, and the change side is a copy of
-the working tree's tracked files and untracked, non-ignored files.  Both
-copies are removed afterwards, also when the script is stopped by
+the working tree's tracked files and untracked, non-ignored files.  Every
+pair gets fresh copies of both sides, so a metric that depends on the run
+directory varies between pairs instead of splitting the sides.  The
+copies are removed after their pair, also when the script is stopped by
 SIGTERM or Ctrl-C, which kill the running bench/run.py and its worker;
 unlike a worktree, an interrupted run leaves nothing behind in the
 repository's git metadata.
@@ -184,20 +186,20 @@ def main(argv=None) -> int:
     command = benchmark["command"]
     commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     runs = []
-    with sides(ROOT, commit) as roots:
-        for workload in args.workload:
-            for seed in args.seeds:
-                for pair in range(1, args.pairs + 1):
-                    order = ("parent", "change") if pair % 2 else ("change", "parent")
-                    entry = {"workload": workload, "seed": seed, "pair": pair, "first": order[0]}
+    for workload in args.workload:
+        for seed in args.seeds:
+            for pair in range(1, args.pairs + 1):
+                order = ("parent", "change") if pair % 2 else ("change", "parent")
+                entry = {"workload": workload, "seed": seed, "pair": pair, "first": order[0]}
+                with sides(ROOT, commit) as roots:
                     for side in order:
                         entry[side] = _run(roots[side], command, workload, seed)
-                    runs.append(entry)
-                    shown = {
-                        side: {k: round(m["value"], 3) for k, m in entry[side]["metrics"].items()}
-                        for side in ("parent", "change")
-                    }
-                    print(f"{workload} seed {seed} pair {pair}: {json.dumps(shown)}", file=sys.stderr)
+                runs.append(entry)
+                shown = {
+                    side: {k: round(m["value"], 3) for k, m in entry[side]["metrics"].items()}
+                    for side in ("parent", "change")
+                }
+                print(f"{workload} seed {seed} pair {pair}: {json.dumps(shown)}", file=sys.stderr)
 
     summary = {}
     for workload in args.workload:
