@@ -42,6 +42,8 @@ from .search import (
     DEFAULT_LABELING_BUDGET,
     SEARCH_MODES,
     SearchBudget,
+    _non_opposite_space,
+    _within_budget,
     enumerate_non_opposite,
     min_non_opposite_cost,
     min_terminal_face_cut,
@@ -206,8 +208,9 @@ def cmd_enumerate(args) -> int:
         raise ValueError("enumerate needs either --instance or both --k and --n")
     if args.mode is not None:
         raise ValueError("--mode only applies to --instance; --k/--n count cuts")
-    g = build_graph(args.k, args.n)
-    count = enumerate_non_opposite(g, max_labelings=args.budget)
+    # the space has a closed form, so a refusal builds no lattice
+    _within_budget(_non_opposite_space(args.k, args.n), args.budget)
+    count = enumerate_non_opposite(build_graph(args.k, args.n), max_labelings=args.budget)
     doc = {
         "command": "enumerate",
         "parameters": {"k": args.k, "n": args.n, "budget": args.budget},

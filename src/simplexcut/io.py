@@ -14,15 +14,16 @@ time with list-level operations instead of one Python step per line.
 Blocks of EMIT_BLOCK_ROWS edges are joined from columns of node names
 and weight texts and appended to the one document string, which grows in
 place, so the document is never held twice.  The reader takes a slice of
-PARSE_SLICE_CHARS characters at one go only when every line in it is an
-edge line as the emitter writes them and the rows continue the edge
-order into empty slots; that is every slice of an emitted document but
-the one holding the header.  Every other slice goes through the general
-line-by-line reader, which accepts lines in any order, comments, odd
-whitespace and number forms, and is the source of every error message:
-the list-level path only ever returns the result the line reader would.
-Either way a row's weight goes into a 4-byte slot of one array.  The
-text is read until its problem line and terminal lines build the lattice,
+PARSE_SLICE_CHARS characters at one go, split once on spaces, only when
+it is edge lines exactly as the emitter writes them and the rows continue
+the edge order into empty slots; that is every slice of an emitted
+document but the one holding the header.  Every other slice goes through
+the general line-by-line reader, which accepts lines in any order,
+comments, odd whitespace and number forms, and is the source of every
+error message: the list-level path only ever returns the result the line
+reader would.  Either way a row's weight goes into a 4-byte slot of one
+array.  The text is read until its problem line and terminal lines build
+the lattice, stepping over slices of edge lines with one pattern match,
 and read again from the top once the graph exists; a problem line that
 announces a negative edge count, or more edges than its lattice has, is
 refused before the lattice is built.
@@ -31,6 +32,7 @@ refused before the lattice is built.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -190,7 +192,9 @@ def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
     A block is put together from lists: compress drops its zero-weight
     edges, node names come from a sliding window of str(r) for r from the
     block's first u to its largest v, and weight texts from one dict over
-    the distinct numerators.  No row is formatted on its own.
+    the distinct numerators.  No row is formatted on its own, and the
+    endpoints are read from the columns as the names are looked up, so
+    no list of endpoint ints is made.
     """
     g, nums = w.graph, w.nums
     texts = {x: f" {text}\n" for x, text in _weight_texts(w).items()}
@@ -198,15 +202,16 @@ def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
     for start in range(0, len(nums), EMIT_BLOCK_ROWS):
         rows = slice(start, start + EMIT_BLOCK_ROWS)
         us, vs, block_nums = g.tails[rows], g.heads[rows], nums[rows]
-        if not include_zero_edges:
-            us, vs = list(compress(us, block_nums)), list(compress(vs, block_nums))
-            block_nums = list(compress(block_nums, block_nums))
-        if not us:
-            continue
         name = names.window(us[0], max(vs)).__getitem__
+        if not include_zero_edges:
+            us, vs = compress(us, block_nums), compress(vs, block_nums)
+            block_nums = list(compress(block_nums, block_nums))
+        m = len(block_nums)
+        if not m:
+            continue
         # "e ", u, " ", v, " p/q\n" for each row
-        parts = [" "] * (5 * len(us))
-        parts[0::5] = ["e "] * len(us)
+        parts = [" "] * (5 * m)
+        parts[0::5] = ["e "] * m
         parts[1::5] = map(name, us)
         parts[3::5] = map(name, vs)
         parts[4::5] = map(texts.__getitem__, block_nums)
@@ -270,7 +275,8 @@ class _WeightSlots:
         self.graph = g
         self.tails, self.heads = g.tails, g.heads
         self.edge_between = g.edge_between  # bound once: add runs per edge
-        self.codes: dict[str, int] = {}
+        self.codes: dict[str, int] = {}  # weight text -> code
+        self.keys: dict[str, int] = {}  # "text\ne" -> code, for fill
         self.values: list[Fraction] = []
         self.slots = array("I", [0]) * len(g.tails)
         # the edge after the last one filled: emitted rows come in edge
@@ -299,37 +305,50 @@ class _WeightSlots:
         self.slots[e] = code
         self.hint = e + 1
 
-    def fill(self, tokens: list[str]) -> bool:
-        """Fill the slots of a run of edge rows at one go.
+    def fill(self, piece: str) -> bool:
+        """Fill the slots of a slice of edge rows at one go.
 
-        tokens holds four per row: "e", u, v and the weight text.  The run
-        is taken when its rows continue from the hint in edge order into
-        empty slots and each new weight text parses to a nonnegative
-        rational; the texts are parsed once each, in document order, as add
-        would.  Otherwise nothing changes and the result is False: add then
-        reads the rows one by one, and raises the error if there is one.
+        The slice is split once on " ", and "e" is appended to its last
+        token, so that a slice of rows "e u v text\\n" gives "e" and then
+        u, v and the key "text\\ne" for each row.  It is taken when the
+        endpoints are the names str writes for the edges that continue
+        from the hint, their slots are empty, and each new key ends in
+        "\\ne" after a printable text that parses to a nonnegative
+        rational.  A printable text holds no whitespace but " ", at which
+        the slice was split, and no line break, so the slice is those rows
+        exactly, as the line reader would read them; new texts are parsed
+        once each, in document order, as add would.  Otherwise nothing
+        changes and the result is False: add then reads the rows one by
+        one, and raises the error if there is one.
         """
-        h, m = self.hint, len(tokens) // 4
+        tokens = piece.split(" ")
+        tokens[-1] += "e"
+        h, (m, extra) = self.hint, divmod(len(tokens) - 1, 3)
         us, vs = self.tails[h : h + m], self.heads[h : h + m]
-        if len(us) != m or any(self.slots[h : h + m]):
+        if tokens[0] != "e" or extra or not 0 < m == len(us) or any(self.slots[h : h + m]):
             return False
         # endpoints must be written as str writes them; other forms ("03",
         # "+3") are left to add, which reads them with int
         name = self.names.window(us[0], max(vs)).__getitem__
-        if tokens[1::4] != list(map(name, us)) or tokens[2::4] != list(map(name, vs)):
+        if tokens[1::3] != list(map(name, us)) or tokens[2::3] != list(map(name, vs)):
             return False
-        texts = tokens[3::4]
-        new = [t for t in dict.fromkeys(texts) if t not in self.codes]
+        keys = tokens[3::3]
+        new = [key for key in dict.fromkeys(keys) if key not in self.keys]
+        texts = [key[:-2] for key in new]
+        if not all(key.endswith("\ne") and text.isprintable() for key, text in zip(new, texts)):
+            return False
+        fresh = [text for text in texts if text not in self.codes]
         try:
-            values = [parse_rational(t) for t in new]
+            values = [parse_rational(text) for text in fresh]
         except ValueError:
             return False
         if any(x < 0 for x in values):
             return False
         first = len(self.values) + 1
-        self.codes.update(zip(new, range(first, first + len(new))))
+        self.codes.update(zip(fresh, range(first, first + len(fresh))))
         self.values += values
-        self.slots[h : h + m] = array("I", map(self.codes.__getitem__, texts))
+        self.keys.update(zip(new, map(self.codes.__getitem__, texts)))
+        self.slots[h : h + m] = array("I", map(self.keys.__getitem__, keys))
         self.hint = h + m
         return True
 
@@ -397,44 +416,19 @@ def _slices(text: str) -> Iterator[str]:
         start = end
 
 
-# whitespace other than " ", "\r" and "\n": str.split() splits at it, but a
-# line's kind ends only at a space, and all but tab and \x1f end lines
-_ODD_WHITESPACE = "\t\v\f\x1c\x1d\x1e\x1f"
-
-
-def _edge_tokens(piece: str) -> list[str] | None:
-    """piece.split() when every line of piece is an edge line that the
-    line reader splits into the same four tokens "e", u, v, weight text;
-    None for any other slice.
-
-    The slice must be ASCII, hold no odd whitespace and no "\\r" outside
-    "\\r\\n", so that its lines are those between its newlines; every line
-    must start with "e "; and its tokens must come four per line with "e"
-    at every fourth place and nowhere else.  Its "e" tokens then are its
-    line starts, four tokens apart.
-    """
-    if not piece.startswith("e ") or not piece.isascii():
-        return None
-    if any(c in piece for c in _ODD_WHITESPACE):
-        return None
-    if "\r" in piece and piece.count("\r") != piece.count("\r\n"):
-        return None
-    rows = piece.count("\n") + (not piece.endswith("\n"))
-    if piece.count("\ne ") != rows - 1:
-        return None
-    tokens = piece.split()
-    if len(tokens) != 4 * rows or tokens.count("e") != rows or tokens[::4].count("e") != rows:
-        return None
-    return tokens
+# a slice of edge lines "e u v text" with single spaces and printable
+# ASCII tokens, each line ended by "\n" or "\r\n": the line reader finds
+# three fields after "e" on each of its lines
+_EDGE_ROWS = re.compile(r"(?:e [!-~]+ [!-~]+ [!-~]+\r?\n)+")
 
 
 def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | ParsedInstance:
     """Read a DIMACS-like document once, from the top.
 
-    Without a graph, edge lines are only checked for their shape, and the
-    lattice graph is returned as soon as the problem line and all k
-    terminal lines are in; a header that never completes is refused at
-    the end of the text.  With the graph, every edge line fills its slot
+    Without a graph, edge lines are only checked for their shape, a slice
+    at a time where _EDGE_ROWS matches it, and the lattice graph is
+    returned as soon as the problem line and all k terminal lines are in;
+    a header that never completes is refused at the end of the text.  With the graph, every edge line fills its slot
     in document order; the header lines on the way passed the first
     reading, so only edge lines and the lines after the header can raise.
     """
@@ -446,9 +440,8 @@ def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | Parsed
     slots = None if graph is None else _WeightSlots(graph)
     edge_lines = 0
     for piece in _slices(text):
-        tokens = _edge_tokens(piece)
-        if tokens is not None and (slots is None or slots.fill(tokens)):
-            edge_lines += len(tokens) // 4
+        if _EDGE_ROWS.fullmatch(piece) if slots is None else slots.fill(piece):
+            edge_lines += piece.count("\n")
             continue
         for raw in piece.splitlines():
             line = raw.strip()
@@ -513,22 +506,26 @@ def parse_instance_dimacs(text: str) -> ParsedInstance:
 
     The text is read one slice of about PARSE_SLICE_CHARS characters at a
     time, so only one slice's lines or tokens are held at once.  A slice
-    of edge lines only, as emit_instance_dimacs writes them, is split into
-    tokens and taken in at one go (_edge_tokens, _WeightSlots.fill) when
-    its rows continue the edge order into empty slots.  Every other slice
-    (the header, comments, rows out of order, duplicates, odd whitespace
-    or number forms, any error) is read line by line.  That general reader
-    remains the one definition of the format and the source of every error
-    message; a slice is taken at one go only when the result is the one
-    the line reader would give.
+    of edge lines exactly as emit_instance_dimacs writes them, "e u v
+    text" with single spaces and a printable weight text, is split once on
+    spaces and taken in at one go (_WeightSlots.fill) when its rows
+    continue the edge order into empty slots; rejoined with spaces, its
+    tokens are the slice, so the line reader would read those rows alike.
+    Every other slice (the header, comments, rows out of order,
+    duplicates, CRLF endings, odd whitespace or number forms, any error)
+    is read line by line.  That general reader remains the one definition
+    of the format and the source of every error message; a slice is taken
+    at one go only when the result is the one the line reader would give.
 
     The text is read until the problem line and all k terminal lines are
     in, which builds the lattice, and read again from the top once the
-    graph exists (_read_dimacs).  An emitted document completes its
-    header in its first slice, so only that slice's first lines are read
-    twice.  A problem line that announces a negative edge count, or more
-    edges than the lattice has, is refused as soon as it is read, so no
-    graph is built for it.
+    graph exists (_read_dimacs).  The first reading steps over a slice of
+    edge lines that _EDGE_ROWS matches, keeping no token, since each of
+    its lines is one the line reader only counts.  An emitted document
+    completes its header in its first slice, so only that slice's first
+    lines are read twice.  A problem line that announces a negative edge
+    count, or more edges than the lattice has, is refused as soon as it is
+    read, so no graph is built for it.
     """
     return _read_dimacs(text, _read_dimacs(text, None))
 

@@ -19,18 +19,19 @@ by pot_j - pot_i, where pot_j = sum over m < j of C(S_m + m - 2, m - 1)
 the ranks are computed a whole column of nodes at a time, from coordinate
 columns that are built in colex order without making a point tuple.
 
-Memory: an edge is one entry in each of two int columns, and the columns
-share one int object per node, so a graph holds about 21.5 bytes per edge
-on CPython 3.11 (10.1 MiB for the 492,960 edges of k = 4, n = 78).  The
-node count is node_count(k, n) and a point's index comes from rank, both
-in closed form; the node table, the point -> index dict, the edge offsets
-and the adjacency tuples are built only when nodes, index, first or adj is
-first read.
+Memory: an edge is one entry in each of two arrays of 4-byte unsigned
+ints, with no int object per node, so a graph holds about 8.0 bytes per
+edge on CPython 3.11 (3.8 MiB for the 492,960 edges of k = 4, n = 78).
+The node count is node_count(k, n) and a point's index comes from rank,
+both in closed form; the node table, the point -> index dict, the edge
+offsets and the adjacency tuples are built only when nodes, index, first
+or adj is first read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -42,6 +43,21 @@ from operator import add, sub
 Point = tuple[int, ...]
 
 
+def _check_size(k: int, n: int) -> None:
+    if k < 2:
+        raise ValueError("need at least two coordinates")
+    if n < 1:
+        raise ValueError("resolution must be positive")
+
+
+def support_counts(k: int, n: int) -> list[int]:
+    """counts[s - 1] = the number of lattice points with s positive
+    coordinates, C(k, s) * C(n - 1, s - 1) for s = 1..k, without building
+    the lattice; the k corners are the points with s = 1."""
+    _check_size(k, n)
+    return [math.comb(k, s) * math.comb(n - 1, s - 1) for s in range(1, k + 1)]
+
+
 def _colex_columns(k: int, n: int) -> list[list[int]]:
     """The k coordinate columns of the colex-sorted lattice points.
 
@@ -51,10 +67,7 @@ def _colex_columns(k: int, n: int) -> list[list[int]]:
     covers the C(r - v + j - 1, j - 1) ways to share the rest among the
     j coordinates below.  No point tuple is made.
     """
-    if k < 2:
-        raise ValueError("need at least two coordinates")
-    if n < 1:
-        raise ValueError("resolution must be positive")
+    _check_size(k, n)
     columns = []  # the last coordinate's first
     blocks = [n]  # mass left in each block, in node order
     for j in range(k - 1, 0, -1):
@@ -108,7 +121,7 @@ class SimplexGraph:
     are views built on first read and kept.
 
     tails      the e-th edge is (tails[e], heads[e]), tails[e] < heads[e];
-    heads      edges are sorted by (tail, head)
+    heads      edges are sorted by (tail, head); both are array("I")
     terminals  terminals[i] = node index of the point n*e(i+1)
     edges      read-only (u, v) view of tails and heads, holding no pairs
     nodes      colex-sorted coordinate tuples; on first read
@@ -121,8 +134,8 @@ class SimplexGraph:
 
     k: int
     n: int
-    tails: tuple[int, ...] = field(compare=False)
-    heads: tuple[int, ...] = field(compare=False)
+    tails: array = field(compare=False)
+    heads: array = field(compare=False)
     terminals: tuple[int, ...] = field(compare=False)
 
     def __repr__(self) -> str:
@@ -138,9 +151,8 @@ class SimplexGraph:
 
     @cached_property
     def index(self) -> dict[Point, int]:
-        # every node ends an edge, so the columns hold each node's shared
-        # int object; ranks computed afresh would be new ints
-        return dict(zip(self.nodes, sorted({*self.tails, *self.heads})))
+        nodes = self.nodes
+        return dict(zip(nodes, range(len(nodes))))
 
     @cached_property
     def first(self) -> tuple[int, ...]:
@@ -171,7 +183,7 @@ class SimplexGraph:
             lower[v].append(u)
         # edges are sorted by tail, so each lower list comes out ascending
         heads, first = self.heads, self.first
-        return tuple(tuple(lo) + heads[a:b] for lo, a, b in zip(lower, first, first[1:]))
+        return tuple(tuple(lo) + tuple(heads[a:b]) for lo, a, b in zip(lower, first, first[1:]))
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Index of the edge joining u and v, or None if they are not neighbours."""
@@ -190,7 +202,7 @@ class SimplexGraph:
 class _EdgeView(Sequence):
     """The edges as (u, v) pairs, made on demand from the two columns."""
 
-    def __init__(self, tails: tuple[int, ...], heads: tuple[int, ...]):
+    def __init__(self, tails: array, heads: array):
         self.tails, self.heads = tails, heads
 
     def __len__(self) -> int:
@@ -210,9 +222,7 @@ def build_graph(k: int, n: int) -> SimplexGraph:
     """Build (and cache) the simplex lattice graph for k terminals at resolution n."""
     # columns over all nodes: coordinates p_m, prefix sums S_m and pot_j
     cols = _colex_columns(k, n)
-    # one int object per node, shared by tails and heads; arithmetic on
-    # ranks would make a new int for every edge endpoint
-    ids = list(range(len(cols[0])))
+    ids = range(len(cols[0]))
     # steps[m][s] = C(s + m - 1, m): the rank gained per unit of mass moved
     # past coordinate m + 1 (0-based m) when the prefix sum there is s
     steps = [[1] * (n + 1)]
@@ -231,9 +241,9 @@ def build_graph(k: int, n: int) -> SimplexGraph:
     masks = [movable[i] for i, _ in moves]
     ranks = zip(*(map(add, ids, map(sub, pots[j], pots[i])) for i, j in moves))
     found = compress(chain.from_iterable(ranks), chain.from_iterable(zip(*masks)))
-    heads = tuple(map(ids.__getitem__, found))
+    heads = array("I", found)
     counts = map(sum, zip(*masks))
-    tails = tuple(chain.from_iterable(map(repeat, ids, counts)))
+    tails = array("I", chain.from_iterable(map(repeat, ids, counts)))
     graph = SimplexGraph(k, n, tails, heads, terminal_nodes(k, n))
     assert len(ids) == node_count(k, n) and len(heads) == edge_count(k, n)
     return graph

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Callable
 
@@ -420,7 +421,8 @@ def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int
     weighted = _weighted_edges(w)
     facts: dict[tuple[int, ...], tuple] = {}
     count, ok = 0, True
-    for labels in _within_budget(choices, budget):
+    _within_budget(aux ** (len(nodes) - g.k), budget)
+    for labels in product(*choices):
         count += 1
         q = reachable_labels(g, labels)
         known = facts.get(q)

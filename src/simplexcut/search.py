@@ -24,7 +24,7 @@ from operator import itemgetter
 from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
 from .errors import BudgetExceededError
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_nodes, node_count, support
+from .lattice import SimplexGraph, boundary_nodes, node_count, support, support_counts
 
 DEFAULT_LABELING_BUDGET = 2_000_000
 
@@ -82,17 +82,25 @@ def _label_choices(g: SimplexGraph) -> list[tuple[int, ...]]:
     return choices
 
 
-def _within_budget(choices: list[tuple[int, ...]], max_labelings: int):
-    """Every labeling of a per-node choice family, in mixed-radix order;
-    refuses before the first one when there are more than max_labelings,
-    and refuses a budget below 1 by SearchBudget's rule."""
+def _non_opposite_space(k: int, n: int) -> int:
+    """The number of non-opposite cuts of the (k, n) lattice, in closed
+    form: a node with s positive coordinates has s + 1 labels, and the k
+    corners are pinned."""
+    return prod(map(pow, range(3, k + 2), support_counts(k, n)[1:]))
+
+
+def _within_budget(space: int, max_labelings: int) -> None:
+    """Refuse a family of space labelings when it has more than
+    max_labelings, and a budget below 1 by SearchBudget's rule.
+
+    Callers count their family in closed form and refuse before they
+    build it or walk its first labeling.
+    """
     SearchBudget(max_labelings)
-    space = prod(map(len, choices))
     if space > max_labelings:
         raise BudgetExceededError(
             f"{_count_text(space)} labelings exceed the budget of {max_labelings}"
         )
-    return product(*choices)
 
 
 def _count_text(count: int) -> str:
@@ -136,8 +144,9 @@ def enumerate_non_opposite(
     Refuses to start when the space exceeds max_labelings.  Returns the
     visit count.
     """
+    _within_budget(_non_opposite_space(g.k, g.n), max_labelings)
     count = 0
-    for labels in _within_budget(_label_choices(g), max_labelings):
+    for labels in product(*_label_choices(g)):
         count += 1
         if visitor is not None:
             visitor(CutLabeling(g, labels))

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial
+from itertools import chain, product
+from math import comb, factorial, prod
 from operator import getitem, itemgetter
 
 from .cuts import CutLabeling, delta, is_non_opposite
-from .lattice import simplex_points, support
+from .lattice import node_count, simplex_points, support, support_counts
 from .search import DEFAULT_LABELING_BUDGET, _within_budget
 
 
@@ -96,6 +96,18 @@ class ExtremalReport:
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] | None
 
 
+def _family_size(k: int, n: int, face_restricted: bool) -> int:
+    """The number of labelings exhaustive_extremal scans, in closed form:
+    a node with s positive coordinates has s labels, and in face-restricted
+    mode each of the node_count(k - 1, n) nodes with x_k = 0 has k, while
+    C(k - 1, s - 1) * C(n - 1, s - 1) nodes with x_k > 0 keep their s."""
+    counts = support_counts(k, n)
+    if not face_restricted:
+        return prod(map(pow, range(1, k + 1), counts))
+    kept = (comb(k - 1, s - 1) * comb(n - 1, s - 1) for s in range(1, k + 1))
+    return k ** node_count(k - 1, n) * prod(map(pow, range(1, k + 1), kept))
+
+
 def exhaustive_extremal(
     k: int,
     n: int,
@@ -117,6 +129,7 @@ def exhaustive_extremal(
     The inadmissible count sums a per-node 0/1 table indexed by label.
     count_monochromatic is the per-hyperedge reference.
     """
+    _within_budget(_family_size(k, n, face_restricted), max_labelings)
     h = build_hypergraph(k, n)
     choices: list[tuple[int, ...]] = []
     for p in h.nodes:
@@ -133,7 +146,7 @@ def exhaustive_extremal(
     witness: tuple[int, ...] = ()
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] = {}
     explored = 0
-    for labels in _within_budget(choices, max_labelings):
+    for labels in product(*choices):
         explored += 1
         members = iter(gather(labels))
         mono = sum(map(is_constant, zip(*[members] * k)))

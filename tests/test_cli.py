@@ -27,6 +27,7 @@ from simplexcut import (
     isolate_terminals,
     midlines,
     parse_instance,
+    sperner,
 )
 from simplexcut.reproduce import SUITES
 
@@ -330,6 +331,20 @@ def test_budget_refuses_a_space_too_long_to_print(command, space):
     assert found
     power = int(found.group(1))
     assert 10**power < space <= 10 ** (power + 1)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("enumerate", "--k", "4", "--n", "100"), ("sperner-verify", "--k", "4", "--n", "60")],
+    ids=["enumerate", "sperner-verify"],
+)
+def test_budget_refusal_builds_nothing(monkeypatch, capsys, command):
+    # the space is counted in closed form, so refusing it builds no lattice
+    # and no hypergraph
+    monkeypatch.setattr(cli, "build_graph", lambda k, n: pytest.fail("built the lattice"))
+    monkeypatch.setattr(sperner, "build_hypergraph", lambda k, n: pytest.fail("built the hypergraph"))
+    assert cli.main([*command, "--budget", "10"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "budget-exhausted"
 
 
 def test_sperner_verify_plain():

@@ -4,7 +4,7 @@ import hashlib
 import sys
 from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,14 @@ from simplexcut import (
     nonopposite_cost_floor,
     support,
 )
-from simplexcut.search import _count_text, _label_choices, _price, _seed_cuts, _weighted_edges
+from simplexcut.search import (
+    _count_text,
+    _label_choices,
+    _non_opposite_space,
+    _price,
+    _seed_cuts,
+    _weighted_edges,
+)
 
 # exact values proven by full enumeration or certified branch-and-bound
 MIN_J_DELTA_3_3 = Fraction(1)
@@ -40,6 +47,11 @@ def test_labeling_space_sizes():
     with pytest.raises(BudgetExceededError) as refused:
         enumerate_non_opposite(build_graph(4, 3), max_labelings=1)
     assert str(refused.value) == "136048896 labelings exceed the budget of 1"
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 6), (3, 1), (3, 4), (4, 1), (4, 3), (5, 2), (6, 4)])
+def test_non_opposite_space_counts_the_choice_lists(k, n):
+    assert _non_opposite_space(k, n) == prod(map(len, _label_choices(build_graph(k, n))))
 
 
 def test_count_text_names_a_long_count_by_its_power_of_ten():

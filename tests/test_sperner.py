@@ -122,20 +122,29 @@ def test_lower_bound_validation():
 
 
 def test_budget_refusal_is_eager(monkeypatch):
-    drawn = []
-    within_budget = sperner._within_budget
+    # the family is counted in closed form, so a refusal builds no hypergraph
+    built = []
+    build = sperner.build_hypergraph
 
-    def counting(choices, max_labelings):
-        labelings = within_budget(choices, max_labelings)
-        return (drawn.append(labels) or labels for labels in labelings)
+    def counting(k, n):
+        built.append((k, n))
+        return build(k, n)
 
-    monkeypatch.setattr(sperner, "_within_budget", counting)
+    monkeypatch.setattr(sperner, "build_hypergraph", counting)
     with pytest.raises(BudgetExceededError, match="13824 labelings exceed the budget of 100"):
         exhaustive_extremal(3, 4, max_labelings=100)
-    assert drawn == []
+    assert built == []
     # a budget of exactly the family size scans it all
     rep = exhaustive_extremal(3, 4, max_labelings=13824)
-    assert rep.explored == len(drawn) == 13824
+    assert rep.explored == 13824 and built == [(3, 4)]
+
+
+@pytest.mark.parametrize("face_restricted", [False, True])
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 2), (6, 3)])
+def test_family_size_counts_the_choice_lists(k, n, face_restricted):
+    h = build_hypergraph(k, n)
+    sizes = [k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in h.nodes]
+    assert sperner._family_size(k, n, face_restricted) == prod(sizes)
 
 
 def _exhaustive_extremal_reference(k, n, face_restricted):
