@@ -58,7 +58,6 @@ from .lattice import (
     boundary_edges,
     boundary_nodes,
     build_graph,
-    face_of,
     red_regions,
     simplex_points,
     support,

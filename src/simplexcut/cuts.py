@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, support
+from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count
 
 
 @dataclass(frozen=True)

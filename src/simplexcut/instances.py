@@ -18,7 +18,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, face_of, red_regions
+from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, red_regions
 
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 
@@ -278,10 +278,9 @@ def _component_terms(index: int, g: SimplexGraph, c: Fraction | None) -> tuple[i
         raise ValueError("components are defined on four-terminal graphs")
     check_resolution(g.n, [i == index for i in range(1, 5)], c)
     if index == 1:
+        # the x4 = 0 face is g's node prefix, numbered as the triangle's nodes
         base = build_base_triangle(g.n)
-        sub, to_parent = face_of(g, (1, 2, 3))
-        up = to_parent.__getitem__
-        lifted = map(g.edge_between, map(up, sub.tails), map(up, sub.heads))
+        lifted = map(g.edge_between, base.graph.tails, base.graph.heads)
         return base.den, 0, dict(zip(lifted, base.nums))
     if index == 2:
         lines = (e for pair in combinations((1, 2, 3), 2) for e in boundary_edges(g, pair))

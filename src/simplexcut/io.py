@@ -36,7 +36,6 @@ import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
 from itertools import compress
 from math import lcm
@@ -74,12 +73,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def render_decimal(x: Fraction, places: int = 6) -> str:
-    """Half-even decimal rendering for human-readable columns."""
+    """Half-even decimal rendering for human-readable columns, rounded once
+    and exactly: round() of a Fraction breaks ties to the even integer."""
     x = Fraction(x)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+    digits = str(round(abs(x) * 10**places)).rjust(places + 1, "0")
+    sign = "-" if x < 0 else ""
+    if not places:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 @dataclass(frozen=True)

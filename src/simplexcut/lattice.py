@@ -23,9 +23,9 @@ Memory: an edge is one entry in each of two arrays of 4-byte unsigned
 ints, with no int object per node, so a graph holds about 8.0 bytes per
 edge on CPython 3.11 (3.8 MiB for the 492,960 edges of k = 4, n = 78).
 The node count is node_count(k, n) and a point's index comes from rank,
-both in closed form; the node table, the point -> index dict, the edge
-offsets and the adjacency tuples are built only when nodes, index, first
-or adj is first read.
+both in closed form; the node table and the adjacency tuples are built
+only when nodes or adj is first read.  The x4 = 0 face of a k = 4 graph
+is its first node_count(3, n) nodes, in the order of build_graph(3, n).
 """
 
 from __future__ import annotations
@@ -124,11 +124,8 @@ class SimplexGraph:
     heads      edges are sorted by (tail, head); both are array("I")
     terminals  terminals[i] = node index of the point n*e(i+1)
     edges      read-only (u, v) view of tails and heads, holding no pairs
-    nodes      colex-sorted coordinate tuples; on first read
-    index      point -> node index; on first read.  rank gives one
-               point's index without it
-    first      edges first[u]:first[u+1] are the edges (u, v) with v > u;
-               len(first) == node count + 1; on first read
+    nodes      colex-sorted coordinate tuples; on first read.  rank
+               gives one point's index without it
     adj        adj[u] = tuple of u's neighbours, ascending; on first read
     """
 
@@ -149,16 +146,6 @@ class SimplexGraph:
     def nodes(self) -> tuple[Point, ...]:
         return tuple(simplex_points(self.k, self.n))
 
-    @cached_property
-    def index(self) -> dict[Point, int]:
-        nodes = self.nodes
-        return dict(zip(nodes, range(len(nodes))))
-
-    @cached_property
-    def first(self) -> tuple[int, ...]:
-        tails = self.tails
-        return tuple(map(bisect_left, repeat(tails), range(node_count(self.k, self.n) + 1)))
-
     def rank(self, point: Sequence[int]) -> int:
         """The node index of a lattice point: its colex rank.
 
@@ -178,12 +165,13 @@ class SimplexGraph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        lower: list[list[int]] = [[] for _ in range(node_count(self.k, self.n))]
+        # edges are sorted by (tail, head): a node meets its lower
+        # neighbours, ascending, before the edges it is the tail of
+        adj: list[list[int]] = [[] for _ in range(node_count(self.k, self.n))]
         for u, v in zip(self.tails, self.heads):
-            lower[v].append(u)
-        # edges are sorted by tail, so each lower list comes out ascending
-        heads, first = self.heads, self.first
-        return tuple(tuple(lo) + tuple(heads[a:b]) for lo, a, b in zip(lower, first, first[1:]))
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Index of the edge joining u and v, or None if they are not neighbours."""
@@ -208,9 +196,7 @@ class _EdgeView(Sequence):
     def __len__(self) -> int:
         return len(self.tails)
 
-    def __getitem__(self, e):
-        if isinstance(e, slice):
-            return tuple(zip(self.tails[e], self.heads[e]))
+    def __getitem__(self, e: int) -> tuple[int, int]:
         return self.tails[e], self.heads[e]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -274,29 +260,6 @@ def boundary_edges(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:
         assert e is not None
         out.append(e)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def face_of(g: SimplexGraph, coords: tuple[int, ...]) -> tuple[SimplexGraph, tuple[int, ...]]:
-    """Sub-simplex induced by the nodes supported on the given coordinates.
-
-    Returns the face as a standalone graph (on len(coords) coordinates)
-    plus to_parent, where to_parent[face node index] = parent node index.
-    Face node order is the face graph's own colex order.  Cached by
-    (g, coords), so every graph equal to g gets the same pair.
-    """
-    k, n = g.k, g.n
-    coords = tuple(sorted(coords))
-    if len(coords) < 2 or any(not 1 <= c <= k for c in coords) or len(set(coords)) != len(coords):
-        raise ValueError(f"bad coordinate subset: {coords}")
-    sub = build_graph(len(coords), n)
-    to_parent = []
-    for p in sub.nodes:
-        q = [0] * k
-        for value, c in zip(p, coords):
-            q[c - 1] = value
-        to_parent.append(g.rank(q))
-    return sub, tuple(to_parent)
 
 
 @dataclass(frozen=True)

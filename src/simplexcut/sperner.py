@@ -17,7 +17,7 @@ from math import comb, factorial, prod
 from operator import getitem, itemgetter
 
 from .cuts import CutLabeling, delta, is_non_opposite
-from .lattice import node_count, simplex_points, support, support_counts
+from .lattice import build_graph, node_count, simplex_points, support, support_counts
 from .search import DEFAULT_LABELING_BUDGET, _within_budget
 
 
@@ -26,14 +26,16 @@ class SimplexHypergraph:
     k: int
     n: int
     nodes: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
     hyperedges: tuple[tuple[int, ...], ...]
 
 
 def build_hypergraph(k: int, n: int) -> SimplexHypergraph:
-    """One hyperedge per level-(n-1) point: its k unit successors."""
-    nodes = simplex_points(k, n)
-    index = {p: i for i, p in enumerate(nodes)}
+    """One hyperedge per level-(n-1) point: its k unit successors.
+
+    nodes is the node table of build_graph(k, n), and each member is the
+    colex rank of a successor, so node indices are the lattice graph's.
+    """
+    g = build_graph(k, n)
     bases = simplex_points(k, n - 1) if n >= 2 else ((0,) * k,)
     hyperedges = []
     for base in bases:
@@ -41,9 +43,9 @@ def build_hypergraph(k: int, n: int) -> SimplexHypergraph:
         for i in range(k):
             lifted = list(base)
             lifted[i] += 1
-            members.append(index[tuple(lifted)])
+            members.append(g.rank(lifted))
         hyperedges.append(tuple(members))
-    h = SimplexHypergraph(k, n, nodes, index, tuple(hyperedges))
+    h = SimplexHypergraph(k, n, g.nodes, tuple(hyperedges))
     assert len(h.hyperedges) == comb(n + k - 2, k - 1)
     return h
 
@@ -213,11 +215,8 @@ def cut_size_floor(p: CutLabeling) -> FloorCheck:
     if not is_non_opposite(p):
         raise ValueError("the cut-size floor only applies to non-opposite cuts")
     n = g.n
-    face_labeled = sum(
-        1
-        for node, point in enumerate(g.nodes)
-        if point[3] == 0 and p.labels[node] <= 3
-    )
+    # the x4 = 0 face is the node prefix
+    face_labeled = sum(label <= 3 for label in p.labels[: node_count(3, n)])
     alpha = Fraction(face_labeled, (n + 1) * (n + 2))
     lower = 3 * alpha * n * (n + 1)
     size = len(delta(p))

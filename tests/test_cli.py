@@ -20,12 +20,16 @@ import pytest
 
 import simplexcut
 from simplexcut import (
+    WeightMap,
     build_graph,
     cli,
+    cost,
     emit_cut,
+    emit_instance_json,
     exhaustive_extremal,
     isolate_terminals,
     midlines,
+    min_terminal_face_cut,
     parse_instance,
     sperner,
 )
@@ -226,6 +230,21 @@ def test_min_cut_value(triangle9):
     doc = report(run("min-cut", "--instance", str(triangle9), "--terminal", "1"))
     assert doc["results"]["min_cut"]["exact"] == "2/5"
     assert doc["results"]["provenance"] == "max-flow"
+
+
+def test_huge_weights_are_reported_exactly(tmp_path):
+    # every weight 10^60: the decimal column keeps all 61 integer digits
+    g = build_graph(3, 3)
+    w = WeightMap.from_numerators(g, 1, [10**60] * len(g.edges))
+    path = tmp_path / "huge.json"
+    path.write_text(emit_instance_json(w, tag="triangle"))
+    for argv, key, value in [
+        (("eval-cut", "--cut", "midlines"), "cost", cost(midlines(g), w)),
+        (("min-cut", "--terminal", "1"), "min_cut", min_terminal_face_cut(w, 1)),
+    ]:
+        doc = report(run(argv[0], "--instance", str(path), *argv[1:]))
+        assert value.denominator == 1 and value > 10**60
+        assert doc["results"][key] == {"exact": f"{value}/1", "decimal": f"{value}.000000"}
 
 
 def test_enumerate_counts_non_opposite():

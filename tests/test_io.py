@@ -77,6 +77,9 @@ def test_render_decimal_half_even():
     assert render_decimal(Fraction(35, 10**7)) == "0.000004"
     assert render_decimal(Fraction(6, 5)) == "1.200000"
     assert render_decimal(Fraction(6, 5), places=2) == "1.20"
+    # rounded once, from the exact value, at any size
+    assert render_decimal(Fraction(5, 10**7) + Fraction(1, 10**70)) == "0.000001"
+    assert render_decimal(Fraction(10**54)) == "1" + "0" * 54 + ".000000"
 
 
 @pytest.mark.parametrize("tag,c,lam,w", _sample_instances(), ids=lambda v: str(v)[:24])

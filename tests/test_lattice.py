@@ -7,9 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -23,9 +22,10 @@ from simplexcut import (
     RedRegions,
     boundary_edges,
     boundary_nodes,
+    build_base_triangle,
+    build_component,
     build_graph,
     combine,
-    face_of,
     limitation_min,
     red_regions,
     simplex_points,
@@ -97,9 +97,6 @@ def test_edge_index_round_trip():
     for e, (u, v) in enumerate(g.edges):
         assert g.edge_between(u, v) == e
         assert g.edge_between(v, u) == e
-    assert len(g.first) == len(g.nodes) + 1
-    for u in range(len(g.nodes)):
-        assert g.edges[g.first[u] : g.first[u + 1]] == tuple(e for e in g.edges if e[0] == u)
 
 
 def _reference_points(k, n):
@@ -155,7 +152,9 @@ def test_simplex_points_match_the_recursive_enumerator(k, n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_bottom_face_is_the_colex_prefix(n):
     # x4 = 0 on the first C(n+2, 2) nodes, in the face graph's own order
-    assert face_of(build_graph(4, n), (1, 2, 3))[1] == tuple(range(node_count(3, n)))
+    g, face = build_graph(4, n), build_graph(3, n)
+    assert g.nodes[: node_count(3, n)] == tuple((*p, 0) for p in face.nodes)
+    assert g.terminals[:3] == face.terminals
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -165,13 +164,10 @@ def test_rank_construction_matches_reference(k, n):
     g = build_graph.__wrapped__(k, n)
     nodes, index, edges, edge_index, adj, terminals = _reference_graph(k, n)
     assert g.nodes == tuple(nodes)
-    assert g.index == index
     assert tuple(g.tails) == tuple(u for u, _ in edges)
     assert tuple(g.heads) == tuple(v for _, v in edges)
     assert len(g.edges) == len(edges) and tuple(g.edges) == tuple(edges)
     assert g.terminals == tuple(terminals)
-    lower_counts = Counter(u for u, _ in edges)
-    assert g.first == tuple(accumulate((lower_counts[u] for u in range(len(nodes))), initial=0))
     # adj is built on first read, not by build_graph, and then kept
     assert "adj" not in vars(g)
     assert g.adj == tuple(map(tuple, adj))
@@ -233,21 +229,17 @@ def test_graphs_compare_by_k_and_n(clone):
     assert g != (3, 6)
 
 
-def test_face_of_a_copied_graph_is_the_cached_pair():
-    g = build_graph(4, 5)
-    pair = face_of(g, (1, 2, 3))
-    hits = face_of.cache_info().hits
-    assert face_of(copy.deepcopy(g), (1, 2, 3)) is pair
-    assert face_of.cache_info().hits == hits + 1
-
-
 def test_face_is_shared_graph_object():
-    g = build_graph(4, 5)
-    sub, to_parent = face_of(g, (1, 2, 3))
-    assert sub is build_graph(3, 5)
-    assert len(to_parent) == len(sub.nodes)
-    for i, p in enumerate(sub.nodes):
-        assert g.nodes[to_parent[i]] == (*p, 0)
+    # the face component is the base triangle, each edge lifted through its
+    # endpoints' coordinates onto the x4 = 0 face
+    g = build_graph(4, 6)
+    base = build_base_triangle(6)
+    face = base.graph
+    lift = lambda u: g.rank((*face.nodes[u], 0))
+    lifted = {
+        g.edge_between(lift(u), lift(v)): base.weight(e) for e, (u, v) in enumerate(face.edges)
+    }
+    assert dict(build_component(1, g).weights) == {e: w for e, w in lifted.items() if w}
 
 
 @pytest.mark.parametrize(
@@ -341,9 +333,9 @@ def test_graph_bytes_per_edge():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the node table, the point -> index dict, the offsets and the adjacency
-    # are built on first read, not by build_graph
-    for view in ("nodes", "index", "first", "adj"):
+    # the node table and the adjacency are built on first read, not by
+    # build_graph
+    for view in ("nodes", "adj"):
         assert view not in vars(g)
     # the columns are arrays of 4-byte unsigned ints, equal to the reference
     _, _, edges, _, _, _ = _reference_graph(4, 48)
@@ -351,7 +343,7 @@ def test_graph_bytes_per_edge():
     assert g.heads == array("I", (v for _, v in edges))
     assert g.tails.itemsize == g.heads.itemsize == 4
     cached = build_graph(4, 48)
-    assert (g.tails, g.heads, g.first) == (cached.tails, cached.heads, cached.first)
+    assert (g.tails, g.heads) == (cached.tails, cached.heads)
     assert "adj" not in vars(g)
     # 8.3 measured on CPython 3.11 (8.0 for the columns' entries, the rest
     # the arrays' growth slack)
@@ -361,11 +353,8 @@ def test_graph_bytes_per_edge():
 @given(st.integers(2, 6), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_rank_is_the_node_index(k, n):
-    # built outside the cache, so that index is read here first
     g = build_graph.__wrapped__(k, n)
     assert all(g.rank(p) == i for i, p in enumerate(g.nodes))
-    assert "index" not in vars(g)
-    assert g.index == {p: i for i, p in enumerate(g.nodes)}
 
 
 @pytest.mark.parametrize("point", [(3, 0, 0), (2, 1, 2), (5, -1, 0), (2, 2), (2, 1, 1, 0)])
@@ -379,7 +368,8 @@ def test_combine_and_limitation_min_build_no_index():
     g = build_graph(4, 39)
     combine(params, g)
     limitation_min(params, n=39)
-    assert "index" not in vars(g)
+    # no point -> index dict on the graph: points are ranked in closed form
+    assert not any(isinstance(view, dict) for view in vars(g).values())
 
 
 def test_limits_and_dimacs_round_trip_build_no_node_table():

@@ -21,6 +21,7 @@ from simplexcut import (
     midlines_extended,
     monochromatic_upper_bound,
     nonmonochromatic_lower_bound,
+    simplex_points,
     support,
     terminal_ball,
 )
@@ -63,6 +64,27 @@ def test_hyperedges_are_upward_simplices():
             tuple(b + (1 if i == j else 0) for j, b in enumerate(base))
             for i in range(3)
         )
+
+
+def _reference_hypergraph(k, n):
+    """The dict construction: each successor looked up in a point -> index
+    dict over the colex-sorted points."""
+    nodes = simplex_points(k, n)
+    index = {p: i for i, p in enumerate(nodes)}
+    bases = simplex_points(k, n - 1) if n >= 2 else [(0,) * k]
+    hyperedges = tuple(
+        tuple(index[tuple(b + (i == j) for j, b in enumerate(base))] for i in range(k))
+        for base in bases
+    )
+    return tuple(nodes), hyperedges
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", range(2, 6))
+def test_hypergraph_matches_dict_reference(k, n):
+    h = build_hypergraph(k, n)
+    assert (h.nodes, h.hyperedges) == _reference_hypergraph(k, n)
+    assert h.nodes is build_graph(k, n).nodes
 
 
 @pytest.mark.parametrize("k,n", sorted(EXTREMAL))
@@ -210,6 +232,8 @@ def test_cut_size_floor_on_named_cuts():
     g = build_graph(4, 12)
     for p in (isolate_terminals(g), midlines_extended(g), terminal_ball(g, Fraction(1, 4))):
         fc = cut_size_floor(p)
+        face = sum(1 for u, q in enumerate(g.nodes) if q[3] == 0 and p.labels[u] <= 3)
+        assert fc.alpha == Fraction(face, (g.n + 1) * (g.n + 2))
         assert fc.ok
         assert fc.cut_size >= fc.lower_bound
         assert 0 <= fc.alpha <= 1
