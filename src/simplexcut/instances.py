@@ -11,14 +11,15 @@ Fractions appear only where weights enter or leave a map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, red_regions
+from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, red_regions
 
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 
@@ -278,10 +279,14 @@ def _component_terms(index: int, g: SimplexGraph, c: Fraction | None) -> tuple[i
         raise ValueError("components are defined on four-terminal graphs")
     check_resolution(g.n, [i == index for i in range(1, 5)], c)
     if index == 1:
-        # the x4 = 0 face is g's node prefix, numbered as the triangle's nodes
+        # the x4 = 0 face is g's node prefix, numbered as the triangle's
+        # nodes, so its edges are the edges among the prefix, in the
+        # triangle's own (tail, head) order
         base = build_base_triangle(g.n)
-        lifted = map(g.edge_between, base.graph.tails, base.graph.heads)
-        return base.den, 0, dict(zip(lifted, base.nums))
+        face = node_count(3, g.n)
+        stop = bisect_left(g.tails, face)
+        lifted = compress(range(stop), map(face.__gt__, g.heads[:stop]))
+        return base.den, 0, dict(zip(lifted, base.nums, strict=True))
     if index == 2:
         lines = (e for pair in combinations((1, 2, 3), 2) for e in boundary_edges(g, pair))
         return 3, 0, dict.fromkeys(lines, 1)

@@ -102,6 +102,20 @@ def edge_count(k: int, n: int) -> int:
     return math.comb(k, 2) * math.comb(n + k - 2, k - 1)
 
 
+def reach(k: int, n: int) -> int:
+    """The largest head - tail over the edges of the (k, n) lattice,
+    C(n + k - 2, k - 2) = node_count(k - 1, n): every edge (u, v) has
+    u < v <= u + reach(k, n).
+
+    Moving a unit from coordinate i to a later j (1-based) raises the rank
+    by pot_j - pot_i, the sum over i <= m < j of C(S_m + m - 2, m - 1).
+    Each term is at most C(n + m - 2, m - 1), and those bounds summed over
+    m = 1..k - 1 give C(n + k - 2, k - 2) (the hockey-stick identity).
+    The move from n*e1 to (n - 1)*e1 + ek, where every S_m is n, attains it.
+    """
+    return node_count(k - 1, n)
+
+
 def terminal_nodes(k: int, n: int) -> tuple[int, ...]:
     """Node indices of the corners n*e1, ..., n*ek: C(n+t-1, t-1) - 1 for
     the t-th corner, computed without building the graph."""

@@ -421,7 +421,7 @@ def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int
     weighted = _weighted_edges(w)
     facts: dict[tuple[int, ...], tuple] = {}
     count, ok = 0, True
-    _within_budget(aux ** (len(nodes) - g.k), budget)
+    _within_budget([(aux, len(nodes) - g.k)], budget)
     for labels in product(*choices):
         count += 1
         q = reachable_labels(g, labels)

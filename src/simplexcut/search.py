@@ -15,10 +15,11 @@ over its common denominator, so reported costs are exact rationals.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor, log10, prod
+from math import floor, inf, log10, prod
 from operator import itemgetter
 
 from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
@@ -82,25 +83,52 @@ def _label_choices(g: SimplexGraph) -> list[tuple[int, ...]]:
     return choices
 
 
-def _non_opposite_space(k: int, n: int) -> int:
+def _non_opposite_space(k: int, n: int) -> list[tuple[int, int]]:
     """The number of non-opposite cuts of the (k, n) lattice, in closed
-    form: a node with s positive coordinates has s + 1 labels, and the k
-    corners are pinned."""
-    return prod(map(pow, range(3, k + 2), support_counts(k, n)[1:]))
+    form, as factors (base, exponent): a node with s positive coordinates
+    has s + 1 labels, and the k corners are pinned."""
+    return list(zip(range(3, k + 2), support_counts(k, n)[1:]))
 
 
-def _within_budget(space: int, max_labelings: int) -> None:
-    """Refuse a family of space labelings when it has more than
-    max_labelings, and a budget below 1 by SearchBudget's rule.
+# log10 of a count, summed in floats from its factors, is off by about
+# 5e-16 of itself: below this slack while the count has under 10^9 digits
+_LOG_SLACK = 1e-6
+
+
+def _within_budget(factors: list[tuple[int, int]], max_labelings: int) -> None:
+    """Refuse a family of prod(b ** e) labelings, over its factors (b, e),
+    when it has more than max_labelings, and a budget below 1 by
+    SearchBudget's rule.
 
     Callers count their family in closed form and refuse before they
-    build it or walk its first labeling.
+    build it or walk its first labeling.  A count with more digits than
+    str converts is compared by its logarithm and named by its floor,
+    unless the budget is as long as the count or the logarithm is within
+    _LOG_SLACK of an integer; only then is it multiplied out.
     """
     SearchBudget(max_labelings)
+    log = sum(e * log10(b) for b, e in factors)
+    if (
+        log > _str_digits() + _LOG_SLACK
+        and log > log10(max_labelings) + _LOG_SLACK
+        # near an integer the count may be a power of ten: settle it exactly
+        and abs(log - round(log)) > _LOG_SLACK
+    ):
+        raise BudgetExceededError(
+            f"more than 10^{floor(log)} labelings exceed the budget of {max_labelings}"
+        )
+    space = prod(b**e for b, e in factors)
     if space > max_labelings:
         raise BudgetExceededError(
             f"{_count_text(space)} labelings exceed the budget of {max_labelings}"
         )
+
+
+def _str_digits() -> float:
+    """The most digits str converts an int to; unlimited before Python
+    3.10.7 and when the limit is 0."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return (limit and limit()) or inf
 
 
 def _count_text(count: int) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import getitem, itemgetter
 
 from .cuts import CutLabeling, delta, is_non_opposite
@@ -98,16 +98,17 @@ class ExtremalReport:
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] | None
 
 
-def _family_size(k: int, n: int, face_restricted: bool) -> int:
-    """The number of labelings exhaustive_extremal scans, in closed form:
-    a node with s positive coordinates has s labels, and in face-restricted
-    mode each of the node_count(k - 1, n) nodes with x_k = 0 has k, while
-    C(k - 1, s - 1) * C(n - 1, s - 1) nodes with x_k > 0 keep their s."""
+def _family_size(k: int, n: int, face_restricted: bool) -> list[tuple[int, int]]:
+    """The number of labelings exhaustive_extremal scans, in closed form,
+    as factors (base, exponent): a node with s positive coordinates has s
+    labels, and in face-restricted mode each of the node_count(k - 1, n)
+    nodes with x_k = 0 has k, while C(k - 1, s - 1) * C(n - 1, s - 1)
+    nodes with x_k > 0 keep their s."""
     counts = support_counts(k, n)
     if not face_restricted:
-        return prod(map(pow, range(1, k + 1), counts))
+        return list(zip(range(1, k + 1), counts))
     kept = (comb(k - 1, s - 1) * comb(n - 1, s - 1) for s in range(1, k + 1))
-    return k ** node_count(k - 1, n) * prod(map(pow, range(1, k + 1), kept))
+    return [(k, node_count(k - 1, n)), *zip(range(1, k + 1), kept)]
 
 
 def exhaustive_extremal(

@@ -1,6 +1,7 @@
 """Cut labelings: validation, costs, named cuts, canonicalization."""
 
 import copy
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from simplexcut import (
     CutLabeling,
     NAMED_CUTS,
+    WeightMap,
     build_base_triangle,
     build_component,
     build_graph,
@@ -27,8 +29,8 @@ from simplexcut import (
     named_cut,
     terminal_ball,
 )
-from simplexcut.cuts import reachable_labels
-from simplexcut.lattice import cap_depth
+from simplexcut.cuts import _windows, reachable_labels
+from simplexcut.lattice import cap_depth, node_count
 
 
 def test_labeling_validation():
@@ -86,6 +88,46 @@ def test_delta_and_cost_by_hand():
         u, v = g.edges[e]
         assert p.label(u) != p.label(v)
     assert cost(p, w) == len(cut)
+
+
+@st.composite
+def _priced_labelings(draw):
+    """A labeling with dense changes, a few changes, or one label apart
+    from the terminals, and an integer weighting of its graph."""
+    g = build_graph(draw(st.integers(2, 5)), draw(st.integers(1, 8)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size, top = node_count(g.k, g.n), g.k + 1
+    kind = draw(st.sampled_from(("dense", "few", "constant")))
+    if kind == "dense":
+        labels = [rng.randint(1, top) for _ in range(size)]
+    else:
+        labels = [rng.randint(1, top)] * size
+        if kind == "few":
+            for v in rng.sample(range(size), min(size, rng.randint(1, 4))):
+                labels[v] = rng.randint(1, top)
+    for i, t in enumerate(g.terminals, start=1):
+        labels[t] = i
+    nums = [rng.choice((0, 0, 1, 2, 5)) for _ in g.edges]
+    return CutLabeling(g, labels), WeightMap.from_numerators(g, rng.randint(1, 7), nums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_priced_labelings())
+def test_cost_and_delta_match_the_all_edge_scan(case):
+    p, w = case
+    labels = p.labels
+    cut = tuple(e for e, (u, v) in enumerate(p.graph.edges) if labels[u] != labels[v])
+    assert delta(p) == cut
+    assert cost(p, w) == Fraction(sum(w.nums[e] for e in cut), w.den)
+
+
+@pytest.mark.parametrize("make", [midlines_extended, isolate_terminals, lambda g: corner_caps(g, Fraction(1, 6))])
+def test_certificate_cuts_read_a_fraction_of_the_edges(make):
+    # each certificate cut changes label near the x4 = 0 face and the
+    # terminals only, so its windows hold under a quarter of the edges
+    g = build_graph(4, 30)
+    read = sum(hi - lo for lo, hi in _windows(g, make(g).labels))
+    assert read < len(g.edges) / 4
 
 
 def test_cost_requires_same_graph():

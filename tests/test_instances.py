@@ -29,6 +29,7 @@ from simplexcut import (
     parse_instance,
     red_regions,
 )
+from simplexcut.instances import _component_terms
 
 # boundary schedule at n=9 (m=3, rho=1/15): descending from both corners,
 # middle third flat
@@ -113,6 +114,16 @@ def test_face_component_matches_lifted_triangle():
     for e, wt in w.items():
         u, v = g.edges[e]
         assert g.nodes[u][3] == 0 and g.nodes[v][3] == 0
+
+
+@pytest.mark.parametrize("n", range(3, 31, 3))
+def test_face_component_is_the_edge_prefix_lift(n):
+    # the face's edges are the k = 4 edges among its node prefix, in the
+    # triangle's order: the lift that looks each edge up by its endpoints
+    g = build_graph(4, n)
+    base = build_base_triangle(n)
+    lifted = map(g.edge_between, base.graph.tails, base.graph.heads)
+    assert _component_terms(1, g, None) == (base.den, 0, dict(zip(lifted, base.nums)))
 
 
 def test_component_names():

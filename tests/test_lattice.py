@@ -10,6 +10,7 @@ from array import array
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from simplexcut import (
     simplex_points,
     support,
 )
-from simplexcut.lattice import node_count
+from simplexcut.lattice import node_count, reach
 
 PACKAGE_ROOT = Path(simplexcut.__file__).parents[1]
 
@@ -355,6 +356,12 @@ def test_graph_bytes_per_edge():
 def test_rank_is_the_node_index(k, n):
     g = build_graph.__wrapped__(k, n)
     assert all(g.rank(p) == i for i, p in enumerate(g.nodes))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 7) for n in range(1, 13)] + [(4, 78)])
+def test_reach_is_the_longest_edge(k, n):
+    g = build_graph(k, n)
+    assert reach(k, n) == max(map(sub, g.heads, g.tails))
 
 
 @pytest.mark.parametrize("point", [(3, 0, 0), (2, 1, 2), (5, -1, 0), (2, 2), (2, 1, 1, 0)])

@@ -4,7 +4,7 @@ import hashlib
 import sys
 from collections import deque
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +27,7 @@ from simplexcut import (
     nonopposite_cost_floor,
     support,
 )
+from simplexcut import search
 from simplexcut.search import (
     _count_text,
     _label_choices,
@@ -34,6 +35,7 @@ from simplexcut.search import (
     _price,
     _seed_cuts,
     _weighted_edges,
+    _within_budget,
 )
 
 # exact values proven by full enumeration or certified branch-and-bound
@@ -51,7 +53,8 @@ def test_labeling_space_sizes():
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 6), (3, 1), (3, 4), (4, 1), (4, 3), (5, 2), (6, 4)])
 def test_non_opposite_space_counts_the_choice_lists(k, n):
-    assert _non_opposite_space(k, n) == prod(map(len, _label_choices(build_graph(k, n))))
+    space = prod(b**e for b, e in _non_opposite_space(k, n))
+    assert space == prod(map(len, _label_choices(build_graph(k, n))))
 
 
 def test_count_text_names_a_long_count_by_its_power_of_ten():
@@ -65,6 +68,33 @@ def test_count_text_names_a_long_count_by_its_power_of_ten():
         assert _count_text(10**5001 - 1) == "more than 10^5000"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(10, 5000)],
+        [(2, 5000), (5, 5000)],
+        [(2, 1), (10, 5000)],
+        [(3, 10**4), (1, 7)],
+        [(10, 4299)],
+        [(3, 6 * 99), (4, 4 * comb(99, 2)), (5, comb(99, 3))],
+    ],
+)
+def test_budget_refusal_names_the_exact_count(factors):
+    # the text from the count's logarithm is the text of the exact count
+    space = prod(b**e for b, e in factors)
+    with pytest.raises(BudgetExceededError) as refused:
+        _within_budget(factors, 10)
+    assert str(refused.value) == f"{_count_text(space)} labelings exceed the budget of 10"
+    # a budget as long as the count is compared exactly
+    _within_budget(factors, space)
+
+
+def test_budget_refusal_of_a_long_count_does_not_multiply_it_out(monkeypatch):
+    monkeypatch.setattr(search, "prod", lambda *a: pytest.fail("multiplied the count out"))
+    with pytest.raises(BudgetExceededError, match=r"^more than 10\^7536715 labelings exceed"):
+        _within_budget(_non_opposite_space(4, 400), 10)
 
 
 def test_enumerate_visits_every_cut_once():
