@@ -27,7 +27,6 @@ _SIX_FIFTHS = Fraction(6, 5)
 _ONE_FIFTH = Fraction(1, 5)
 _THREE_HALVES = Fraction(3, 2)
 
-REGIMES = ("asymptotic", "finite", "out-of-regime")
 FINITE_REGIME_MIN_N = 10
 _WITNESS_DIGITS = 6  # the precision GapParams.tuned is frozen at
 _ROOT_WIDTH = Fraction(1, 10**12)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import limitation_min, limitation_sup, optimize_params
-from .cuts import NAMED_CUTS, cost, delta, is_fragmenting, is_non_opposite, named_cut
+from .cuts import NAMED_CUTS, cost, delta, is_fragmenting, is_non_opposite, named_cut, non_opposite
 from .errors import BudgetExceededError
 from .instances import (
     COMPONENT_NAMES,
@@ -36,13 +36,12 @@ from .io import (
     render_decimal,
     render_rational,
 )
-from .lattice import build_graph
+from .lattice import build_graph, family_size
 from .reproduce import SUITES, run_suite
 from .search import (
     DEFAULT_LABELING_BUDGET,
     SEARCH_MODES,
     SearchBudget,
-    _non_opposite_space,
     _within_budget,
     enumerate_non_opposite,
     min_non_opposite_cost,
@@ -208,8 +207,8 @@ def cmd_enumerate(args) -> int:
         raise ValueError("enumerate needs either --instance or both --k and --n")
     if args.mode is not None:
         raise ValueError("--mode only applies to --instance; --k/--n count cuts")
-    # the space has a closed form, so a refusal builds no lattice
-    _within_budget(_non_opposite_space(args.k, args.n), args.budget)
+    # the space is counted from the rule, so a refusal builds no lattice
+    _within_budget(family_size(args.k, args.n, non_opposite), args.budget)
     count = enumerate_non_opposite(build_graph(args.k, args.n), max_labelings=args.budget)
     doc = {
         "command": "enumerate",

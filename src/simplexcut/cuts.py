@@ -12,10 +12,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count, islice
-from operator import ne
+from operator import contains, ne
 
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, reach
+from .lattice import (
+    SimplexGraph,
+    boundary_edges,
+    build_graph,
+    cap_depth,
+    family_choices,
+    node_count,
+    reach,
+)
 
 
 @dataclass(frozen=True)
@@ -95,14 +103,14 @@ def cost(p: CutLabeling, w: WeightMap) -> Fraction:
     return Fraction(cut, w.den)
 
 
+def non_opposite(k: int, s: tuple[int, ...]) -> tuple[int, ...]:
+    """Non-opposite cuts: a node's support s and label k + 1; a corner's own."""
+    return s if len(s) == 1 else s + (k + 1,)
+
+
 def is_non_opposite(p: CutLabeling) -> bool:
-    """Every node is labeled from its own support or with the auxiliary label."""
-    aux = p.graph.k + 1
-    for node, point in enumerate(p.graph.nodes):
-        l = p.labels[node]
-        if l != aux and point[l - 1] == 0:
-            return False
-    return True
+    """Every node carries a label that non_opposite allows it."""
+    return all(map(contains, family_choices(p.graph, non_opposite), p.labels))
 
 
 def is_fragmenting(p: CutLabeling) -> bool:

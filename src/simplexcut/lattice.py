@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -48,14 +49,6 @@ def _check_size(k: int, n: int) -> None:
         raise ValueError("need at least two coordinates")
     if n < 1:
         raise ValueError("resolution must be positive")
-
-
-def support_counts(k: int, n: int) -> list[int]:
-    """counts[s - 1] = the number of lattice points with s positive
-    coordinates, C(k, s) * C(n - 1, s - 1) for s = 1..k, without building
-    the lattice; the k corners are the points with s = 1."""
-    _check_size(k, n)
-    return [math.comb(k, s) * math.comb(n - 1, s - 1) for s in range(1, k + 1)]
 
 
 def _colex_columns(k: int, n: int) -> list[list[int]]:
@@ -247,6 +240,35 @@ def build_graph(k: int, n: int) -> SimplexGraph:
     graph = SimplexGraph(k, n, tails, heads, terminal_nodes(k, n))
     assert len(ids) == node_count(k, n) and len(heads) == edge_count(k, n)
     return graph
+
+
+# A labeling family is every choice of one allowed label per node, and its
+# rule(k, s) is the tuple of labels it allows a node whose support is s
+Rule = Callable[[int, tuple[int, ...]], tuple[int, ...]]
+
+
+def family_choices(g: SimplexGraph, rule: Rule) -> list[tuple[int, ...]]:
+    """The labels rule allows each node of g, in node order."""
+    return [rule(g.k, support(p)) for p in g.nodes]
+
+
+def family_size(k: int, n: int, rule: Rule) -> list[tuple[int, int]]:
+    """The number of labelings in rule's family on the (k, n) lattice, as
+    factors (base, exponent) ascending by base, without building the
+    lattice.
+
+    The rule may tell supports apart only by their size s and by whether
+    they hold k: C(k - 1, s - 1) supports of size s hold k, C(k - 1, s) do
+    not, and each is the support of C(n - 1, s - 1) nodes.
+    """
+    _check_size(k, n)
+    exponents: Counter[int] = Counter()
+    for s in range(1, k + 1):
+        # a support of each class: k - s + 1..k holds k, 1..s (s < k) does not
+        nodes = math.comb(n - 1, s - 1)
+        exponents[len(rule(k, tuple(range(k - s + 1, k + 1))))] += math.comb(k - 1, s - 1) * nodes
+        exponents[len(rule(k, tuple(range(1, s + 1))))] += math.comb(k - 1, s) * nodes
+    return [(b, e) for b, e in sorted(exponents.items()) if e]
 
 
 def boundary_nodes(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from .io import (
     parse_instance,
     render_decimal,
 )
-from .lattice import build_graph, node_count
+from .lattice import build_graph, family_choices, family_size
 from .search import (
     DEFAULT_LABELING_BUDGET,
     SearchBudget,
@@ -398,30 +398,32 @@ def _terminal_flow_floor(budget):
 # -- canonicalization -------------------------------------------------------
 
 
+def _pinned(k: int, s: tuple[int, ...]) -> tuple[int, ...]:
+    """Terminal-pinned maps: any of 1..k + 1, and a corner's own index."""
+    return s if len(s) == 1 else tuple(range(1, k + 2))
+
+
 def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int, bool]:
     """(pinned maps seen, whether relabeling kept the properties on all).
 
-    The maps are all labelings over [k+1] with terminals pinned; when there
-    are more than budget of them the sweep refuses before the first one.
-    Relabeling must shrink the cut-set and never raise the cost; with
-    all_properties it must also keep the auxiliary count and be idempotent.
-    Every map is
-    relabeled and tested, but q's validity, cut edges, cost, auxiliary count
-    and idempotence are computed once per distinct relabeling q.  q's
-    cut-set lies inside the map's when the map separates the endpoints of
-    every edge q cuts.
+    The maps are all labelings over [k+1] with terminals pinned (_pinned);
+    when there are more than budget of them the sweep refuses before the
+    first one.  Relabeling must shrink the cut-set and
+    never raise the cost; with all_properties it must also keep the
+    auxiliary count and be idempotent.  Every map is relabeled and tested,
+    but q's validity, cut edges, cost, auxiliary count and idempotence are
+    computed once per distinct relabeling q.  q's cut-set lies inside the
+    map's when the map separates the endpoints of every edge q cuts.
     """
     g = w.graph
     aux = g.k + 1
-    pins = dict(zip(g.terminals, range(1, aux)))
-    nodes = range(node_count(g.k, g.n))
-    choices = [(pins[v],) if v in pins else tuple(range(1, aux + 1)) for v in nodes]
+    _within_budget(family_size(g.k, g.n, _pinned), budget)
+    choices = family_choices(g, _pinned)
     for bound in (min, max):  # every map lies between these two, node by node
         CutLabeling(g, tuple(map(bound, choices)))
     weighted = _weighted_edges(w)
     facts: dict[tuple[int, ...], tuple] = {}
     count, ok = 0, True
-    _within_budget([(aux, len(nodes) - g.k)], budget)
     for labels in product(*choices):
         count += 1
         q = reachable_labels(g, labels)

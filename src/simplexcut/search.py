@@ -22,10 +22,10 @@ from itertools import product
 from math import floor, inf, log10, prod
 from operator import itemgetter
 
-from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended
+from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended, non_opposite
 from .errors import BudgetExceededError
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_nodes, node_count, support, support_counts
+from .lattice import SimplexGraph, boundary_nodes, family_choices, family_size, node_count
 
 DEFAULT_LABELING_BUDGET = 2_000_000
 
@@ -70,26 +70,6 @@ class SearchResult:
     rank_skips: int = 0
 
 
-def _label_choices(g: SimplexGraph) -> list[tuple[int, ...]]:
-    """Per-node admissible labels: pins for terminals, support plus the
-    auxiliary label elsewhere."""
-    choices: list[tuple[int, ...]] = []
-    terminal_of = {t: i for i, t in enumerate(g.terminals, start=1)}
-    for node, p in enumerate(g.nodes):
-        if node in terminal_of:
-            choices.append((terminal_of[node],))
-        else:
-            choices.append(tuple(support(p)) + (g.k + 1,))
-    return choices
-
-
-def _non_opposite_space(k: int, n: int) -> list[tuple[int, int]]:
-    """The number of non-opposite cuts of the (k, n) lattice, in closed
-    form, as factors (base, exponent): a node with s positive coordinates
-    has s + 1 labels, and the k corners are pinned."""
-    return list(zip(range(3, k + 2), support_counts(k, n)[1:]))
-
-
 # log10 of a count, summed in floats from its factors, is off by about
 # 5e-16 of itself: below this slack while the count has under 10^9 digits
 _LOG_SLACK = 1e-6
@@ -100,35 +80,29 @@ def _within_budget(factors: list[tuple[int, int]], max_labelings: int) -> None:
     when it has more than max_labelings, and a budget below 1 by
     SearchBudget's rule.
 
-    Callers count their family in closed form and refuse before they
-    build it or walk its first labeling.  A count with more digits than
-    str converts is compared by its logarithm and named by its floor,
-    unless the budget is as long as the count or the logarithm is within
-    _LOG_SLACK of an integer; only then is it multiplied out.
+    Callers count their family with lattice.family_size and refuse
+    before they build it or walk its first labeling.  A count with more
+    digits than str converts is compared by its logarithm and named by
+    its floor, unless the budget is as long as the count or the logarithm
+    is within _LOG_SLACK of an integer; only then is it multiplied out.
     """
     SearchBudget(max_labelings)
+    # the most digits str converts: no limit before Python 3.10.7 or at 0
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or inf
     log = sum(e * log10(b) for b, e in factors)
     if (
-        log > _str_digits() + _LOG_SLACK
+        log > digits + _LOG_SLACK
         and log > log10(max_labelings) + _LOG_SLACK
         # near an integer the count may be a power of ten: settle it exactly
         and abs(log - round(log)) > _LOG_SLACK
     ):
-        raise BudgetExceededError(
-            f"more than 10^{floor(log)} labelings exceed the budget of {max_labelings}"
-        )
-    space = prod(b**e for b, e in factors)
-    if space > max_labelings:
-        raise BudgetExceededError(
-            f"{_count_text(space)} labelings exceed the budget of {max_labelings}"
-        )
-
-
-def _str_digits() -> float:
-    """The most digits str converts an int to; unlimited before Python
-    3.10.7 and when the limit is 0."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    return (limit and limit()) or inf
+        text = f"more than 10^{floor(log)}"
+    else:
+        space = prod(b**e for b, e in factors)
+        if space <= max_labelings:
+            return
+        text = _count_text(space)
+    raise BudgetExceededError(f"{text} labelings exceed the budget of {_count_text(max_labelings)}")
 
 
 def _count_text(count: int) -> str:
@@ -172,9 +146,9 @@ def enumerate_non_opposite(
     Refuses to start when the space exceeds max_labelings.  Returns the
     visit count.
     """
-    _within_budget(_non_opposite_space(g.k, g.n), max_labelings)
+    _within_budget(family_size(g.k, g.n, non_opposite), max_labelings)
     count = 0
-    for labels in product(*_label_choices(g)):
+    for labels in product(*family_choices(g, non_opposite)):
         count += 1
         if visitor is not None:
             visitor(CutLabeling(g, labels))
@@ -195,7 +169,7 @@ def _exhaustive_min(w: WeightMap, max_labelings: int):
     best_cost = best_labels = None
     improvements: list[tuple[int, int]] = []
     explored = 0
-    for labels in product(*_label_choices(w.graph)):
+    for labels in product(*family_choices(w.graph, non_opposite)):
         if explored >= max_labelings:
             return best_cost, best_labels, explored, False, improvements, 0
         explored += 1
@@ -220,7 +194,7 @@ def _branch_and_bound_min(w: WeightMap, max_labelings: int):
     for r, node in enumerate(order):
         rank[node] = r
 
-    choices = _label_choices(g)
+    choices = family_choices(g, non_opposite)
     rank_choices = [choices[node] for node in order]
     # for each rank, (lower rank, numerator) of its weighted edges back to
     # the ranks assigned before it

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, factorial
-from operator import getitem, itemgetter
+from operator import contains, getitem, itemgetter
 
 from .cuts import CutLabeling, delta, is_non_opposite
-from .lattice import build_graph, node_count, simplex_points, support, support_counts
+from .lattice import build_graph, family_choices, family_size, node_count, simplex_points
 from .search import DEFAULT_LABELING_BUDGET, _within_budget
 
 
@@ -98,17 +98,14 @@ class ExtremalReport:
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] | None
 
 
-def _family_size(k: int, n: int, face_restricted: bool) -> list[tuple[int, int]]:
-    """The number of labelings exhaustive_extremal scans, in closed form,
-    as factors (base, exponent): a node with s positive coordinates has s
-    labels, and in face-restricted mode each of the node_count(k - 1, n)
-    nodes with x_k = 0 has k, while C(k - 1, s - 1) * C(n - 1, s - 1)
-    nodes with x_k > 0 keep their s."""
-    counts = support_counts(k, n)
-    if not face_restricted:
-        return list(zip(range(1, k + 1), counts))
-    kept = (comb(k - 1, s - 1) * comb(n - 1, s - 1) for s in range(1, k + 1))
-    return [(k, node_count(k - 1, n)), *zip(range(1, k + 1), kept)]
+def admissible(k: int, s: tuple[int, ...]) -> tuple[int, ...]:
+    """Admissible labelings: a label from the node's support s."""
+    return s
+
+
+def face_relaxed(k: int, s: tuple[int, ...]) -> tuple[int, ...]:
+    """Face-relaxed labelings: any of 1..k where x_k = 0, the support s elsewhere."""
+    return s if k in s else tuple(range(1, k + 1))
 
 
 def exhaustive_extremal(
@@ -119,12 +116,12 @@ def exhaustive_extremal(
 ) -> ExtremalReport:
     """Scan a full labeling family for extremal monochromatic counts.
 
-    Plain mode scans every admissible labeling.  Face-restricted mode lets
-    nodes on the face opposite the last terminal take any label (so the
-    inadmissible labels sit only there) while the remaining nodes stay
-    admissible.  Labelings are visited in lexicographic order over per-node
-    choice lists; the scan refuses to start when the family size exceeds
-    max_labelings.
+    Plain mode scans the family of the admissible rule, face-restricted
+    mode that of face_relaxed: nodes on the face opposite the last terminal
+    take any label (so the inadmissible labels sit only there) while the
+    remaining nodes stay admissible.  Labelings are visited in
+    lexicographic order over per-node choice lists; the scan refuses to
+    start when the family size exceeds max_labelings.
 
     Each labeling is counted in C: one itemgetter gathers the labels of
     every hyperedge's members, flattened, zip regroups them k at a time,
@@ -132,24 +129,20 @@ def exhaustive_extremal(
     The inadmissible count sums a per-node 0/1 table indexed by label.
     count_monochromatic is the per-hyperedge reference.
     """
-    _within_budget(_family_size(k, n, face_restricted), max_labelings)
+    rule = face_relaxed if face_restricted else admissible
+    _within_budget(family_size(k, n, rule), max_labelings)
     h = build_hypergraph(k, n)
-    choices: list[tuple[int, ...]] = []
-    for p in h.nodes:
-        if face_restricted and p[k - 1] == 0:
-            choices.append(tuple(range(1, k + 1)))
-        else:
-            choices.append(tuple(support(p)))
+    g = build_graph(k, n)
     total = len(h.hyperedges)
     gather = itemgetter(*chain.from_iterable(h.hyperedges))
     is_constant = frozenset((label,) * k for label in range(1, k + 1)).__contains__
-    # inadmissible[v][label] is 1 when label lies off node v's support
-    inadmissible = [(0, *(int(x == 0) for x in p)) for p in h.nodes]
+    # inadmissible[v][l] is 1 when the admissible rule denies node v label l
+    inadmissible = [[int(l not in a) for l in range(k + 1)] for a in family_choices(g, admissible)]
     best = -1
     witness: tuple[int, ...] = ()
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] = {}
     explored = 0
-    for labels in product(*choices):
+    for labels in product(*family_choices(g, rule)):
         explored += 1
         members = iter(gather(labels))
         mono = sum(map(is_constant, zip(*[members] * k)))
@@ -177,8 +170,9 @@ def witness_attains(report: ExtremalReport) -> bool:
     """Whether the report's witness is admissible and re-counts to its
     max_monochromatic."""
     h = build_hypergraph(report.k, report.n)
-    admissible = all(p[label - 1] for p, label in zip(h.nodes, report.witness))
-    return admissible and count_monochromatic(h, report.witness) == report.max_monochromatic
+    allowed = family_choices(build_graph(report.k, report.n), admissible)
+    ok = all(map(contains, allowed, report.witness))
+    return ok and count_monochromatic(h, report.witness) == report.max_monochromatic
 
 
 def count_floors(report: ExtremalReport) -> list[tuple[int, int, Fraction]]:

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -366,6 +367,15 @@ def test_budget_refusal_builds_nothing(monkeypatch, capsys, command):
     assert json.loads(capsys.readouterr().err)["error"] == "budget-exhausted"
 
 
+def test_budget_refusal_names_a_space_by_its_power_of_ten(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_graph", lambda k, n: pytest.fail("built the lattice"))
+    assert cli.main(["enumerate", "--k", "40", "--n", "3", "--budget", "10"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "budget-exhausted",
+        "message": "more than 10^6692 labelings exceed the budget of 10",
+    }
+
+
 def test_sperner_verify_plain():
     doc = report(run("sperner-verify", "--k", "3", "--n", "2"))
     r = doc["results"]
@@ -569,3 +579,19 @@ def test_internal_key_error_is_not_a_user_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_limits", broken)
     with pytest.raises(KeyError):
         cli.main(["limits"])
+
+
+def _readme_commands():
+    """The simplexcut lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("simplexcut ")]
+
+
+def test_readme_commands_run(monkeypatch, tmp_path, capsys):
+    # in order: later commands read the files earlier ones write
+    commands = _readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)

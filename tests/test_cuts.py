@@ -27,6 +27,7 @@ from simplexcut import (
     midlines,
     midlines_extended,
     named_cut,
+    support,
     terminal_ball,
 )
 from simplexcut.cuts import _windows, reachable_labels
@@ -155,6 +156,32 @@ def test_non_opposite_detection():
     assert not is_non_opposite(p)
     assert is_non_opposite(CutLabeling(g, (1, 4, 2, 3, 3, 3)))
     assert is_non_opposite(midlines(build_graph(3, 6)))
+
+
+def _is_non_opposite_reference(p):
+    """The per-coordinate test the support rule replaced: a label other
+    than the auxiliary one names a positive coordinate of its node."""
+    aux = p.graph.k + 1
+    return all(l == aux or point[l - 1] > 0 for point, l in zip(p.graph.nodes, p.labels))
+
+
+@st.composite
+def _near_non_opposite_labelings(draw):
+    """A non-opposite cut with up to two nodes relabeled at random."""
+    g = build_graph(draw(st.integers(2, 5)), draw(st.integers(1, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = [rng.choice(support(point) + (g.k + 1,)) for point in g.nodes]
+    for v in rng.sample(range(len(labels)), min(len(labels), draw(st.integers(0, 2)))):
+        labels[v] = rng.randint(1, g.k + 1)
+    for i, t in enumerate(g.terminals, start=1):
+        labels[t] = i
+    return CutLabeling(g, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_non_opposite_labelings())
+def test_is_non_opposite_matches_the_per_coordinate_rule(p):
+    assert is_non_opposite(p) == _is_non_opposite_reference(p)
 
 
 @pytest.mark.parametrize("n", [3, 6, 9, 12])

@@ -9,7 +9,7 @@ import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from operator import sub
 from pathlib import Path
 
@@ -32,7 +32,10 @@ from simplexcut import (
     simplex_points,
     support,
 )
-from simplexcut.lattice import node_count, reach
+from simplexcut.cuts import non_opposite
+from simplexcut.lattice import family_choices, family_size, node_count, reach
+from simplexcut.reproduce import _pinned
+from simplexcut.sperner import admissible, face_relaxed
 
 PACKAGE_ROOT = Path(simplexcut.__file__).parents[1]
 
@@ -362,6 +365,31 @@ def test_rank_is_the_node_index(k, n):
 def test_reach_is_the_longest_edge(k, n):
     g = build_graph(k, n)
     assert reach(k, n) == max(map(sub, g.heads, g.tails))
+
+
+FAMILY_RULES = {
+    "non_opposite": non_opposite,
+    "admissible": admissible,
+    "face_relaxed": face_relaxed,
+    "pinned": _pinned,
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("rule", FAMILY_RULES)
+def test_family_size_counts_the_choice_lists(rule, k, n):
+    factors = family_size(k, n, FAMILY_RULES[rule])
+    assert all(e > 0 for _, e in factors) and factors == sorted(factors)
+    choices = family_choices(build_graph(k, n), FAMILY_RULES[rule])
+    assert prod(b**e for b, e in factors) == prod(map(len, choices))
+
+
+def test_family_size_checks_the_lattice_size():
+    with pytest.raises(ValueError, match="two coordinates"):
+        family_size(1, 3, admissible)
+    with pytest.raises(ValueError, match="resolution"):
+        family_size(3, 0, admissible)
 
 
 @pytest.mark.parametrize("point", [(3, 0, 0), (2, 1, 2), (5, -1, 0), (2, 2), (2, 1, 1, 0)])

@@ -28,10 +28,10 @@ from simplexcut import (
     support,
 )
 from simplexcut import search
+from simplexcut.cuts import non_opposite
+from simplexcut.lattice import family_choices, family_size
 from simplexcut.search import (
     _count_text,
-    _label_choices,
-    _non_opposite_space,
     _price,
     _seed_cuts,
     _weighted_edges,
@@ -53,8 +53,10 @@ def test_labeling_space_sizes():
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 6), (3, 1), (3, 4), (4, 1), (4, 3), (5, 2), (6, 4)])
 def test_non_opposite_space_counts_the_choice_lists(k, n):
-    space = prod(b**e for b, e in _non_opposite_space(k, n))
-    assert space == prod(map(len, _label_choices(build_graph(k, n))))
+    # a corner has its own label, any other node its s positive
+    # coordinates and the auxiliary label
+    sizes = [len(s) + (len(s) > 1) for s in map(support, build_graph(k, n).nodes)]
+    assert prod(b**e for b, e in family_size(k, n, non_opposite)) == prod(sizes)
 
 
 def test_count_text_names_a_long_count_by_its_power_of_ten():
@@ -94,7 +96,21 @@ def test_budget_refusal_names_the_exact_count(factors):
 def test_budget_refusal_of_a_long_count_does_not_multiply_it_out(monkeypatch):
     monkeypatch.setattr(search, "prod", lambda *a: pytest.fail("multiplied the count out"))
     with pytest.raises(BudgetExceededError, match=r"^more than 10\^7536715 labelings exceed"):
-        _within_budget(_non_opposite_space(4, 400), 10)
+        _within_budget(family_size(4, 400, non_opposite), 10)
+
+
+def test_budget_refusal_names_a_budget_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BudgetExceededError) as refused:
+            _within_budget([(10, 5000)], 10**5000 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # both are named by _count_text: 10^4999 < 10^5000 - 1 < 10^5000
+    assert str(refused.value) == (
+        "more than 10^4999 labelings exceed the budget of more than 10^4999"
+    )
 
 
 def test_enumerate_visits_every_cut_once():
@@ -216,7 +232,7 @@ def _branch_and_bound_reference(w, max_labelings):
     order = sorted(range(nnodes), key=lambda v: (-incident[v], v))
     rank = {node: r for r, node in enumerate(order)}
 
-    choices = _label_choices(g)
+    choices = family_choices(g, non_opposite)
     rank_choices = [choices[node] for node in order]
     # for each rank, weighted edges back to already-assigned nodes
     back: list[list[tuple[int, int]]] = [[] for _ in range(nnodes)]

@@ -1,5 +1,6 @@
 """Upward sub-simplex hypergraphs and admissible-labeling extremes."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -24,7 +25,9 @@ from simplexcut import (
     simplex_points,
     support,
     terminal_ball,
+    witness_attains,
 )
+from simplexcut.lattice import family_size
 
 # (k, n) -> exhaustive maximum monochromatic count; equals the closed-form
 # bound at every desk-scale size
@@ -164,9 +167,21 @@ def test_budget_refusal_is_eager(monkeypatch):
 @pytest.mark.parametrize("face_restricted", [False, True])
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 2), (6, 3)])
 def test_family_size_counts_the_choice_lists(k, n, face_restricted):
+    # the families by their definition on coordinates, not by their rules
     h = build_hypergraph(k, n)
     sizes = [k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in h.nodes]
-    assert prod(b**e for b, e in sperner._family_size(k, n, face_restricted)) == prod(sizes)
+    rule = sperner.face_relaxed if face_restricted else sperner.admissible
+    assert prod(b**e for b, e in family_size(k, n, rule)) == prod(sizes)
+
+
+@pytest.mark.parametrize("label", [0, 4])
+def test_witness_attains_refuses_a_label_off_every_support(label):
+    # the corner (0, 0, 2) has a positive last coordinate, which p[label - 1]
+    # reads for label 0; label k + 1 lies past the last coordinate
+    rep = exhaustive_extremal(3, 2)
+    assert witness_attains(rep)
+    witness = (*rep.witness[:-1], label)
+    assert not witness_attains(dataclasses.replace(rep, witness=witness))
 
 
 def _exhaustive_extremal_reference(k, n, face_restricted):
