@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import limitation_min, limitation_sup, optimize_params
-from .cuts import NAMED_CUTS, cost, delta, is_fragmenting, is_non_opposite, named_cut, non_opposite
+from .cuts import NAMED_CUTS, cost, delta, is_fragmenting, is_non_opposite, named_cut
 from .errors import BudgetExceededError
 from .instances import (
     COMPONENT_NAMES,
@@ -36,13 +36,12 @@ from .io import (
     render_decimal,
     render_rational,
 )
-from .lattice import build_graph, family_size
+from .lattice import build_graph
 from .reproduce import SUITES, run_suite
 from .search import (
     DEFAULT_LABELING_BUDGET,
     SEARCH_MODES,
     SearchBudget,
-    _within_budget,
     enumerate_non_opposite,
     min_non_opposite_cost,
     min_terminal_face_cut,
@@ -138,6 +137,10 @@ def _load_instance(path: str):
 
 def cmd_eval_cut(args) -> int:
     started = time.perf_counter()
+    if args.c is not None and args.cut != "corner-caps":
+        raise ValueError("--c only applies to --cut corner-caps")
+    if args.alpha is not None and args.cut != "terminal-ball":
+        raise ValueError("--alpha only applies to --cut terminal-ball")
     parsed = _load_instance(args.instance)
     w = parsed.weights
     g = w.graph
@@ -207,9 +210,7 @@ def cmd_enumerate(args) -> int:
         raise ValueError("enumerate needs either --instance or both --k and --n")
     if args.mode is not None:
         raise ValueError("--mode only applies to --instance; --k/--n count cuts")
-    # the space is counted from the rule, so a refusal builds no lattice
-    _within_budget(family_size(args.k, args.n, non_opposite), args.budget)
-    count = enumerate_non_opposite(build_graph(args.k, args.n), max_labelings=args.budget)
+    count = enumerate_non_opposite(args.k, args.n, max_labelings=args.budget)
     doc = {
         "command": "enumerate",
         "parameters": {"k": args.k, "n": args.n, "budget": args.budget},
@@ -365,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"named cut ({', '.join(NAMED_CUTS)}) or a cut file path",
     )
-    p.add_argument("--c", help="cap depth for cuts that take one")
+    p.add_argument("--c", help="cap depth for corner-caps (default: the instance's)")
     p.add_argument("--alpha", help="ball radius fraction for terminal-ball")
     p.set_defaults(func=cmd_eval_cut)
 

@@ -37,7 +37,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import add, sub
 
@@ -248,8 +248,14 @@ Rule = Callable[[int, tuple[int, ...]], tuple[int, ...]]
 
 
 def family_choices(g: SimplexGraph, rule: Rule) -> list[tuple[int, ...]]:
-    """The labels rule allows each node of g, in node order."""
-    return [rule(g.k, support(p)) for p in g.nodes]
+    """The labels rule allows each node of g, in node order.
+
+    The rule is called once per distinct support, and nodes with one
+    support share its tuple; a point's coordinates are nonnegative, so
+    compress takes its support.
+    """
+    allowed = cache(partial(rule, g.k))
+    return list(map(allowed, map(tuple, map(compress, repeat(range(1, g.k + 1)), g.nodes))))
 
 
 def family_size(k: int, n: int, rule: Rule) -> list[tuple[int, int]]:

@@ -3,8 +3,8 @@
 Each check pins an expected value, computes it from scratch, and records
 tolerance, regime, and provenance (formula, enumeration, max-flow,
 direct-evaluation, or stationary-point).  The checks are declared in one
-table, CHECKS; each names its criterion, and suites group the criteria
-("all" runs everything).
+table, CHECKS, which lists each criterion's checks under its name; suites
+group the criteria ("all" runs everything).
 run_criterion is the one runner: it hands every check the same labeling
 budget, times every check on its own, and a check that runs out of its
 labeling budget reports "budget-exhausted" instead of a silent partial answer.
@@ -105,7 +105,6 @@ class Check:
     """
 
     id: str
-    criterion: str
     description: str
     expected: str
     provenance: str
@@ -204,32 +203,14 @@ def _limitation_no_cycles(budget):
 # -- instance-totals --------------------------------------------------------
 
 
-def _totals_face(budget):
-    return _all_equal(all(build_base_triangle(n).total() == n for n in (3, 6, 9, 12)))
+def _totals(build, sizes, total=lambda n: n):
+    """A check that build(n) totals total(n) for each n in sizes.
 
-
-def _totals_lines(budget):
-    return _all_equal(
-        all(build_component(2, build_graph(4, n)).total() == n for n in range(2, 13))
-    )
-
-
-def _totals_cycles(budget):
-    return _all_equal(
-        all(
-            build_component(3, build_graph(4, n), c=Fraction(1, n)).total() == n
-            for n in range(3, 13)
-        )
-    )
-
-
-def _totals_uniform(budget):
-    return _all_equal(
-        all(
-            build_component(4, build_graph(4, n)).total() == n + 3 + Fraction(2, n)
-            for n in range(2, 13)
-        )
-    )
+    The table passes builds as lambdas, which look the package's
+    functions up when they run, so a wrapper installed on this module
+    (bench/spans.py installs one) sees every call.
+    """
+    return lambda budget: _all_equal(all(build(n).total() == total(n) for n in sizes))
 
 
 def _combine_linear(budget):
@@ -334,7 +315,7 @@ def _cut_size_sweep(budget):
         if not cut_size_floor(p).ok:
             violations += 1
 
-    seen = enumerate_non_opposite(build_graph(4, 2), visitor=visit, max_labelings=budget)
+    seen = enumerate_non_opposite(4, 2, visitor=visit, max_labelings=budget)
     return f"{seen} cuts, {violations} violations", seen == 729 and violations == 0
 
 
@@ -494,227 +475,228 @@ def _format_determinism(budget):
 
 # -- the table --------------------------------------------------------------
 
-CHECKS: tuple[Check, ...] = (
-    Check(
-        "optimizer-bound",
-        "optimizer",
-        "default optimizer run certifies the headline floor",
-        expected=render_decimal(_FLOOR, 5),
-        provenance="stationary-point",
-        compute=_optimizer_bound,
-        tolerance="1/100000",
-        regime="asymptotic",
+CHECKS: dict[str, tuple[Check, ...]] = {
+    "optimizer": (
+        Check(
+            "optimizer-bound",
+            "default optimizer run certifies the headline floor",
+            expected=render_decimal(_FLOOR, 5),
+            provenance="stationary-point",
+            compute=_optimizer_bound,
+            tolerance="1/100000",
+            regime="asymptotic",
+        ),
+        Check(
+            "optimizer-cap-depth",
+            "optimizer lands on the published cap depth",
+            expected="0.074125",
+            provenance="stationary-point",
+            compute=_optimizer_cap_depth,
+            tolerance="1/1000",
+            regime="asymptotic",
+        ),
+        Check(
+            "optimizer-weights",
+            "optimizer lands on the published mixture weights",
+            expected="max deviation <= 0.000001",
+            provenance="stationary-point",
+            compute=_optimizer_weights,
+            tolerance="1/10^6",
+            regime="asymptotic",
+        ),
     ),
-    Check(
-        "optimizer-cap-depth",
-        "optimizer",
-        "optimizer lands on the published cap depth",
-        expected="0.074125",
-        provenance="stationary-point",
-        compute=_optimizer_cap_depth,
-        tolerance="1/1000",
-        regime="asymptotic",
+    "limitation": (
+        Check(
+            "limitation-sup",
+            "largest certifiable floor against the three certificate cuts",
+            expected=render_decimal(_CEILING, 5),
+            provenance="stationary-point",
+            compute=_limitation_sup,
+            tolerance="1/100000",
+            regime="asymptotic",
+        ),
+        Check(
+            "limitation-grid",
+            f"certificate-cut minimum on a {_GRID_POINTS}-point mixture grid",
+            expected="<= 1.20067 + 1e-9",
+            provenance="formula",
+            compute=_limitation_grid_max,
+            tolerance="1/10^9",
+            regime="asymptotic",
+        ),
+        Check(
+            "limitation-no-cycles",
+            f"with the cycle component dropped, {_NO_CYCLE_POINTS} mixtures stay at or below 6/5",
+            expected="<= 1.2 + 1e-9",
+            provenance="formula",
+            compute=_limitation_no_cycles,
+            tolerance="1/10^9",
+            regime="asymptotic",
+        ),
     ),
-    Check(
-        "optimizer-weights",
-        "optimizer",
-        "optimizer lands on the published mixture weights",
-        expected="max deviation <= 0.000001",
-        provenance="stationary-point",
-        compute=_optimizer_weights,
-        tolerance="1/10^6",
-        regime="asymptotic",
+    "instance-totals": (
+        Check(
+            "instance-totals-face",
+            "face instance totals n for n in {3, 6, 9, 12}",
+            expected="total == n",
+            provenance="direct-evaluation",
+            compute=_totals(lambda n: build_base_triangle(n), (3, 6, 9, 12)),
+        ),
+        Check(
+            "instance-totals-lines",
+            "boundary-lines instance totals n for n in 2..12",
+            expected="total == n",
+            provenance="direct-evaluation",
+            compute=_totals(lambda n: build_component(2, build_graph(4, n)), range(2, 13)),
+        ),
+        Check(
+            "instance-totals-cycles",
+            "cycle instance totals n for n in 3..12 at cap depth 1/n",
+            expected="total == n",
+            provenance="direct-evaluation",
+            compute=_totals(
+                lambda n: build_component(3, build_graph(4, n), c=Fraction(1, n)), range(3, 13)
+            ),
+        ),
+        Check(
+            "instance-totals-uniform",
+            "uniform instance totals n + 3 + 2/n for n in 2..12",
+            expected="total == n + 3 + 2/n",
+            provenance="direct-evaluation",
+            compute=_totals(
+                lambda n: build_component(4, build_graph(4, n)),
+                range(2, 13),
+                total=lambda n: n + 3 + Fraction(2, n),
+            ),
+        ),
+        Check(
+            "instance-totals-combine-linear",
+            "combined weights equal the mixture of component weights edgewise",
+            expected="exact linearity",
+            provenance="direct-evaluation",
+            compute=_combine_linear,
+        ),
     ),
-    Check(
-        "limitation-sup",
-        "limitation",
-        "largest certifiable floor against the three certificate cuts",
-        expected=render_decimal(_CEILING, 5),
-        provenance="stationary-point",
-        compute=_limitation_sup,
-        tolerance="1/100000",
-        regime="asymptotic",
+    "named-cut-goldens": (
+        Check(
+            "named-cut-midlines",
+            "midline cut crosses 2n+1 face edges, each at weight 3/(5n)",
+            expected="2n+1 edges at 3/(5n)",
+            provenance="direct-evaluation",
+            compute=_midlines,
+        ),
+        Check(
+            "named-cut-isolate-terminals",
+            "terminal-isolating cut prices 6/5, 2, 2/(3c) on the components",
+            expected=_show(_ISOLATE_PRICES),
+            provenance="direct-evaluation",
+            compute=_isolate_terminals,
+        ),
+        Check(
+            "named-cut-corner-caps",
+            "corner-cap cut prices 2 on lines, 0 on cycles, and 6/5 on the face "
+            "at the nearest resolution divisible by 3 (n=39, c=1/13 < 1/9)",
+            expected=_show(_CAPS_PRICES),
+            provenance="direct-evaluation",
+            compute=_corner_caps,
+        ),
+        Check(
+            "named-cut-corner-caps-uniform",
+            "corner-cap cut on the uniform component stays within the computed 1/n envelope of 9c^2/2",
+            expected=f"within {_CAPS_ENVELOPE} of {_CAPS_UNIFORM}",
+            provenance="direct-evaluation",
+            compute=_corner_caps_uniform,
+            tolerance=str(_CAPS_ENVELOPE),
+            regime="finite",
+        ),
     ),
-    Check(
-        "limitation-grid",
-        "limitation",
-        f"certificate-cut minimum on a {_GRID_POINTS}-point mixture grid",
-        expected="<= 1.20067 + 1e-9",
-        provenance="formula",
-        compute=_limitation_grid_max,
-        tolerance="1/10^9",
-        regime="asymptotic",
+    "sperner-extremal": (
+        Check(
+            "sperner-extremal-max",
+            "exhaustive admissible-labeling maximum of monochromatic cells matches the closed form, with witness",
+            expected="max == bound at all six sizes",
+            provenance="enumeration",
+            compute=_sperner_max,
+        ),
+        Check(
+            "sperner-face-restricted",
+            "every face-relaxed labeling of the k=4, n=2 lattice meets the non-monochromatic count floor",
+            expected="count >= floor for every inadmissibility level",
+            provenance="enumeration",
+            compute=_sperner_face_restricted,
+        ),
     ),
-    Check(
-        "limitation-no-cycles",
-        "limitation",
-        f"with the cycle component dropped, {_NO_CYCLE_POINTS} mixtures stay at or below 6/5",
-        expected="<= 1.2 + 1e-9",
-        provenance="formula",
-        compute=_limitation_no_cycles,
-        tolerance="1/10^9",
-        regime="asymptotic",
+    "cut-size-floor": (
+        Check(
+            "cut-size-floor-sweep",
+            "every non-opposite cut of the k=4, n=2 lattice meets the face-census size floor",
+            expected="729 cuts, 0 violations",
+            provenance="enumeration",
+            compute=_cut_size_sweep,
+        ),
+        Check(
+            "cut-size-floor-tight-family",
+            "terminal-ball cuts at n=12 sit within 4n of the leading size term",
+            expected="slack <= 48 and floor holds",
+            provenance="direct-evaluation",
+            compute=_cut_size_tight_family,
+        ),
     ),
-    Check(
-        "instance-totals-face",
-        "instance-totals",
-        "face instance totals n for n in {3, 6, 9, 12}",
-        expected="total == n",
-        provenance="direct-evaluation",
-        compute=_totals_face,
+    "exhaustive-min-floor": (
+        Check(
+            "exhaustive-min-face",
+            "exhaustive minimum over the 2916 non-opposite cuts of the n=3 face instance meets the floor",
+            expected=f">= {_FACE_FLOOR}",
+            provenance="enumeration",
+            compute=_exhaustive_min_face,
+        ),
+        Check(
+            "exhaustive-min-combined",
+            "certified minimum of the combined n=3 instance meets the two-term floor",
+            expected=f">= {_COMBINED_FLOOR}",
+            provenance="enumeration",
+            compute=_exhaustive_min_combined,
+            regime=_COMBINED_REGIME,
+        ),
     ),
-    Check(
-        "instance-totals-lines",
-        "instance-totals",
-        "boundary-lines instance totals n for n in 2..12",
-        expected="total == n",
-        provenance="direct-evaluation",
-        compute=_totals_lines,
+    "terminal-flow-floor": (
+        Check(
+            "terminal-flow-floor",
+            "terminal-to-opposite-side min cut of the face instance meets 2/5 - 1/(3n) for n in {3,6,...,30}",
+            expected="min margin >= 0",
+            provenance="max-flow",
+            compute=_terminal_flow_floor,
+            regime="finite",
+        ),
     ),
-    Check(
-        "instance-totals-cycles",
-        "instance-totals",
-        "cycle instance totals n for n in 3..12 at cap depth 1/n",
-        expected="total == n",
-        provenance="direct-evaluation",
-        compute=_totals_cycles,
+    "canonicalization": (
+        Check(
+            "canonicalization-sweep",
+            "reachability relabeling over all 64 pinned maps of the k=3, n=2 lattice: cut-set shrinks, cost never grows, auxiliary count never drops, idempotent",
+            expected="64 maps, all four properties",
+            provenance="enumeration",
+            compute=_canonicalization_sweep,
+        ),
+        Check(
+            "canonicalization-face-cost",
+            "on the n=3 face instance, relabeling never raises the priced cost over all pinned maps",
+            expected="16384 maps, cost non-increase",
+            provenance="enumeration",
+            compute=_canonicalization_face_cost,
+        ),
     ),
-    Check(
-        "instance-totals-uniform",
-        "instance-totals",
-        "uniform instance totals n + 3 + 2/n for n in 2..12",
-        expected="total == n + 3 + 2/n",
-        provenance="direct-evaluation",
-        compute=_totals_uniform,
+    "format-determinism": (
+        Check(
+            "format-determinism",
+            "byte-identical emission and exact JSON/DIMACS cross-parse on five generated instances; frozen n=9 face header",
+            expected="identical, cross-equal, 'p mwc 55 117 3'",
+            provenance="direct-evaluation",
+            compute=_format_determinism,
+        ),
     ),
-    Check(
-        "instance-totals-combine-linear",
-        "instance-totals",
-        "combined weights equal the mixture of component weights edgewise",
-        expected="exact linearity",
-        provenance="direct-evaluation",
-        compute=_combine_linear,
-    ),
-    Check(
-        "named-cut-midlines",
-        "named-cut-goldens",
-        "midline cut crosses 2n+1 face edges, each at weight 3/(5n)",
-        expected="2n+1 edges at 3/(5n)",
-        provenance="direct-evaluation",
-        compute=_midlines,
-    ),
-    Check(
-        "named-cut-isolate-terminals",
-        "named-cut-goldens",
-        "terminal-isolating cut prices 6/5, 2, 2/(3c) on the components",
-        expected=_show(_ISOLATE_PRICES),
-        provenance="direct-evaluation",
-        compute=_isolate_terminals,
-    ),
-    Check(
-        "named-cut-corner-caps",
-        "named-cut-goldens",
-        "corner-cap cut prices 2 on lines, 0 on cycles, and 6/5 on the face "
-        "at the nearest resolution divisible by 3 (n=39, c=1/13 < 1/9)",
-        expected=_show(_CAPS_PRICES),
-        provenance="direct-evaluation",
-        compute=_corner_caps,
-    ),
-    Check(
-        "named-cut-corner-caps-uniform",
-        "named-cut-goldens",
-        "corner-cap cut on the uniform component stays within the computed 1/n envelope of 9c^2/2",
-        expected=f"within {_CAPS_ENVELOPE} of {_CAPS_UNIFORM}",
-        provenance="direct-evaluation",
-        compute=_corner_caps_uniform,
-        tolerance=str(_CAPS_ENVELOPE),
-        regime="finite",
-    ),
-    Check(
-        "sperner-extremal-max",
-        "sperner-extremal",
-        "exhaustive admissible-labeling maximum of monochromatic cells matches the closed form, with witness",
-        expected="max == bound at all six sizes",
-        provenance="enumeration",
-        compute=_sperner_max,
-    ),
-    Check(
-        "sperner-face-restricted",
-        "sperner-extremal",
-        "every face-relaxed labeling of the k=4, n=2 lattice meets the non-monochromatic count floor",
-        expected="count >= floor for every inadmissibility level",
-        provenance="enumeration",
-        compute=_sperner_face_restricted,
-    ),
-    Check(
-        "cut-size-floor-sweep",
-        "cut-size-floor",
-        "every non-opposite cut of the k=4, n=2 lattice meets the face-census size floor",
-        expected="729 cuts, 0 violations",
-        provenance="enumeration",
-        compute=_cut_size_sweep,
-    ),
-    Check(
-        "cut-size-floor-tight-family",
-        "cut-size-floor",
-        "terminal-ball cuts at n=12 sit within 4n of the leading size term",
-        expected="slack <= 48 and floor holds",
-        provenance="direct-evaluation",
-        compute=_cut_size_tight_family,
-    ),
-    Check(
-        "exhaustive-min-face",
-        "exhaustive-min-floor",
-        "exhaustive minimum over the 2916 non-opposite cuts of the n=3 face instance meets the floor",
-        expected=f">= {_FACE_FLOOR}",
-        provenance="enumeration",
-        compute=_exhaustive_min_face,
-    ),
-    Check(
-        "exhaustive-min-combined",
-        "exhaustive-min-floor",
-        "certified minimum of the combined n=3 instance meets the two-term floor",
-        expected=f">= {_COMBINED_FLOOR}",
-        provenance="enumeration",
-        compute=_exhaustive_min_combined,
-        regime=_COMBINED_REGIME,
-    ),
-    Check(
-        "terminal-flow-floor",
-        "terminal-flow-floor",
-        "terminal-to-opposite-side min cut of the face instance meets 2/5 - 1/(3n) for n in {3,6,...,30}",
-        expected="min margin >= 0",
-        provenance="max-flow",
-        compute=_terminal_flow_floor,
-        regime="finite",
-    ),
-    Check(
-        "canonicalization-sweep",
-        "canonicalization",
-        "reachability relabeling over all 64 pinned maps of the k=3, n=2 lattice: cut-set shrinks, cost never grows, auxiliary count never drops, idempotent",
-        expected="64 maps, all four properties",
-        provenance="enumeration",
-        compute=_canonicalization_sweep,
-    ),
-    Check(
-        "canonicalization-face-cost",
-        "canonicalization",
-        "on the n=3 face instance, relabeling never raises the priced cost over all pinned maps",
-        expected="16384 maps, cost non-increase",
-        provenance="enumeration",
-        compute=_canonicalization_face_cost,
-    ),
-    Check(
-        "format-determinism",
-        "format-determinism",
-        "byte-identical emission and exact JSON/DIMACS cross-parse on five generated instances; frozen n=9 face header",
-        expected="identical, cross-equal, 'p mwc 55 117 3'",
-        provenance="direct-evaluation",
-        compute=_format_determinism,
-    ),
-)
+}
 
-CRITERIA = tuple(dict.fromkeys(check.criterion for check in CHECKS))
+CRITERIA = tuple(CHECKS)
 
 SUITES = {
     "constants": ("optimizer", "limitation"),
@@ -741,12 +723,10 @@ def run_criterion(name: str, budget: int = DEFAULT_LABELING_BUDGET) -> list[Chec
     own.  A check that exhausts the budget fails with "budget-exhausted:
     ..." as its computed value, and the run goes on.
     """
-    if name not in CRITERIA:
+    if name not in CHECKS:
         raise ValueError(f"unknown criterion: {name!r}")
     results = []
-    for check in CHECKS:
-        if check.criterion != name:
-            continue
+    for check in CHECKS[name]:
         started = time.perf_counter()
         try:
             computed, passed = check.compute(budget)
@@ -755,7 +735,7 @@ def run_criterion(name: str, budget: int = DEFAULT_LABELING_BUDGET) -> list[Chec
         results.append(
             CheckResult(
                 id=check.id,
-                criterion=check.criterion,
+                criterion=name,
                 description=check.description,
                 expected=check.expected,
                 computed=computed,

@@ -25,7 +25,14 @@ from operator import itemgetter
 from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended, non_opposite
 from .errors import BudgetExceededError
 from .instances import WeightMap
-from .lattice import SimplexGraph, boundary_nodes, family_choices, family_size, node_count
+from .lattice import (
+    SimplexGraph,
+    boundary_nodes,
+    build_graph,
+    family_choices,
+    family_size,
+    node_count,
+)
 
 DEFAULT_LABELING_BUDGET = 2_000_000
 
@@ -137,16 +144,19 @@ def _price(weighted: list[tuple[int, int, int]], labels: tuple[int, ...]) -> int
 
 
 def enumerate_non_opposite(
-    g: SimplexGraph,
+    k: int,
+    n: int,
     visitor=None,
     max_labelings: int = DEFAULT_LABELING_BUDGET,
 ) -> int:
-    """Visit every non-opposite cut once, in mixed-radix node order.
+    """Visit every non-opposite cut of the (k, n) lattice once, in
+    mixed-radix node order.
 
-    Refuses to start when the space exceeds max_labelings.  Returns the
-    visit count.
+    Refuses to start when the space exceeds max_labelings, counting it
+    before the lattice is built.  Returns the visit count.
     """
-    _within_budget(family_size(g.k, g.n, non_opposite), max_labelings)
+    _within_budget(family_size(k, n, non_opposite), max_labelings)
+    g = build_graph(k, n)
     count = 0
     for labels in product(*family_choices(g, non_opposite)):
         count += 1

@@ -22,16 +22,21 @@ import pytest
 import simplexcut
 from simplexcut import (
     WeightMap,
+    build_base_triangle,
+    build_component,
     build_graph,
     cli,
+    corner_caps,
     cost,
     emit_cut,
+    emit_instance_dimacs,
     emit_instance_json,
     exhaustive_extremal,
     isolate_terminals,
     midlines,
     min_terminal_face_cut,
     parse_instance,
+    search,
     sperner,
 )
 from simplexcut.reproduce import SUITES
@@ -227,6 +232,92 @@ def test_eval_cut_missing_instance():
     assert stderr_error(proc)["error"] == "io-error"
 
 
+@pytest.fixture(scope="module")
+def lines13(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inst") / "lines13.json"
+    path.write_text(emit_instance_json(build_component(2, build_graph(4, 13)), tag="lines"))
+    return path
+
+
+_C_ONLY_FOR_CAPS = "--c only applies to --cut corner-caps"
+_ALPHA_ONLY_FOR_BALL = "--alpha only applies to --cut terminal-ball"
+
+
+@pytest.mark.parametrize(
+    "cut,flags,message",
+    [
+        ("midlines-ext", ("--c", "1/13"), _C_ONLY_FOR_CAPS),
+        ("terminal-ball", ("--alpha", "1/13", "--c", "1/13"), _C_ONLY_FOR_CAPS),
+        ("corner-caps", ("--alpha", "1/13"), _ALPHA_ONLY_FOR_BALL),
+        ("isolate-terminals", ("--alpha", "1/13"), _ALPHA_ONLY_FOR_BALL),
+        ("file", ("--c", "1/13"), _C_ONLY_FOR_CAPS),
+        ("file", ("--alpha", "1/13"), _ALPHA_ONLY_FOR_BALL),
+    ],
+)
+def test_eval_cut_refuses_a_flag_its_cut_does_not_take(
+    lines13, tmp_path, capsys, cut, flags, message
+):
+    if cut == "file":
+        cut = str(tmp_path / "caps.json")
+        Path(cut).write_text(emit_cut(corner_caps(build_graph(4, 13), Fraction(1, 13))))
+    assert cli.main(["eval-cut", "--instance", str(lines13), "--cut", cut, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "invalid-parameter", "message": message}
+
+
+def test_eval_cut_prices_corner_caps_at_a_given_depth(lines13, capsys):
+    g = build_graph(4, 13)
+    expected = cost(corner_caps(g, Fraction(1, 13)), build_component(2, g))
+    argv = ["eval-cut", "--instance", str(lines13), "--cut", "corner-caps", "--c", "1/13"]
+    assert cli.main(argv) == 0
+    exact = json.loads(capsys.readouterr().out)["results"]["cost"]["exact"]
+    assert Fraction(exact) == expected > 0
+
+
+def _malformed_inputs():
+    """Case id -> (command, instance bytes or None for a missing file, cut, error)."""
+    dimacs = emit_instance_dimacs(build_base_triangle(3), tag="triangle")
+
+    def edit(old, new):
+        assert old in dimacs.splitlines()
+        return dimacs.replace(old, new, 1).encode()
+
+    cut = emit_cut(midlines(build_graph(3, 3))).encode()
+    bad = "invalid-parameter"
+    return {
+        "undecodable-instance": ("eval-cut", b"\xff\xfe\x00{}", "midlines", bad),
+        "truncated-cut": ("eval-cut", dimacs.encode(), cut[: len(cut) // 2], bad),
+        "weight-1/0": ("eval-cut", edit("e 0 1 1/5", "e 0 1 1/0"), "midlines", bad),
+        "weight-nan": ("eval-cut", edit("e 0 1 1/5", "e 0 1 nan"), "midlines", bad),
+        "weight-0x10": ("eval-cut", edit("e 0 1 1/5", "e 0 1 0x10"), "midlines", bad),
+        "terminal-t-x-1": ("eval-cut", edit("t 0 1", "t x 1"), "midlines", bad),
+        "problem-1e3": ("eval-cut", edit("p mwc 10 15 3", "p mwc 1e3 0 3"), "midlines", bad),
+        "missing-instance": ("min-cut", None, None, "io-error"),
+    }
+
+
+_MALFORMED = _malformed_inputs()
+
+
+@pytest.mark.parametrize("command,instance,cut,error", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_input_exits_2_with_one_json_error(
+    tmp_path, capsys, command, instance, cut, error
+):
+    path = tmp_path / "instance"
+    if instance is not None:
+        path.write_bytes(instance)
+    if isinstance(cut, bytes):
+        (tmp_path / "cut.json").write_bytes(cut)
+        cut = str(tmp_path / "cut.json")
+    target = ["--cut", cut] if command == "eval-cut" else ["--terminal", "1"]
+    assert cli.main([command, "--instance", str(path), *target]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == error
+
+
 def test_min_cut_value(triangle9):
     doc = report(run("min-cut", "--instance", str(triangle9), "--terminal", "1"))
     assert doc["results"]["min_cut"]["exact"] == "2/5"
@@ -361,14 +452,14 @@ def test_budget_refuses_a_space_too_long_to_print(command, space):
 def test_budget_refusal_builds_nothing(monkeypatch, capsys, command):
     # the space is counted in closed form, so refusing it builds no lattice
     # and no hypergraph
-    monkeypatch.setattr(cli, "build_graph", lambda k, n: pytest.fail("built the lattice"))
+    monkeypatch.setattr(search, "build_graph", lambda k, n: pytest.fail("built the lattice"))
     monkeypatch.setattr(sperner, "build_hypergraph", lambda k, n: pytest.fail("built the hypergraph"))
     assert cli.main([*command, "--budget", "10"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "budget-exhausted"
 
 
 def test_budget_refusal_names_a_space_by_its_power_of_ten(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_graph", lambda k, n: pytest.fail("built the lattice"))
+    monkeypatch.setattr(search, "build_graph", lambda k, n: pytest.fail("built the lattice"))
     assert cli.main(["enumerate", "--k", "40", "--n", "3", "--budget", "10"]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "budget-exhausted",

@@ -385,6 +385,15 @@ def test_family_size_counts_the_choice_lists(rule, k, n):
     assert prod(b**e for b, e in factors) == prod(map(len, choices))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("rule", FAMILY_RULES)
+def test_family_choices_calls_the_rule_on_each_support(rule, k, n):
+    g = build_graph(k, n)
+    expected = [FAMILY_RULES[rule](k, support(p)) for p in g.nodes]
+    assert family_choices(g, FAMILY_RULES[rule]) == expected
+
+
 def test_family_size_checks_the_lattice_size():
     with pytest.raises(ValueError, match="two coordinates"):
         family_size(1, 3, admissible)

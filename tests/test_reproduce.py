@@ -87,7 +87,7 @@ def test_check_ids_unique_across_registry():
     ids = [c.id for name in CRITERIA for c in run_criterion(name)]
     assert len(ids) == len(set(ids))
     # the default budget runs every registered check: none waits for a larger one
-    assert ids == [c.id for c in reproduce.CHECKS]
+    assert ids == [c.id for checks in reproduce.CHECKS.values() for c in checks]
 
 
 def test_run_criterion_rejects_unknown():
@@ -160,7 +160,10 @@ def test_each_check_is_timed_on_its_own(monkeypatch):
     monkeypatch.setattr(
         reproduce,
         "CHECKS",
-        tuple(slowed(c) if c.id == slow_id else c for c in reproduce.CHECKS),
+        {
+            name: tuple(slowed(c) if c.id == slow_id else c for c in checks)
+            for name, checks in reproduce.CHECKS.items()
+        },
     )
     report = run_suite("lemmas")
     assert report.passed
