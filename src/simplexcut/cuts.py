@@ -95,7 +95,7 @@ def cost(p: CutLabeling, w: WeightMap) -> Fraction:
     """
     if p.graph != w.graph:
         raise ValueError("cut and weights live on different graphs")
-    return Fraction(sum(map(w.nums.__getitem__, delta(p))), w.den)
+    return Fraction(sum(map(w.palette.__getitem__, map(w.codes.__getitem__, delta(p)))), w.den)
 
 
 def non_opposite(k: int, s: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,63 +1,100 @@
 """Weighted gap instances on simplex lattice graphs.
 
 All weights are exact rationals, stored as integers over one common
-denominator: a WeightMap holds a denominator den and a tuple nums with one
-integer numerator per edge, so edge e weighs nums[e]/den.  den is the
+denominator.  A WeightMap holds the denominator den, a palette of the
+distinct numerators, ascending from 0, and codes, an array with one
+small code per edge, so edge e weighs palette[codes[e]]/den.  den is the
 least common denominator of the weights (1 when every weight is 0), which
-makes the pair canonical and equality and hashing structural.  Arithmetic
-on weights (combining, pricing cuts, searching) runs on the integers;
-Fractions appear only where weights enter or leave a map.
+makes the form canonical and equality and hashing structural.  The gap
+instances are sums of piecewise-constant components, so their palettes
+are short (30 values at k = 4, n = 78) and a code takes one byte: 1, 2 or
+4 bytes an edge as the palette needs 256 values or fewer, 65,536 or
+fewer, or more.  Arithmetic on weights (combining, pricing cuts,
+searching) runs on the integers; Fractions appear only where weights
+enter or leave a map.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from math import gcd, lcm
-from operator import mul
+from operator import getitem, mul
 
 from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, red_regions
 
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 
 
-class _Sized:
-    """items told their count n, so that tuple() allocates its result once,
-    at that size.  From an iterator of unknown length (a map) tuple() grows
-    its result a quarter at a time, and its last step, to up to 1.25 times
-    the final size, can land in fresh memory: parsing the n = 78 DIMACS
-    document then peaked 4.3 MB higher in some heap layouts.  A wrong n
-    costs only a resize."""
+def _typecode(size: int) -> str:
+    """The array typecode of the codes into a palette of size values."""
+    return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
 
-    def __init__(self, items: Iterable[int], n: int):
-        self.items, self.n = items, n
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.items)
+class _Encoder(dict):
+    """key -> code, the next code for each key not seen before."""
 
-    def __len__(self) -> int:
-        return self.n
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
+        return code
+
+
+def _encode(items: Iterable, first) -> tuple[list, array]:
+    """The distinct items in order of first appearance, first (code 0)
+    leading, and one code per item into that list.
+
+    The codes are one byte each until a 256th distinct item arrives, two
+    until a 65,536th, then four: each widening copies the codes made so far
+    once.  From an iterator of unknown length the array grows by a
+    sixteenth at a time, so its buffer ends at most that much above its
+    final size.
+    """
+    encoder = _Encoder({first: 0})
+    step = map(encoder.__getitem__, items)
+    codes = array("B")
+    while True:
+        try:
+            codes.extend(step)
+            return list(encoder), codes
+        except OverflowError:
+            # only the newest code can be too wide for the array
+            newest = len(encoder) - 1
+            if newest < 1 << 8 * codes.itemsize:
+                raise
+            codes = array("H" if codes.typecode == "B" else "I", codes)
+            codes.append(newest)
+
+
+# codes are remapped in place this many at a time, so a remap holds two
+# such slices beside the codes, not two copies of them
+_REMAP_SLICE = 1 << 16
 
 
 @dataclass(frozen=True, init=False)
 class WeightMap:
-    """Nonnegative rational edge weights over a fixed graph.
+    """Nonnegative rational edge weights over a fixed graph, as a palette.
 
-    Edge e weighs nums[e]/den, with den > 0 the least common denominator
-    of the weights and len(nums) == len(graph.edges).  Build one from an
-    {edge index: weight} mapping, where absent edges weigh zero, or from
-    integers with from_numerators.
+    Edge e weighs palette[codes[e]]/den.  den > 0 is the least common
+    denominator of the weights; palette holds the distinct numerators in
+    ascending order, palette[0] == 0 always, so code 0 marks exactly the
+    edges of weight 0; codes is an array with one code per edge, of
+    typecode 'B', 'H' or 'I' as the palette's length needs.  The form is
+    canonical, so maps with the same weights are equal and hash equal
+    however they were built.  Build one from an {edge index: weight}
+    mapping, where absent edges weigh zero, from integers with
+    from_numerators, or from a palette of any order with from_codes.
     """
 
     graph: SimplexGraph
     den: int
-    nums: tuple[int, ...]
+    palette: tuple[int, ...]
+    codes: array = field(hash=False)
 
     def __init__(self, graph: SimplexGraph, weights: dict[int, Fraction]):
-        nums = [0] * len(graph.edges)
         fractions = []
         for e, w in weights.items():
             if not isinstance(e, int):
@@ -65,38 +102,63 @@ class WeightMap:
             w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight on edge {e}")
-            if not 0 <= e < len(nums):
+            if not 0 <= e < len(graph.edges):
                 raise ValueError(f"unknown edge index {e}")
             fractions.append((int(e), w))
         den = lcm(1, *(w.denominator for _, w in fractions))
-        for e, w in fractions:
-            nums[e] = w.numerator * (den // w.denominator)
-        self._assign(graph, den, tuple(nums))
+        support = {e: w.numerator * (den // w.denominator) for e, w in fractions}
+        self._assign(graph, den, *_support_codes(len(graph.edges), 0, support))
 
-    def _assign(self, graph: SimplexGraph, den: int, nums: tuple[int, ...]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-
-    @classmethod
-    def from_numerators(cls, graph: SimplexGraph, den: int, nums) -> "WeightMap":
-        """Edge e weighs nums[e]/den; the fraction is reduced to lowest terms."""
-        nums = tuple(_Sized(nums, len(graph.edges)))
-        if len(nums) != len(graph.edges):
-            raise ValueError(f"{len(nums)} numerators for {len(graph.edges)} edges")
-        # the sign and the common factor depend only on the distinct values
-        values = set(nums)
-        if den < 1 or (values and min(values) < 0):
+    def _assign(self, graph: SimplexGraph, den: int, values: list[int], codes: array) -> None:
+        if len(codes) != len(graph.edges):
+            raise ValueError(f"{len(codes)} codes for {len(graph.edges)} edges")
+        if den < 1 or min(values, default=0) < 0:
             raise ValueError("weights must be nonnegative over a positive denominator")
         common = gcd(den, *values)
-        if common > 1:
-            den //= common
-            # one division, and one int object, per distinct value
-            reduced = {x: x // common for x in values}
-            nums = tuple(_Sized(map(reduced.__getitem__, nums), len(nums)))
+        palette = tuple(sorted({0, *(x // common for x in values)}))
+        at = {x: i for i, x in enumerate(palette)}
+        table = [at[x // common] for x in values]
+        typecode = _typecode(len(palette))
+        if table != list(range(len(table))) or codes.typecode != typecode:
+            if codes.typecode == typecode == "B":
+                # remapped in place, a slice at a time
+                table = bytes(table).ljust(256, b"\0")
+                with memoryview(codes) as view:
+                    for start in range(0, len(view), _REMAP_SLICE):
+                        rows = slice(start, start + _REMAP_SLICE)
+                        view[rows] = view[rows].tobytes().translate(table)
+            else:
+                codes = array(typecode, map(table.__getitem__, codes))
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "den", den // common)
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_codes(cls, graph: SimplexGraph, den: int, values: list[int], codes: array) -> "WeightMap":
+        """Edge e weighs values[codes[e]]/den, reduced to the canonical form.
+
+        values may come in any order and repeat; each but 0 must be the
+        numerator of some edge, or it would stay in the palette.  The
+        fraction is reduced by the gcd of den and the values, the values
+        are sorted, and the codes are remapped to match; codes is taken
+        over, and rewritten in place when its typecode stays 'B'.
+        """
         wm = object.__new__(cls)
-        wm._assign(graph, den, nums)
+        wm._assign(graph, den, values, codes)
         return wm
+
+    @classmethod
+    def from_numerators(cls, graph: SimplexGraph, den: int, nums: Iterable[int]) -> "WeightMap":
+        """Edge e weighs nums[e]/den; the fraction is reduced to lowest terms.
+
+        nums is read once, into codes, so it may be an iterator."""
+        return cls.from_codes(graph, den, *_encode(nums, 0))
+
+    @property
+    def nums(self) -> "_Numerators":
+        """Read-only view of the numerators: nums[e] == palette[codes[e]]."""
+        return _Numerators(self.palette, self.codes)
 
     @property
     def weights(self) -> Mapping[int, Fraction]:
@@ -104,37 +166,54 @@ class WeightMap:
         return _NonzeroWeights(self)
 
     def weight(self, edge: int) -> Fraction:
-        return Fraction(self.nums[edge], self.den)
+        return Fraction(self.palette[self.codes[edge]], self.den)
 
     def total(self) -> Fraction:
-        return Fraction(sum(self.nums), self.den)
+        return Fraction(sum(map(self.palette.__getitem__, self.codes)), self.den)
 
     def items(self) -> list[tuple[int, Fraction]]:
         """(edge index, weight) pairs of the nonzero weights, in edge order."""
-        den = self.den
-        return [(e, Fraction(x, den)) for e, x in enumerate(self.nums) if x]
+        weights = [Fraction(x, self.den) for x in self.palette]
+        return [(e, weights[code]) for e, code in enumerate(self.codes) if code]
 
     def __repr__(self) -> str:
         return f"WeightMap(graph={self.graph!r}, den={self.den}, nonzero={len(self.weights)})"
 
 
+class _Numerators(Sequence):
+    """The numerators of a map, one per edge, made on demand from its
+    palette and codes."""
+
+    def __init__(self, palette: tuple[int, ...], codes: array):
+        self.palette, self.codes = palette, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, edge: int) -> int:
+        return self.palette[self.codes[edge]]
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.palette.__getitem__, self.codes)
+
+
 class _NonzeroWeights(Mapping):
-    # a view, so that len() counts nonzero numerators without building a
+    # a view, so that len() counts nonzero codes without building a
     # Fraction for each edge
     def __init__(self, wm: WeightMap):
         self._wm = wm
 
     def __len__(self) -> int:
-        return len(self._wm.nums) - self._wm.nums.count(0)
+        return len(self._wm.codes) - self._wm.codes.count(0)
 
     def __iter__(self) -> Iterator[int]:
-        return (e for e, x in enumerate(self._wm.nums) if x)
+        return compress(count(), self._wm.codes)
 
     def __getitem__(self, edge: int) -> Fraction:
-        nums = self._wm.nums
-        if not (isinstance(edge, int) and 0 <= edge < len(nums) and nums[edge]):
+        codes = self._wm.codes
+        if not (isinstance(edge, int) and 0 <= edge < len(codes) and codes[edge]):
             raise KeyError(edge)
-        return Fraction(nums[edge], self._wm.den)
+        return Fraction(self._wm.palette[codes[edge]], self._wm.den)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -145,9 +224,8 @@ def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
 
     Each lam * nums/den is brought to the common denominator of all the
     terms, so the sum is taken over integers.  An edge's numerator depends
-    only on its row of term numerators, and the terms take few values, so
-    each distinct row is summed once and the map holds one int object per
-    distinct numerator.
+    only on its row of term codes, so each distinct row is summed once and
+    becomes one palette value.
     """
     if not parts:
         raise ValueError("nothing to combine")
@@ -159,13 +237,10 @@ def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
         terms.append((Fraction(lam), wm))
     den = lcm(*(lam.denominator * wm.den for lam, wm in terms))
     scales = [lam.numerator * (den // (lam.denominator * wm.den)) for lam, wm in terms]
-    shared: dict[int, int] = {}
-    summed = {}
-    for row in set(zip(*(wm.nums for _lam, wm in terms))):
-        x = sum(map(mul, row, scales))
-        summed[row] = shared.setdefault(x, x)
-    rows = zip(*(wm.nums for _lam, wm in terms))
-    return WeightMap.from_numerators(graph, den, map(summed.__getitem__, rows))
+    palettes = [wm.palette for _lam, wm in terms]
+    rows, codes = _encode(zip(*(wm.codes for _lam, wm in terms)), (0,) * len(terms))
+    values = [sum(map(mul, map(getitem, palettes, row), scales)) for row in rows]
+    return WeightMap.from_codes(graph, den, values, codes)
 
 
 @dataclass(frozen=True)
@@ -253,7 +328,7 @@ def build_base_triangle(n: int) -> WeightMap:
     g = build_graph(3, n)
     m = n // 3
     # numerators over 5n, so rho = 3/(5n) is 3
-    nums = [0] * len(g.edges)
+    support: dict[int, int] = {}
     boundary: dict[int, int] = {}  # edge index -> position d from the lower terminal
     for pair in combinations((1, 2, 3), 2):
         for d, e in enumerate(boundary_edges(g, pair), start=1):
@@ -261,14 +336,14 @@ def build_base_triangle(n: int) -> WeightMap:
     for e, (u, v) in enumerate(zip(g.tails, g.heads)):
         if e in boundary:
             d = boundary[e]
-            nums[e] = 3 * max(m - d + 1, d - 2 * m, 1)
+            support[e] = 3 * max(m - d + 1, d - 2 * m, 1)
             continue
         p, q = g.nodes[u], g.nodes[v]
         fixed = next(i for i in range(3) if p[i] == q[i])
         if p[fixed] >= 2 * m:
             continue  # zero-weight: parallel run inside a corner triangle
-        nums[e] = 3
-    wm = WeightMap.from_numerators(g, 5 * n, nums)
+        support[e] = 3
+    wm = _from_support(g, 5 * n, 0, support)
     assert wm.total() == n
     return wm
 
@@ -299,6 +374,33 @@ def _component_terms(index: int, g: SimplexGraph, c: Fraction | None) -> tuple[i
     raise ValueError(f"no component {index}")
 
 
+def _support_codes(edges: int, fill: int, support: dict[int, int]) -> tuple[list[int], array]:
+    """The palette and the codes of numerators fill + support.get(e, 0)
+    on edges 0..edges-1.
+
+    The palette is known before any code is written, so the codes are
+    one array of fill's code, made at its final size, with the support's
+    edges set one by one: no list per edge, and no remap.
+    """
+    extras = set(support.values())
+    values = {0, *(fill + x for x in extras)}
+    if len(support) < edges:
+        values.add(fill)
+    palette = sorted(values)
+    at = {x: i for i, x in enumerate(palette)}
+    # fill is in the palette unless the support covers every edge
+    codes = array(_typecode(len(palette)), [at.get(fill, 0)]) * edges
+    code = {x: at[fill + x] for x in extras}
+    for e, x in support.items():
+        codes[e] = code[x]
+    return palette, codes
+
+
+def _from_support(g: SimplexGraph, den: int, fill: int, support: dict[int, int]) -> WeightMap:
+    """The map in which edge e weighs (fill + support.get(e, 0))/den."""
+    return WeightMap.from_codes(g, den, *_support_codes(len(g.edges), fill, support))
+
+
 def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> WeightMap:
     """One of the four unscaled components on a four-terminal graph.
 
@@ -309,11 +411,7 @@ def build_component(index: int, g: SimplexGraph, c: Fraction | None = None) -> W
 
     Components 1..3 total exactly n; component 4 totals n + 3 + 2/n.
     """
-    den, fill, support = _component_terms(index, g, c)
-    nums = [fill] * len(g.edges)
-    for e, x in support.items():
-        nums[e] += x
-    return WeightMap.from_numerators(g, den, nums)
+    return _from_support(g, *_component_terms(index, g, c))
 
 
 def combine(params: GapParams, g: SimplexGraph) -> WeightMap:
@@ -337,8 +435,4 @@ def combine(params: GapParams, g: SimplexGraph) -> WeightMap:
         # the supports overlap on the face boundary, so their terms add up
         for e, x in support.items():
             extra[e] = extra.get(e, 0) + scale * x
-    nums = [fill] * len(g.edges)
-    shared = {fill: fill}
-    for e, x in extra.items():
-        nums[e] = shared.setdefault(fill + x, fill + x)
-    return WeightMap.from_numerators(g, den, nums)
+    return _from_support(g, den, fill, extra)

@@ -21,12 +21,14 @@ document but the one holding the header.  Every other slice goes through
 the general line-by-line reader, which accepts lines in any order,
 comments, odd whitespace and number forms, and is the source of every
 error message: the list-level path only ever returns the result the line
-reader would.  Either way a row's weight goes into a 4-byte slot of one
-array.  The text is read until its problem line and terminal lines build
-the lattice, stepping over slices of edge lines with one pattern match,
-and read again from the top once the graph exists; a problem line that
-announces a negative edge count, or more edges than its lattice has, is
-refused before the lattice is built.
+reader would.  Either way a row's weight text goes in as a code into one
+array slot per edge, a byte while there are at most 255 distinct texts,
+and the slots become the parsed map's codes.  The text is read until its
+problem line and terminal lines build the lattice, stepping over slices
+of edge lines with one pattern match, and read again from the top once
+the graph exists; a problem line that announces a negative edge count,
+or more edges than its lattice has, is refused before the lattice is
+built.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import lcm
 
 from .cuts import CutLabeling
 from .instances import WeightMap
-from .lattice import SimplexGraph, build_graph, edge_count, node_count, terminal_nodes
+from .lattice import SimplexGraph, build_graph, edge_count, node_count, reach, terminal_nodes
 
 INSTANCE_FORMAT = "simplexcut-instance"
 CUT_FORMAT = "simplexcut-cut"
@@ -100,12 +102,16 @@ class _NodeNames:
     never holds the names of all nodes at once.
     """
 
-    def __init__(self):
+    def __init__(self, g: SimplexGraph):
         self.names: dict[int, str] = {}
         self.lo, self.hi = 0, -1  # the window holds the names of lo..hi
+        self.reach, self.last = reach(g.k, g.n), node_count(g.k, g.n) - 1
 
-    def window(self, lo: int, hi: int) -> dict[int, str]:
-        """The names of at least the nodes lo..hi."""
+    def window(self, tails: array) -> dict[int, str]:
+        """The names of at least both ends of every edge whose tail lies
+        in the ascending, nonempty run tails: an edge (u, v) has
+        v <= u + reach(k, n), so its head is at most tails[-1] + reach."""
+        lo, hi = tails[0], min(tails[-1] + self.reach, self.last)
         names = self.names
         if lo < self.lo or lo > self.hi + 1:
             names.clear()
@@ -121,9 +127,9 @@ class _NodeNames:
         return names
 
 
-def _weight_texts(w: WeightMap) -> dict[int, str]:
-    """The weight text "p/q" of each distinct numerator of w."""
-    return {x: render_rational(Fraction(x, w.den)) for x in set(w.nums)}
+def _weight_texts(w: WeightMap) -> list[str]:
+    """The weight text "p/q" of each palette value of w, indexed by code."""
+    return [render_rational(Fraction(x, w.den)) for x in w.palette]
 
 
 def emit_instance_json(
@@ -134,7 +140,7 @@ def emit_instance_json(
     include_zero_edges: bool = False,
 ) -> str:
     g = w.graph
-    texts, rows = _weight_texts(w), zip(g.tails, g.heads, w.nums)
+    texts, rows = _weight_texts(w), zip(g.tails, g.heads, w.codes)
     doc = {
         "format": INSTANCE_FORMAT,
         "version": FORMAT_VERSION,
@@ -169,7 +175,7 @@ def emit_instance_dimacs(
     would be the same and only the peak would grow.
     """
     g = w.graph
-    row_count = len(w.nums) if include_zero_edges else len(w.weights)
+    row_count = len(w.codes) if include_zero_edges else len(w.weights)
     lines = [f"c {INSTANCE_FORMAT} version {FORMAT_VERSION}"]
     if tag is not None:
         lines.append(f"c tag {tag}")
@@ -192,22 +198,22 @@ def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
 
     A block is put together from lists: compress drops its zero-weight
     edges, node names come from a sliding window of str(r) for r from the
-    block's first u to its largest v, and weight texts from one dict over
-    the distinct numerators.  No row is formatted on its own, and the
-    endpoints are read from the columns as the names are looked up, so
-    no list of endpoint ints is made.
+    block's first u to its last u plus the lattice's reach, and weight
+    texts from one list indexed by the palette codes.  No row is formatted
+    on its own, and the endpoints are read from the columns as the names
+    are looked up, so no list of endpoint ints is made.
     """
-    g, nums = w.graph, w.nums
-    texts = {x: f" {text}\n" for x, text in _weight_texts(w).items()}
-    names = _NodeNames()
-    for start in range(0, len(nums), EMIT_BLOCK_ROWS):
+    g, codes = w.graph, w.codes
+    texts = [f" {text}\n" for text in _weight_texts(w)]
+    names = _NodeNames(g)
+    for start in range(0, len(codes), EMIT_BLOCK_ROWS):
         rows = slice(start, start + EMIT_BLOCK_ROWS)
-        us, vs, block_nums = g.tails[rows], g.heads[rows], nums[rows]
-        name = names.window(us[0], max(vs)).__getitem__
+        us, vs, block_codes = g.tails[rows], g.heads[rows], codes[rows]
+        name = names.window(us).__getitem__
         if not include_zero_edges:
-            us, vs = compress(us, block_nums), compress(vs, block_nums)
-            block_nums = list(compress(block_nums, block_nums))
-        m = len(block_nums)
+            us, vs = compress(us, block_codes), compress(vs, block_codes)
+            block_codes = list(compress(block_codes, block_codes))
+        m = len(block_codes)
         if not m:
             continue
         # "e ", u, " ", v, " p/q\n" for each row
@@ -215,7 +221,7 @@ def _edge_blocks(w: WeightMap, include_zero_edges: bool) -> Iterator[str]:
         parts[0::5] = ["e "] * m
         parts[1::5] = map(name, us)
         parts[3::5] = map(name, vs)
-        parts[4::5] = map(texts.__getitem__, block_nums)
+        parts[4::5] = map(texts.__getitem__, block_codes)
         yield "".join(parts)
 
 
@@ -268,8 +274,10 @@ class _WeightSlots:
 
     Each row goes straight into its edge's slot.  A slot holds a code for
     the row's weight text (0 for an edge no row names) in an array of
-    4-byte unsigned ints; each distinct text is parsed once, and the
-    weights are put over their common denominator when the map is made.
+    bytes, widened to 4-byte unsigned ints when a 256th distinct text
+    arrives; each distinct text is parsed once.  When the map is made the
+    weights are put over their common denominator and the slots become its
+    codes.
     """
 
     def __init__(self, g: SimplexGraph):
@@ -279,11 +287,11 @@ class _WeightSlots:
         self.codes: dict[str, int] = {}  # weight text -> code
         self.keys: dict[str, int] = {}  # "text\ne" -> code, for fill
         self.values: list[Fraction] = []
-        self.slots = array("I", [0]) * len(g.tails)
+        self.slots = array("B", bytes(len(g.tails)))
         # the edge after the last one filled: emitted rows come in edge
         # order, so this is usually the next row's edge
         self.hint = 0
-        self.names = _NodeNames()
+        self.names = _NodeNames(g)
 
     def add(self, u: int, v: int, text: str) -> None:
         e = self.hint
@@ -303,6 +311,7 @@ class _WeightSlots:
                 raise ValueError("negative edge weight")
             self.values.append(x)
             code = self.codes[text] = len(self.values)
+            self._widen(code)
         self.slots[e] = code
         self.hint = e + 1
 
@@ -330,7 +339,7 @@ class _WeightSlots:
             return False
         # endpoints must be written as str writes them; other forms ("03",
         # "+3") are left to add, which reads them with int
-        name = self.names.window(us[0], max(vs)).__getitem__
+        name = self.names.window(us).__getitem__
         if tokens[1::3] != list(map(name, us)) or tokens[2::3] != list(map(name, vs)):
             return False
         keys = tokens[3::3]
@@ -348,15 +357,21 @@ class _WeightSlots:
         first = len(self.values) + 1
         self.codes.update(zip(fresh, range(first, first + len(fresh))))
         self.values += values
+        self._widen(len(self.values))
         self.keys.update(zip(new, map(self.codes.__getitem__, texts)))
-        self.slots[h : h + m] = array("I", map(self.keys.__getitem__, keys))
+        self.slots[h : h + m] = array(self.slots.typecode, map(self.keys.__getitem__, keys))
         self.hint = h + m
         return True
 
+    def _widen(self, code: int) -> None:
+        """Make room in the slots for code."""
+        if code > 255 and self.slots.typecode == "B":
+            self.slots = array("I", self.slots)
+
     def weight_map(self) -> WeightMap:
         den = lcm(1, *(x.denominator for x in self.values))
-        scaled = [0] + [x.numerator * (den // x.denominator) for x in self.values]
-        return WeightMap.from_numerators(self.graph, den, map(scaled.__getitem__, self.slots))
+        values = [0] + [x.numerator * (den // x.denominator) for x in self.values]
+        return WeightMap.from_codes(self.graph, den, values, self.slots)
 
 
 def _document(text: str, fmt: str, noun: str) -> dict:
@@ -423,6 +438,14 @@ def _slices(text: str) -> Iterator[str]:
 _EDGE_ROWS = re.compile(r"(?:e [!-~]+ [!-~]+ [!-~]+\r?\n)+")
 
 
+def _integers(fields: list[str], kind: str, line: str) -> list[int]:
+    """The fields of a line as integers, or the error that names the line."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"malformed {kind} line: {line!r}") from None
+
+
 def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | ParsedInstance:
     """Read a DIMACS-like document once, from the top.
 
@@ -453,10 +476,10 @@ def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | Parsed
             if kind == "e":
                 if len(fields) != 3:
                     raise ValueError(f"malformed edge line: {line!r}")
-                u, v, wt = fields
                 edge_lines += 1
                 if slots is not None:
-                    slots.add(int(u), int(v), wt)
+                    u, v = _integers(fields[:2], "edge", line)
+                    slots.add(u, v, fields[2])
                 continue
             if kind == "c":
                 if fields[:1] == ["tag"] and len(fields) == 2:
@@ -471,7 +494,7 @@ def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | Parsed
                     raise ValueError("multiple problem lines")
                 if len(fields) != 4 or fields[0] != "mwc":
                     raise ValueError(f"malformed problem line: {line!r}")
-                declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+                declared_nodes, declared_edges, k = _integers(fields[1:], "problem", line)
                 if declared_edges < 0:
                     raise ValueError(f"problem line announces {declared_edges} edges, fewer than 0")
                 n = _invert_node_count(k, declared_nodes)
@@ -486,7 +509,7 @@ def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | Parsed
             elif kind == "t":
                 if len(fields) != 2:
                     raise ValueError(f"malformed terminal line: {line!r}")
-                terminal_rows.append((int(fields[0]), int(fields[1])))
+                terminal_rows.append(tuple(_integers(fields, "terminal", line)))
             else:
                 raise ValueError(f"unknown line kind: {kind!r}")
             if slots is None and header is not None and len(terminal_rows) == header[1]:

@@ -131,7 +131,8 @@ def _count_text(count: int) -> str:
 
 def _weighted_edges(w: WeightMap) -> list[tuple[int, int, int]]:
     """(u, v, numerator) for each edge of nonzero weight, in edge order."""
-    return [(u, v, x) for u, v, x in zip(w.graph.tails, w.graph.heads, w.nums) if x]
+    palette = w.palette
+    return [(u, v, palette[code]) for u, v, code in zip(w.graph.tails, w.graph.heads, w.codes) if code]
 
 
 def _price(weighted: list[tuple[int, int, int]], labels: tuple[int, ...]) -> int:
@@ -343,10 +344,10 @@ def min_terminal_face_cut(w: WeightMap, terminal: int) -> Fraction:
         raise ValueError(f"no terminal {terminal}")
     source = g.terminals[terminal - 1]
     sink = node_count(g.k, g.n)
-    inf = sum(w.nums) + 1
     # arc a ^ 1 is the reverse of arc a: an edge's two arcs are each other's
     # residual, and a sink arc's reverse starts with no capacity
     arcs = [(u, v, x, x) for u, v, x in _weighted_edges(w)]
+    inf = sum(x for _u, _v, x, _back in arcs) + 1
     arcs += [(node, sink, inf, 0) for node in boundary_nodes(g, tuple({1, 2, 3} - {terminal}))]
     head, cap, out = [], [], [[] for _ in range(sink + 1)]
     for u, v, x, back in arcs:

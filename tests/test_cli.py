@@ -276,7 +276,8 @@ def test_eval_cut_prices_corner_caps_at_a_given_depth(lines13, capsys):
 
 
 def _malformed_inputs():
-    """Case id -> (command, instance bytes or None for a missing file, cut, error)."""
+    """Case id -> (command, instance bytes or None for a missing file, cut,
+    error, and the text the message must hold or None)."""
     dimacs = emit_instance_dimacs(build_base_triangle(3), tag="triangle")
 
     def edit(old, new):
@@ -286,23 +287,42 @@ def _malformed_inputs():
     cut = emit_cut(midlines(build_graph(3, 3))).encode()
     bad = "invalid-parameter"
     return {
-        "undecodable-instance": ("eval-cut", b"\xff\xfe\x00{}", "midlines", bad),
-        "truncated-cut": ("eval-cut", dimacs.encode(), cut[: len(cut) // 2], bad),
-        "weight-1/0": ("eval-cut", edit("e 0 1 1/5", "e 0 1 1/0"), "midlines", bad),
-        "weight-nan": ("eval-cut", edit("e 0 1 1/5", "e 0 1 nan"), "midlines", bad),
-        "weight-0x10": ("eval-cut", edit("e 0 1 1/5", "e 0 1 0x10"), "midlines", bad),
-        "terminal-t-x-1": ("eval-cut", edit("t 0 1", "t x 1"), "midlines", bad),
-        "problem-1e3": ("eval-cut", edit("p mwc 10 15 3", "p mwc 1e3 0 3"), "midlines", bad),
-        "missing-instance": ("min-cut", None, None, "io-error"),
+        "undecodable-instance": ("eval-cut", b"\xff\xfe\x00{}", "midlines", bad, None),
+        "truncated-cut": ("eval-cut", dimacs.encode(), cut[: len(cut) // 2], bad, None),
+        "weight-1/0": ("eval-cut", edit("e 0 1 1/5", "e 0 1 1/0"), "midlines", bad, None),
+        "weight-nan": ("eval-cut", edit("e 0 1 1/5", "e 0 1 nan"), "midlines", bad, None),
+        "weight-0x10": ("eval-cut", edit("e 0 1 1/5", "e 0 1 0x10"), "midlines", bad, None),
+        "terminal-t-x-1": (
+            "eval-cut",
+            edit("t 0 1", "t x 1"),
+            "midlines",
+            bad,
+            "malformed terminal line: 't x 1'",
+        ),
+        "problem-1e3": (
+            "eval-cut",
+            edit("p mwc 10 15 3", "p mwc 1e3 0 3"),
+            "midlines",
+            bad,
+            "malformed problem line: 'p mwc 1e3 0 3'",
+        ),
+        "edge-e-0-x-1/2": (
+            "eval-cut",
+            edit("e 0 1 1/5", "e 0 x 1/2"),
+            "midlines",
+            bad,
+            "malformed edge line: 'e 0 x 1/2'",
+        ),
+        "missing-instance": ("min-cut", None, None, "io-error", None),
     }
 
 
 _MALFORMED = _malformed_inputs()
 
 
-@pytest.mark.parametrize("command,instance,cut,error", _MALFORMED.values(), ids=_MALFORMED)
+@pytest.mark.parametrize("command,instance,cut,error,message", _MALFORMED.values(), ids=_MALFORMED)
 def test_malformed_input_exits_2_with_one_json_error(
-    tmp_path, capsys, command, instance, cut, error
+    tmp_path, capsys, command, instance, cut, error, message
 ):
     path = tmp_path / "instance"
     if instance is not None:
@@ -316,6 +336,8 @@ def test_malformed_input_exits_2_with_one_json_error(
     assert out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == error
+    if message is not None:
+        assert json.loads(line)["message"] == message
 
 
 def test_min_cut_value(triangle9):

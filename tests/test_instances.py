@@ -252,22 +252,23 @@ def test_combine_maps_matches_combine():
     assert dict(a.items()) == dict(b.items())
 
 
-@pytest.mark.parametrize("c", [Fraction(1, 4), Fraction(1, 3)])
-def test_combined_map_shares_one_int_per_value(c):
-    # at c = 1/3 the numerators share a factor with the denominator, so the
-    # reduced map is checked too
-    w = combine(GapParams.tuned(c=c), build_graph(4, 12))
-    assert len({id(x) for x in w.nums}) == len(set(w.nums))
-    assert len(set(w.nums)) < 10 < len(w.nums)
+def test_combined_map_at_n78_is_a_byte_palette():
+    # 29 distinct numerators, all nonzero since the uniform component
+    # fills every edge, and the 0 that every palette starts with
+    w = combine(GapParams.tuned(c=Fraction(1, 13)), build_graph(4, 78))
+    assert len(w.palette) == 30 and 0 not in w.codes
+    assert w.codes.itemsize == 1
+    assert len(w.codes) * w.codes.itemsize == 492_960
 
 
 @pytest.mark.parametrize("den", [1, 2])
-def test_from_numerators_allocates_each_tuple_once(den):
-    # a map has no length, so from_numerators tells tuple() the edge count
-    # and the tuple is allocated at its final size.  At 24,360 edges a
-    # tuple grown from a map would reach 1.25 times that size on the way;
-    # den = 2 also takes the reduction, which maps the numerators again
-    g = build_graph(4, 28)
+def test_from_numerators_allocates_its_codes_once(den):
+    # a map has no length: its codes are one byte array grown in place,
+    # which ends at most a sixteenth above its size.  den = 2 also takes
+    # the reduction, which leaves codes already in palette order alone.
+    # At 68,880 edges the encoder's few hundred bytes stay well inside
+    # the bound; a 4-byte array narrowed to bytes would peak at 5 times
+    g = build_graph(4, 40)
     twos = [2] * len(g.edges)
     tracemalloc.start()
     try:
@@ -275,9 +276,10 @@ def test_from_numerators_allocates_each_tuple_once(den):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.nums == (2 // den,) * len(g.edges) and w.den == 1
-    copies = 1 if den == 1 else 2
-    assert peak < (copies + 0.1) * sys.getsizeof(w.nums)
+    assert list(w.nums) == [2 // den] * len(g.edges) and w.den == 1
+    assert w.palette == (0, 2 // den) and w.codes.typecode == "B"
+    held = len(w.codes) * w.codes.itemsize + sys.getsizeof(w.palette)
+    assert peak < 1.1 * held
 
 
 def _dense_combination(params, g):
@@ -293,7 +295,7 @@ def _dense_combination(params, g):
 def _assert_matches_dense(params, g):
     w, expected = combine(params, g), _dense_combination(params, g)
     assert w == expected and w.den == expected.den
-    assert len({id(x) for x in w.nums}) == len(set(w.nums))
+    assert w.palette == expected.palette and w.codes == expected.codes
 
 
 @given(st.data())
@@ -321,6 +323,86 @@ def test_combine_maps_rejects_mixed_graphs():
     for other in (build_component(2, build_graph(4, 5)), WeightMap(build_graph(3, 4), {0: 1})):
         with pytest.raises(ValueError, match="^weight maps live on different graphs$"):
             combine_maps([(Fraction(1, 2), first), (Fraction(1, 2), other)])
+
+
+def _assert_canonical(w):
+    """The palette contract: ascending from 0, one code per edge in the
+    typecode the palette's length needs, and no value that no edge uses
+    apart from the leading 0."""
+    assert w.palette[0] == 0 and list(w.palette) == sorted(set(w.palette))
+    assert w.codes.typecode == ("B" if len(w.palette) <= 256 else "H" if len(w.palette) <= 65536 else "I")
+    assert len(w.codes) == len(w.graph.edges)
+    assert set(w.codes) | {0} == set(range(len(w.palette)))
+    assert [code == 0 for code in w.codes] == [x == 0 for x in w.nums]
+    assert all(w.nums[e] == w.palette[code] for e, code in enumerate(w.codes))
+
+
+def _same_map(*maps):
+    first = maps[0]
+    _assert_canonical(first)
+    for w in maps[1:]:
+        _assert_canonical(w)
+        assert w == first and hash(w) == hash(first)
+
+
+def _parsed(w, include_zero_edges):
+    return [
+        parse_instance(emit(w, include_zero_edges=include_zero_edges)).weights
+        for emit in (emit_instance_json, emit_instance_dimacs)
+    ]
+
+
+@pytest.mark.parametrize("include_zero_edges", [False, True])
+def test_every_builder_gives_the_one_palette_form(include_zero_edges):
+    params = GapParams(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8), Fraction(1, 3))
+    g = build_graph(4, 6)
+    w = combine(params, g)
+    parts = [(lam, build_component(i, g, c=params.c)) for i, lam in enumerate(params.lams(), start=1)]
+    _same_map(
+        w,
+        WeightMap(g, dict(w.items())),
+        WeightMap.from_numerators(g, w.den, list(w.nums)),
+        # a common factor and a map's single pass, reduced away
+        WeightMap.from_numerators(g, 6 * w.den, (6 * x for x in w.nums)),
+        combine_maps(parts),
+        *_parsed(w, include_zero_edges),
+    )
+    for i, (lam, part) in enumerate(parts, start=1):
+        alone = GapParams(*(Fraction(j == i) for j in range(1, 5)), c=params.c)
+        _same_map(
+            part,
+            combine(alone, g),
+            combine_maps([(1, part)]),
+            WeightMap(g, dict(part.items())),
+            WeightMap.from_numerators(g, part.den, list(part.nums)),
+            *_parsed(part, include_zero_edges),
+        )
+    triangle = build_base_triangle(6)
+    _same_map(triangle, WeightMap(triangle.graph, dict(triangle.items())), *_parsed(triangle, include_zero_edges))
+
+
+@pytest.fixture(scope="module")
+def n40_graph():
+    g = build_graph(4, 40)
+    assert len(g.edges) == 68_880
+    return g
+
+
+@pytest.mark.parametrize(
+    "size,typecode", [(256, "B"), (257, "H"), (65_536, "H"), (65_537, "I")]
+)
+def test_palette_sizes_round_trip_in_their_typecode(n40_graph, size, typecode):
+    # edge e weighs (7919 e mod size)/7: 7919 is a prime that divides no
+    # size, so every value 0..size-1 is met, in an order the palette must
+    # sort, and some edges weigh 0
+    g = n40_graph
+    nums = [(e * 7919) % size for e in range(len(g.edges))]
+    w = WeightMap.from_numerators(g, 7, nums)
+    assert len(w.palette) == size and w.codes.typecode == typecode and w.den == 7
+    _assert_canonical(w)
+    back = pickle.loads(pickle.dumps(w))
+    _same_map(w, back, WeightMap(g, dict(w.items())), *_parsed(w, False), *_parsed(w, True))
+    assert back.codes.typecode == typecode
 
 
 def test_weight_map_survives_a_pickle_round_trip():
@@ -381,6 +463,7 @@ def test_weight_map_matches_fraction_reference(data):
     maps = [WeightMap(g, ref) for ref in refs]
 
     for wm, ref in zip(maps, refs):
+        _assert_canonical(wm)
         nonzero = {e: x for e, x in ref.items() if x}
         assert wm.den == lcm(1, *(x.denominator for x in nonzero.values()))
         assert wm.items() == sorted(nonzero.items())
@@ -396,6 +479,7 @@ def test_weight_map_matches_fraction_reference(data):
             expected[e] = expected.get(e, Fraction(0)) + lam * x
     expected = {e: x for e, x in expected.items() if x}
     mixed = combine_maps(list(zip(lams, maps)))
+    _assert_canonical(mixed)
     assert mixed.items() == sorted(expected.items())
     assert mixed.total() == sum(expected.values(), Fraction(0))
 

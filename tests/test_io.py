@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from simplexcut import (
     GapParams,
+    WeightMap,
     build_base_triangle,
     build_component,
     build_graph,
@@ -373,6 +374,35 @@ def _with_edge_rows(text: str, reorder) -> str:
     return "\n".join([l for l in lines if not l.startswith("e ")] + reorder(rows)) + "\n"
 
 
+@pytest.mark.parametrize("slice_chars", [64, sio.PARSE_SLICE_CHARS])
+def test_one_weight_written_two_ways_is_one_palette_value(monkeypatch, slice_chars):
+    # the same weight as "1/2" and "2/4" gets two text codes while reading,
+    # which the map merges into one palette value
+    g = build_graph(3, 4)
+    w = WeightMap(g, dict.fromkeys(range(len(g.edges)), Fraction(1, 2)))
+    text = emit_instance_dimacs(w)
+    rows = [line for line in text.splitlines() if line.startswith("e ")]
+    assert rows[5].endswith(" 1/2")
+    monkeypatch.setattr(sio, "PARSE_SLICE_CHARS", slice_chars)
+    parsed = parse_instance(text.replace(rows[5] + "\n", rows[5][:-3] + "2/4\n")).weights
+    assert parsed == w and parsed.palette == (0, 1) and parsed.den == 2
+    assert set(parsed.codes) == {1}
+
+
+@pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 6), (5, 4), (6, 3)])
+def test_node_name_window_covers_both_ends_of_each_run(k, n):
+    # a run of edges needs the names up to its last tail plus reach(k, n),
+    # however short the run and wherever it starts
+    g = build_graph(k, n)
+    for size in (1, 2, 7, 50):
+        names = sio._NodeNames(g)
+        for start in range(0, len(g.tails), size):
+            us, vs = g.tails[start : start + size], g.heads[start : start + size]
+            window = names.window(us)
+            assert all(u in window and v in window for u, v in zip(us, vs))
+            assert all(window[r] == str(r) for r in window)
+
+
 def test_edge_rows_in_any_order_fill_the_same_slots():
     w = combine(GapParams.tuned(c=Fraction(1, 3)), build_graph(4, 6))
     text = emit_instance_dimacs(w)
@@ -547,6 +577,13 @@ def _reference_lines(text):
         start = end
 
 
+def _reference_ints(fields, kind, line):
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"malformed {kind} line: {line!r}") from None
+
+
 def _reference_parse_dimacs(text):
     tag = None
     c_value = None
@@ -567,7 +604,7 @@ def _reference_parse_dimacs(text):
             u, v, wt = fields
             edge_lines += 1
             if slots is not None:
-                slots.add(int(u), int(v), wt)
+                slots.add(*_reference_ints((u, v), "edge", line), wt)
             continue
         if kind == "c":
             if fields[:1] == ["tag"] and len(fields) == 2:
@@ -582,7 +619,7 @@ def _reference_parse_dimacs(text):
                 raise ValueError("multiple problem lines")
             if len(fields) != 4 or fields[0] != "mwc":
                 raise ValueError(f"malformed problem line: {line!r}")
-            declared_nodes, declared_edges, k = (int(f) for f in fields[1:])
+            declared_nodes, declared_edges, k = _reference_ints(fields[1:], "problem", line)
             if declared_edges < 0:
                 raise ValueError(f"problem line announces {declared_edges} edges, fewer than 0")
             n = sio._invert_node_count(k, declared_nodes)
@@ -594,7 +631,7 @@ def _reference_parse_dimacs(text):
         elif kind == "t":
             if len(fields) != 2:
                 raise ValueError(f"malformed terminal line: {line!r}")
-            terminal_rows.append((int(fields[0]), int(fields[1])))
+            terminal_rows.append(tuple(_reference_ints(fields, "terminal", line)))
         else:
             raise ValueError(f"unknown line kind: {kind!r}")
         if slots is None and header is not None and len(terminal_rows) == header[1]:
@@ -605,7 +642,7 @@ def _reference_parse_dimacs(text):
                     head, _, tail = again.strip().partition(" ")
                     if head == "e":
                         u, v, wt = tail.split()
-                        slots.add(int(u), int(v), wt)
+                        slots.add(*_reference_ints((u, v), "edge", again.strip()), wt)
                         early -= 1
                         if not early:
                             break
