@@ -48,13 +48,6 @@ class CutLabeling:
                 raise ValueError(f"terminal {i} carries label {labels[t]}")
         object.__setattr__(self, "labels", labels)
 
-    def label(self, node: int) -> int:
-        return self.labels[node]
-
-    def auxiliary_count(self) -> int:
-        aux = self.graph.k + 1
-        return sum(1 for l in self.labels if l == aux)
-
 
 def _windows(g: SimplexGraph, labels: tuple[int, ...]) -> list[tuple[int, int]]:
     """Disjoint, ascending edge ranges [lo, hi) that hold every edge whose

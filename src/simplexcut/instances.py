@@ -9,21 +9,21 @@ makes the form canonical and equality and hashing structural.  The gap
 instances are sums of piecewise-constant components, so their palettes
 are short (30 values at k = 4, n = 78) and a code takes one byte: 1, 2 or
 4 bytes an edge as the palette needs 256 values or fewer, 65,536 or
-fewer, or more.  Arithmetic on weights (combining, pricing cuts,
-searching) runs on the integers; Fractions appear only where weights
-enter or leave a map.
+fewer, or more.  Maps are built from {edge: weight} rationals or from
+integer codes into a palette; arithmetic on weights (combining, pricing
+cuts, searching) runs on the integers, and Fractions appear only where
+weights enter or leave a map.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress, count
 from math import gcd, lcm
-from operator import getitem, mul
 
 from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, red_regions
 
@@ -33,40 +33,6 @@ COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
 def _typecode(size: int) -> str:
     """The array typecode of the codes into a palette of size values."""
     return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
-
-
-class _Encoder(dict):
-    """key -> code, the next code for each key not seen before."""
-
-    def __missing__(self, key) -> int:
-        code = self[key] = len(self)
-        return code
-
-
-def _encode(items: Iterable, first) -> tuple[list, array]:
-    """The distinct items in order of first appearance, first (code 0)
-    leading, and one code per item into that list.
-
-    The codes are one byte each until a 256th distinct item arrives, two
-    until a 65,536th, then four: each widening copies the codes made so far
-    once.  From an iterator of unknown length the array grows by a
-    sixteenth at a time, so its buffer ends at most that much above its
-    final size.
-    """
-    encoder = _Encoder({first: 0})
-    step = map(encoder.__getitem__, items)
-    codes = array("B")
-    while True:
-        try:
-            codes.extend(step)
-            return list(encoder), codes
-        except OverflowError:
-            # only the newest code can be too wide for the array
-            newest = len(encoder) - 1
-            if newest < 1 << 8 * codes.itemsize:
-                raise
-            codes = array("H" if codes.typecode == "B" else "I", codes)
-            codes.append(newest)
 
 
 # codes are remapped in place this many at a time, so a remap holds two
@@ -85,8 +51,9 @@ class WeightMap:
     typecode 'B', 'H' or 'I' as the palette's length needs.  The form is
     canonical, so maps with the same weights are equal and hash equal
     however they were built.  Build one from an {edge index: weight}
-    mapping, where absent edges weigh zero, from integers with
-    from_numerators, or from a palette of any order with from_codes.
+    mapping, where absent edges weigh zero, or from integers with
+    from_codes, a palette of any order and one code per edge.  Read it
+    through palette and codes, the weights view, weight(e) or total().
     """
 
     graph: SimplexGraph
@@ -148,18 +115,6 @@ class WeightMap:
         wm._assign(graph, den, values, codes)
         return wm
 
-    @classmethod
-    def from_numerators(cls, graph: SimplexGraph, den: int, nums: Iterable[int]) -> "WeightMap":
-        """Edge e weighs nums[e]/den; the fraction is reduced to lowest terms.
-
-        nums is read once, into codes, so it may be an iterator."""
-        return cls.from_codes(graph, den, *_encode(nums, 0))
-
-    @property
-    def nums(self) -> "_Numerators":
-        """Read-only view of the numerators: nums[e] == palette[codes[e]]."""
-        return _Numerators(self.palette, self.codes)
-
     @property
     def weights(self) -> Mapping[int, Fraction]:
         """Read-only {edge index: weight} view of the nonzero weights."""
@@ -171,30 +126,8 @@ class WeightMap:
     def total(self) -> Fraction:
         return Fraction(sum(map(self.palette.__getitem__, self.codes)), self.den)
 
-    def items(self) -> list[tuple[int, Fraction]]:
-        """(edge index, weight) pairs of the nonzero weights, in edge order."""
-        weights = [Fraction(x, self.den) for x in self.palette]
-        return [(e, weights[code]) for e, code in enumerate(self.codes) if code]
-
     def __repr__(self) -> str:
         return f"WeightMap(graph={self.graph!r}, den={self.den}, nonzero={len(self.weights)})"
-
-
-class _Numerators(Sequence):
-    """The numerators of a map, one per edge, made on demand from its
-    palette and codes."""
-
-    def __init__(self, palette: tuple[int, ...], codes: array):
-        self.palette, self.codes = palette, codes
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, edge: int) -> int:
-        return self.palette[self.codes[edge]]
-
-    def __iter__(self) -> Iterator[int]:
-        return map(self.palette.__getitem__, self.codes)
 
 
 class _NonzeroWeights(Mapping):
@@ -220,12 +153,11 @@ class _NonzeroWeights(Mapping):
 
 
 def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
-    """Nonnegative linear combination of weight maps on one graph.
+    """Nonnegative linear combination of weight maps on one graph, summed
+    edge by edge: the tests' reference for combine.
 
-    Each lam * nums/den is brought to the common denominator of all the
-    terms, so the sum is taken over integers.  An edge's numerator depends
-    only on its row of term codes, so each distinct row is summed once and
-    becomes one palette value.
+    Each lam * palette[codes[e]]/den is brought to the common denominator
+    of all the terms, so each edge's numerator is a sum of integers.
     """
     if not parts:
         raise ValueError("nothing to combine")
@@ -236,11 +168,13 @@ def combine_maps(parts: list[tuple[Fraction, WeightMap]]) -> WeightMap:
             raise ValueError("weight maps live on different graphs")
         terms.append((Fraction(lam), wm))
     den = lcm(*(lam.denominator * wm.den for lam, wm in terms))
-    scales = [lam.numerator * (den // (lam.denominator * wm.den)) for lam, wm in terms]
-    palettes = [wm.palette for _lam, wm in terms]
-    rows, codes = _encode(zip(*(wm.codes for _lam, wm in terms)), (0,) * len(terms))
-    values = [sum(map(mul, map(getitem, palettes, row), scales)) for row in rows]
-    return WeightMap.from_codes(graph, den, values, codes)
+    sums: dict[int, int] = {}
+    for lam, wm in terms:
+        scale = lam.numerator * (den // (lam.denominator * wm.den))
+        for e, code in enumerate(wm.codes):
+            if code:
+                sums[e] = sums.get(e, 0) + scale * wm.palette[code]
+    return _from_support(graph, den, 0, sums)
 
 
 @dataclass(frozen=True)
@@ -361,7 +295,8 @@ def _component_terms(index: int, g: SimplexGraph, c: Fraction | None) -> tuple[i
         face = node_count(3, g.n)
         stop = bisect_left(g.tails, face)
         lifted = compress(range(stop), map(face.__gt__, g.heads[:stop]))
-        return base.den, 0, dict(zip(lifted, base.nums, strict=True))
+        nums = map(base.palette.__getitem__, base.codes)
+        return base.den, 0, dict(zip(lifted, nums, strict=True))
     if index == 2:
         lines = (e for pair in combinations((1, 2, 3), 2) for e in boundary_edges(g, pair))
         return 3, 0, dict.fromkeys(lines, 1)

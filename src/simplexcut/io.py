@@ -76,10 +76,12 @@ def parse_rational(text: str) -> Fraction:
 
 def render_decimal(x: Fraction, places: int = 6) -> str:
     """Half-even decimal rendering for human-readable columns, rounded once
-    and exactly: round() of a Fraction breaks ties to the even integer."""
+    and exactly: round() of a Fraction breaks ties to the even integer.  A
+    value that rounds to zero has no sign."""
     x = Fraction(x)
-    digits = str(round(abs(x) * 10**places)).rjust(places + 1, "0")
-    sign = "-" if x < 0 else ""
+    scaled = round(abs(x) * 10**places)
+    digits = str(scaled).rjust(places + 1, "0")
+    sign = "-" if x < 0 and scaled else ""
     if not places:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

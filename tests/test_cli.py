@@ -85,7 +85,7 @@ def test_gen_writes_parseable_instance(triangle9):
     parsed = parse_instance(triangle9.read_text())
     assert parsed.tag == "triangle"
     assert (parsed.weights.graph.k, parsed.weights.graph.n) == (3, 9)
-    assert len(parsed.weights.items()) == 117
+    assert len(parsed.weights.weights) == 117
 
 
 def test_gen_stdout_and_out_agree(tmp_path):
@@ -349,7 +349,7 @@ def test_min_cut_value(triangle9):
 def test_huge_weights_are_reported_exactly(tmp_path):
     # every weight 10^60: the decimal column keeps all 61 integer digits
     g = build_graph(3, 3)
-    w = WeightMap.from_numerators(g, 1, [10**60] * len(g.edges))
+    w = WeightMap(g, dict.fromkeys(range(len(g.edges)), Fraction(10**60)))
     path = tmp_path / "huge.json"
     path.write_text(emit_instance_json(w, tag="triangle"))
     for argv, key, value in [

@@ -1,8 +1,7 @@
 """Instance weights: the base triangle, the four components, mixing."""
 
 import pickle
-import sys
-import tracemalloc
+from array import array
 from fractions import Fraction
 from math import lcm
 
@@ -66,7 +65,7 @@ def test_boundary_schedule_frozen():
 def test_nonzero_edge_count_at_n9():
     w = build_base_triangle(9)
     assert len(w.graph.edges) == 135
-    assert sum(1 for _, wt in w.items() if wt != 0) == 117
+    assert len(w.weights) == 117
 
 
 def test_zero_edges_at_n3():
@@ -97,7 +96,7 @@ def test_cycles_component_total(n):
     w = build_component(3, g, c=Fraction(1, n))
     assert w.total() == n
     rr = red_regions(g, Fraction(1, n))
-    assert set(e for e, _ in w.items()) == set(rr.all_edges())
+    assert set(w.weights) == set(rr.all_edges())
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -111,7 +110,7 @@ def test_face_component_matches_lifted_triangle():
     w = build_component(1, g)
     assert w.total() == 9
     # every weighted edge stays on the x4 = 0 face
-    for e, wt in w.items():
+    for e in w.weights:
         u, v = g.edges[e]
         assert g.nodes[u][3] == 0 and g.nodes[v][3] == 0
 
@@ -123,7 +122,8 @@ def test_face_component_is_the_edge_prefix_lift(n):
     g = build_graph(4, n)
     base = build_base_triangle(n)
     lifted = map(g.edge_between, base.graph.tails, base.graph.heads)
-    assert _component_terms(1, g, None) == (base.den, 0, dict(zip(lifted, base.nums)))
+    nums = [base.palette[code] for code in base.codes]
+    assert _component_terms(1, g, None) == (base.den, 0, dict(zip(lifted, nums)))
 
 
 def test_component_names():
@@ -249,7 +249,7 @@ def test_combine_maps_matches_combine():
     ]
     a = combine_maps(parts)
     b = combine(params, g)
-    assert dict(a.items()) == dict(b.items())
+    assert a.weights == b.weights
 
 
 def test_combined_map_at_n78_is_a_byte_palette():
@@ -259,27 +259,6 @@ def test_combined_map_at_n78_is_a_byte_palette():
     assert len(w.palette) == 30 and 0 not in w.codes
     assert w.codes.itemsize == 1
     assert len(w.codes) * w.codes.itemsize == 492_960
-
-
-@pytest.mark.parametrize("den", [1, 2])
-def test_from_numerators_allocates_its_codes_once(den):
-    # a map has no length: its codes are one byte array grown in place,
-    # which ends at most a sixteenth above its size.  den = 2 also takes
-    # the reduction, which leaves codes already in palette order alone.
-    # At 68,880 edges the encoder's few hundred bytes stay well inside
-    # the bound; a 4-byte array narrowed to bytes would peak at 5 times
-    g = build_graph(4, 40)
-    twos = [2] * len(g.edges)
-    tracemalloc.start()
-    try:
-        w = WeightMap.from_numerators(g, den, map(abs, twos))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert list(w.nums) == [2 // den] * len(g.edges) and w.den == 1
-    assert w.palette == (0, 2 // den) and w.codes.typecode == "B"
-    held = len(w.codes) * w.codes.itemsize + sys.getsizeof(w.palette)
-    assert peak < 1.1 * held
 
 
 def _dense_combination(params, g):
@@ -333,8 +312,7 @@ def _assert_canonical(w):
     assert w.codes.typecode == ("B" if len(w.palette) <= 256 else "H" if len(w.palette) <= 65536 else "I")
     assert len(w.codes) == len(w.graph.edges)
     assert set(w.codes) | {0} == set(range(len(w.palette)))
-    assert [code == 0 for code in w.codes] == [x == 0 for x in w.nums]
-    assert all(w.nums[e] == w.palette[code] for e, code in enumerate(w.codes))
+    assert list(w.weights) == [e for e, code in enumerate(w.codes) if code]
 
 
 def _same_map(*maps):
@@ -352,6 +330,26 @@ def _parsed(w, include_zero_edges):
     ]
 
 
+def _from_codes(w):
+    """w rebuilt from integers by from_codes, in each form it takes: values
+    out of order and repeated, 0 at a nonzero code, a factor shared with
+    den, and 4-byte codes that narrow to bytes."""
+    g, palette, codes = w.graph, w.palette, w.codes
+    # palette[c] sits at code 2 (len(palette) - 1 - c) and at the one after it
+    values = [x for x in reversed(palette) for _ in (0, 1)]
+    top = len(values) - 2
+    shuffled = array("B", (top - 2 * code + e % 2 for e, code in enumerate(codes)))
+    rebuilt = WeightMap.from_codes(g, w.den, values, shuffled)
+    # byte codes that stay bytes are remapped in place
+    assert rebuilt.codes is shuffled
+    return [
+        rebuilt,
+        WeightMap.from_codes(g, w.den, [0, *palette], array("B", (code + 1 for code in codes))),
+        WeightMap.from_codes(g, 6 * w.den, [6 * x for x in palette], array("B", codes)),
+        WeightMap.from_codes(g, w.den, list(palette), array("I", codes)),
+    ]
+
+
 @pytest.mark.parametrize("include_zero_edges", [False, True])
 def test_every_builder_gives_the_one_palette_form(include_zero_edges):
     params = GapParams(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8), Fraction(1, 3))
@@ -360,10 +358,8 @@ def test_every_builder_gives_the_one_palette_form(include_zero_edges):
     parts = [(lam, build_component(i, g, c=params.c)) for i, lam in enumerate(params.lams(), start=1)]
     _same_map(
         w,
-        WeightMap(g, dict(w.items())),
-        WeightMap.from_numerators(g, w.den, list(w.nums)),
-        # a common factor and a map's single pass, reduced away
-        WeightMap.from_numerators(g, 6 * w.den, (6 * x for x in w.nums)),
+        WeightMap(g, dict(w.weights)),
+        *_from_codes(w),
         combine_maps(parts),
         *_parsed(w, include_zero_edges),
     )
@@ -373,12 +369,17 @@ def test_every_builder_gives_the_one_palette_form(include_zero_edges):
             part,
             combine(alone, g),
             combine_maps([(1, part)]),
-            WeightMap(g, dict(part.items())),
-            WeightMap.from_numerators(g, part.den, list(part.nums)),
+            WeightMap(g, dict(part.weights)),
+            *_from_codes(part),
             *_parsed(part, include_zero_edges),
         )
     triangle = build_base_triangle(6)
-    _same_map(triangle, WeightMap(triangle.graph, dict(triangle.items())), *_parsed(triangle, include_zero_edges))
+    _same_map(
+        triangle,
+        WeightMap(triangle.graph, dict(triangle.weights)),
+        *_from_codes(triangle),
+        *_parsed(triangle, include_zero_edges),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -397,11 +398,11 @@ def test_palette_sizes_round_trip_in_their_typecode(n40_graph, size, typecode):
     # sort, and some edges weigh 0
     g = n40_graph
     nums = [(e * 7919) % size for e in range(len(g.edges))]
-    w = WeightMap.from_numerators(g, 7, nums)
+    w = WeightMap(g, {e: Fraction(x, 7) for e, x in enumerate(nums)})
     assert len(w.palette) == size and w.codes.typecode == typecode and w.den == 7
     _assert_canonical(w)
     back = pickle.loads(pickle.dumps(w))
-    _same_map(w, back, WeightMap(g, dict(w.items())), *_parsed(w, False), *_parsed(w, True))
+    _same_map(w, back, WeightMap(g, dict(w.weights)), *_parsed(w, False), *_parsed(w, True))
     assert back.codes.typecode == typecode
 
 
@@ -433,10 +434,10 @@ def test_weight_map_rejects_bad_input():
         with pytest.raises(ValueError, match="edge indices must be integers"):
             WeightMap(g, {key: Fraction(1)})
     assert WeightMap(g, {True: Fraction(1)}).weights == {1: Fraction(1)}
-    with pytest.raises(ValueError):
-        WeightMap.from_numerators(g, 1, [0] * (len(g.edges) - 1))
-    with pytest.raises(ValueError):
-        WeightMap.from_numerators(g, 0, [0] * len(g.edges))
+    with pytest.raises(ValueError, match="codes for"):
+        WeightMap.from_codes(g, 1, [0], array("B", [0]) * (len(g.edges) - 1))
+    with pytest.raises(ValueError, match="positive denominator"):
+        WeightMap.from_codes(g, 0, [0], array("B", [0]) * len(g.edges))
 
 
 def test_reprs_name_the_lattice_only():
@@ -466,7 +467,7 @@ def test_weight_map_matches_fraction_reference(data):
         _assert_canonical(wm)
         nonzero = {e: x for e, x in ref.items() if x}
         assert wm.den == lcm(1, *(x.denominator for x in nonzero.values()))
-        assert wm.items() == sorted(nonzero.items())
+        assert list(wm.weights.items()) == sorted(nonzero.items())
         assert wm.weights == nonzero
         assert wm.total() == sum(nonzero.values(), Fraction(0))
         assert [wm.weight(e) for e in range(len(g.edges))] == [
@@ -480,7 +481,7 @@ def test_weight_map_matches_fraction_reference(data):
     expected = {e: x for e, x in expected.items() if x}
     mixed = combine_maps(list(zip(lams, maps)))
     _assert_canonical(mixed)
-    assert mixed.items() == sorted(expected.items())
+    assert list(mixed.weights.items()) == sorted(expected.items())
     assert mixed.total() == sum(expected.values(), Fraction(0))
 
     labels = data.draw(

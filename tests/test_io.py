@@ -81,6 +81,10 @@ def test_render_decimal_half_even():
     # rounded once, from the exact value, at any size
     assert render_decimal(Fraction(5, 10**7) + Fraction(1, 10**70)) == "0.000001"
     assert render_decimal(Fraction(10**54)) == "1" + "0" * 54 + ".000000"
+    # a value that rounds to zero has no sign; one that does not keeps it
+    assert render_decimal(Fraction(-1, 10**8)) == "0.000000"
+    assert render_decimal(Fraction(-1, 2), places=0) == "0"
+    assert render_decimal(Fraction(-3, 2), places=0) == "-2"
 
 
 @pytest.mark.parametrize("tag,c,lam,w", _sample_instances(), ids=lambda v: str(v)[:24])
@@ -91,9 +95,7 @@ def test_json_round_trip(tag, c, lam, w):
     assert parsed.c == c
     assert parsed.lam == lam
     assert parsed.weights.graph is w.graph
-    assert dict(parsed.weights.items()) == {
-        e: wt for e, wt in w.items() if wt != 0
-    }
+    assert parsed.weights.weights == w.weights
 
 
 @pytest.mark.parametrize("tag,c,lam,w", _sample_instances(), ids=lambda v: str(v)[:24])
@@ -104,9 +106,7 @@ def test_dimacs_round_trip(tag, c, lam, w):
     assert parsed.c == c
     assert parsed.lam == lam
     assert parsed.weights.graph is w.graph
-    assert dict(parsed.weights.items()) == {
-        e: wt for e, wt in w.items() if wt != 0
-    }
+    assert parsed.weights.weights == w.weights
 
 
 @pytest.mark.parametrize("tag,c,lam,w", _sample_instances(), ids=lambda v: str(v)[:24])
@@ -114,7 +114,7 @@ def test_cross_format_equality(tag, c, lam, w):
     from_json = parse_instance(emit_instance_json(w, tag=tag, c=c, lam=lam))
     from_dimacs = parse_instance(emit_instance_dimacs(w, tag=tag, c=c, lam=lam))
     assert from_json.weights.graph is from_dimacs.weights.graph
-    assert dict(from_json.weights.items()) == dict(from_dimacs.weights.items())
+    assert from_json.weights.weights == from_dimacs.weights.weights
     assert (from_json.tag, from_json.c, from_json.lam) == (
         from_dimacs.tag,
         from_dimacs.c,

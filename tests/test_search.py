@@ -423,7 +423,7 @@ def _edmonds_karp_reference(w, terminal: int) -> Fraction:
     others = {1, 2, 3} - {terminal}
     source = g.terminals[terminal - 1]
     sink_side = [node for node, p in enumerate(g.nodes) if set(support(p)) <= others]
-    inf = sum(w.nums) + 1
+    inf = sum(w.palette[code] for code in w.codes) + 1
     sink = len(g.nodes)
     capacity: list[dict[int, int]] = [dict() for _ in range(sink + 1)]
     for u, v, x in _weighted_edges(w):
