@@ -1,10 +1,24 @@
 """Command-line surface.
 
-Every subcommand prints a JSON report (or the requested instance file) to
-stdout or --out.  Exit codes: 0 success, 1 failed check or exhausted
-budget, 2 invalid parameters or malformed input, with a machine-readable
-JSON object on stderr for the non-zero cases.  Execution is serial, which
-keeps every report deterministic modulo timing fields.
+Each cmd_* function returns (document, failure) and main alone keeps the
+output contract:
+
+- the document, the instance text for gen and a JSON report otherwise,
+  goes to stdout or --out;
+- a report is stamped with "command" first (the subcommand, unless the
+  report names its own) and "elapsed_s" last (main's clock, unless the
+  report carries its own);
+- failure is None for exit 0, or the JSON error object of exit 1:
+  "budget-exhausted" for a partial enumerate, "check-failure" for a failed
+  sperner-verify or reproduce check;
+- a search refused for its budget exits 1 with "budget-exhausted" and no
+  report; invalid parameters or malformed input exit 2 with
+  "invalid-parameter", "lambda-simplex-violation", "io-error" or, for a
+  command-line usage error, "usage".
+
+Every non-zero exit ends stderr with its one-line JSON error object.
+Execution is serial, which keeps every report deterministic modulo its
+elapsed_s timing fields.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from pathlib import Path
 
 from .bounds import limitation_min, limitation_sup, optimize_params
 from .cuts import NAMED_CUTS, cost, delta, is_fragmenting, is_non_opposite, named_cut
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, LambdaSimplexError
 from .instances import (
     COMPONENT_NAMES,
     GapParams,
@@ -46,70 +60,43 @@ from .search import (
     min_non_opposite_cost,
     min_terminal_face_cut,
 )
-from .sperner import (
-    count_floors,
-    exhaustive_extremal,
-    monochromatic_upper_bound,
-    witness_attains,
-)
+from .sperner import count_floors, exhaustive_extremal, monochromatic_upper_bound, verdicts
 
 _COMPONENT_INDEX = {name: i for i, name in COMPONENT_NAMES.items()}
 _INSTANCE_CHOICES = ("triangle",) + tuple(_COMPONENT_INDEX) + ("combined",)
 
 
-def _error_code(message: str) -> str:
-    if "sum to" in message and "expected 1" in message:
-        return "lambda-simplex-violation"
-    return "invalid-parameter"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _error(error: str, **fields) -> None:
-    """Write the JSON error object that ends every non-zero exit's stderr."""
-    print(json.dumps({"error": error, **fields}), file=sys.stderr)
-
-
-def _emit_report(doc: dict, out: str | None, started: float) -> None:
-    doc["elapsed_s"] = time.perf_counter() - started
-    _emit(json.dumps(doc, indent=2) + "\n", out)
-
-
-def _parse_lambda(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("--lambda expects four comma-separated rationals")
-    a, b, c, d = (parse_rational(p) for p in parts)
-    return a, b, c, d
-
-
-def _gap_params(args) -> GapParams:
-    """The mixture given by --lambda and --c; the tuned one fills what is absent."""
+def _c_and_lambda(args) -> tuple[Fraction | None, tuple[Fraction, ...] | None]:
+    """--c and --lambda, parsed; each None when absent."""
     c = parse_rational(args.c) if args.c is not None else None
     if args.lam is None:
+        return c, None
+    parts = args.lam.split(",")
+    if len(parts) != 4:
+        raise ValueError("--lambda expects four comma-separated rationals")
+    return c, tuple(map(parse_rational, parts))
+
+
+def _gap_params(c: Fraction | None, lam: tuple[Fraction, ...] | None) -> GapParams:
+    """The mixture of lam at cap depth c; the tuned one fills what is None."""
+    if lam is None:
         return GapParams.tuned(c=c)
-    return GapParams(*_parse_lambda(args.lam), c=GapParams.tuned().c if c is None else c)
+    return GapParams(*lam, c=GapParams.tuned().c if c is None else c)
 
 
 def _both(x: Fraction) -> dict:
     return {"exact": render_rational(x), "decimal": render_decimal(x)}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[str, None]:
     tag = args.instance
-    c = parse_rational(args.c) if args.c is not None else None
-    lam = _parse_lambda(args.lam) if args.lam is not None else None
+    c, lam = _c_and_lambda(args)
     if tag == "triangle":
         if c is not None or lam is not None:
             raise ValueError("the triangle instance takes neither --c nor --lambda")
         w = build_base_triangle(args.n)
     elif tag == "combined":
-        params = _gap_params(args)
+        params = _gap_params(c, lam)
         c, lam = params.c, params.lams()
         check_resolution(args.n, lam, c)
         w = combine(params, build_graph(4, args.n))
@@ -121,22 +108,15 @@ def cmd_gen(args) -> int:
             raise ValueError(f"the {tag} component takes no --c")
         check_resolution(args.n, [i == index for i in range(1, 5)], c)
         w = build_component(index, build_graph(4, args.n), c=c)
-        if index != 3:
-            c = None
     emitter = emit_instance_json if args.format == "json" else emit_instance_dimacs
-    _emit(
-        emitter(w, tag=tag, c=c, lam=lam, include_zero_edges=args.include_zero_edges),
-        args.out,
-    )
-    return 0
+    return emitter(w, tag=tag, c=c, lam=lam, include_zero_edges=args.include_zero_edges), None
 
 
 def _load_instance(path: str):
     return parse_instance(Path(path).read_text())
 
 
-def cmd_eval_cut(args) -> int:
-    started = time.perf_counter()
+def cmd_eval_cut(args) -> tuple[dict, dict | None]:
     if args.c is not None and args.cut != "corner-caps":
         raise ValueError("--c only applies to --cut corner-caps")
     if args.alpha is not None and args.cut != "terminal-ball":
@@ -156,7 +136,6 @@ def cmd_eval_cut(args) -> int:
             )
     value = cost(p, w)
     doc = {
-        "command": "eval-cut",
         "parameters": {"instance": args.instance, "cut": args.cut},
         "results": {
             "cost": _both(value),
@@ -166,32 +145,28 @@ def cmd_eval_cut(args) -> int:
             "provenance": "direct-evaluation",
         },
     }
-    _emit_report(doc, args.out, started)
-    return 0
+    return doc, None
 
 
-def cmd_min_cut(args) -> int:
-    started = time.perf_counter()
+def cmd_min_cut(args) -> tuple[dict, dict | None]:
     parsed = _load_instance(args.instance)
     value = min_terminal_face_cut(parsed.weights, args.terminal)
     doc = {
-        "command": "min-cut",
         "parameters": {"instance": args.instance, "terminal": args.terminal},
         "results": {"min_cut": _both(value), "provenance": "max-flow"},
     }
-    _emit_report(doc, args.out, started)
-    return 0
+    return doc, None
 
 
-def cmd_enumerate(args) -> int:
-    started = time.perf_counter()
+def cmd_enumerate(args) -> tuple[dict, dict | None]:
     if args.instance is not None:
+        if args.k is not None or args.n is not None:
+            raise ValueError("--k/--n only apply without --instance, whose file fixes the lattice")
         parsed = _load_instance(args.instance)
         w = parsed.weights
         mode = args.mode or "exhaustive"
         result = min_non_opposite_cost(w, SearchBudget(max_labelings=args.budget, mode=mode))
         doc = {
-            "command": "enumerate",
             "parameters": {"instance": args.instance, "budget": args.budget, "mode": mode},
             "results": {
                 "min_cost": _both(result.min_cost),
@@ -201,48 +176,38 @@ def cmd_enumerate(args) -> int:
                 "provenance": "enumeration",
             },
         }
-        _emit_report(doc, args.out, started)
-        if not result.proven_optimal:
-            _error("budget-exhausted", message=f"stopped after {result.explored} labelings")
-            return 1
-        return 0
+        if result.proven_optimal:
+            return doc, None
+        message = f"stopped after {result.explored} labelings"
+        return doc, {"error": "budget-exhausted", "message": message}
     if args.k is None or args.n is None:
         raise ValueError("enumerate needs either --instance or both --k and --n")
     if args.mode is not None:
         raise ValueError("--mode only applies to --instance; --k/--n count cuts")
     count = enumerate_non_opposite(args.k, args.n, max_labelings=args.budget)
     doc = {
-        "command": "enumerate",
         "parameters": {"k": args.k, "n": args.n, "budget": args.budget},
         "results": {"non_opposite_cuts": count, "provenance": "enumeration"},
     }
-    _emit_report(doc, args.out, started)
-    return 0
+    return doc, None
 
 
-def cmd_sperner_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_sperner_verify(args) -> tuple[dict, dict | None]:
     rep = exhaustive_extremal(
         args.k, args.n, face_restricted=args.face_restricted, max_labelings=args.budget
     )
-    bound = monochromatic_upper_bound(args.k, args.n)
+    verdict = verdicts(rep)
     # the admissible upper bound only constrains plain (admissible) scans
     plain = not args.face_restricted
     results = {
         "explored": rep.explored,
         "max_monochromatic": rep.max_monochromatic,
-        "upper_bound": bound if plain else None,
-        "bound_attained": rep.max_monochromatic == bound if plain else None,
+        "upper_bound": monochromatic_upper_bound(args.k, args.n) if plain else None,
+        "bound_attained": verdict.get("bound_attained"),
         "witness_labels": list(rep.witness),
         "provenance": "enumeration",
     }
-    if plain:
-        # as in sperner-extremal-max, a witness must attain the maximum
-        verdicts = {
-            "bound_attained": results["bound_attained"],
-            "witness_labels": witness_attains(rep),
-        }
-    else:
+    if not plain:
         results["count_floors"] = [
             {
                 "inadmissible": z,
@@ -252,10 +217,8 @@ def cmd_sperner_verify(args) -> int:
             }
             for z, count, floor in count_floors(rep)
         ]
-        verdicts = {"count_floors": all(f["ok"] for f in results["count_floors"])}
-    failing = [name for name, ok in verdicts.items() if not ok]
+    failing = [name for name, ok in verdict.items() if not ok]
     doc = {
-        "command": "sperner-verify",
         "parameters": {
             "k": args.k,
             "n": args.n,
@@ -265,18 +228,12 @@ def cmd_sperner_verify(args) -> int:
         "results": results,
         "passed": not failing,
     }
-    _emit_report(doc, args.out, started)
-    if failing:
-        _error("check-failure", failing=failing)
-        return 1
-    return 0
+    return doc, {"error": "check-failure", "failing": failing} if failing else None
 
 
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
+def cmd_optimize(args) -> tuple[dict, dict | None]:
     params, bound = optimize_params(lambda3_zero=args.lambda3_zero)
     doc = {
-        "command": "optimize",
         "parameters": {"lambda3_zero": args.lambda3_zero},
         "results": {
             "lambda": [_both(x) for x in params.lams()],
@@ -286,14 +243,12 @@ def cmd_optimize(args) -> int:
             "provenance": "stationary-point",
         },
     }
-    _emit_report(doc, args.out, started)
-    return 0
+    return doc, None
 
 
-def cmd_limits(args) -> int:
-    started = time.perf_counter()
+def cmd_limits(args) -> tuple[dict, dict | None]:
     c_star, beta_star, upper = limitation_sup()
-    params = _gap_params(args)
+    params = _gap_params(*_c_and_lambda(args))
     results = {
         "sup": {
             "c": _both(c_star),
@@ -310,7 +265,6 @@ def cmd_limits(args) -> int:
         results["finite_n"] = args.n
         results["finite_provenance"] = "direct-evaluation"
     doc = {
-        "command": "limits",
         "parameters": {
             "lambda": [render_rational(x) for x in params.lams()],
             "c": render_rational(params.c),
@@ -318,18 +272,14 @@ def cmd_limits(args) -> int:
         },
         "results": results,
     }
-    _emit_report(doc, args.out, started)
-    return 0
+    return doc, None
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[dict, dict | None]:
     SearchBudget(args.budget)  # a budget below 1 is refused before any check runs
     report = run_suite(args.suite, budget=args.budget)
-    _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
-    if not report.passed:
-        _error("check-failure", failing=[c.id for c in report.checks if not c.passed])
-        return 1
-    return 0
+    failing = [c.id for c in report.checks if not c.passed]
+    return report.as_dict(), {"error": "check-failure", "failing": failing} if failing else None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -427,17 +377,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        document, failure = args.func(args)
+        if isinstance(document, dict):
+            document = {"command": args.subcommand, **document}
+            document.setdefault("elapsed_s", time.perf_counter() - started)
+            document = json.dumps(document, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(document)
+        else:
+            Path(args.out).write_text(document)
+        code = 0 if failure is None else 1
     except BudgetExceededError as exc:
-        _error("budget-exhausted", message=str(exc))
-        return 1
+        failure, code = {"error": "budget-exhausted", "message": str(exc)}, 1
+    except LambdaSimplexError as exc:
+        failure, code = {"error": "lambda-simplex-violation", "message": str(exc)}, 2
     except ValueError as exc:
-        _error(_error_code(str(exc)), message=str(exc))
-        return 2
+        failure, code = {"error": "invalid-parameter", "message": str(exc)}, 2
     except OSError as exc:
-        _error("io-error", message=str(exc))
-        return 2
+        failure, code = {"error": "io-error", "message": str(exc)}, 2
+    if failure is not None:
+        print(json.dumps(failure), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations, compress, count
 from math import gcd, lcm
 
+from .errors import LambdaSimplexError
 from .lattice import SimplexGraph, boundary_edges, build_graph, cap_depth, node_count, red_regions
 
 COMPONENT_NAMES = {1: "face", 2: "lines", 3: "cycles", 4: "uniform"}
@@ -204,7 +205,7 @@ class GapParams:
             raise ValueError("mixing weights must be nonnegative")
         den = lcm(*(l.denominator for l in lams))
         if sum(l.numerator * (den // l.denominator) for l in lams) != den:
-            raise ValueError(f"mixing weights sum to {sum(lams)}, expected 1")
+            raise LambdaSimplexError(f"mixing weights sum to {sum(lams)}, expected 1")
         if not 0 < 2 * self.c.numerator < self.c.denominator:
             raise ValueError(f"cap depth out of range: {self.c}")
 

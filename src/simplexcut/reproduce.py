@@ -54,7 +54,7 @@ from .sperner import (
     cut_size_floor,
     exhaustive_extremal,
     monochromatic_upper_bound,
-    witness_attains,
+    verdicts,
 )
 
 PROVENANCES = ("formula", "enumeration", "max-flow", "direct-evaluation", "stationary-point")
@@ -292,16 +292,15 @@ def _sperner_max(budget):
     ok, notes = True, []
     for k, n in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)):
         rep = exhaustive_extremal(k, n, max_labelings=budget)
-        bound = monochromatic_upper_bound(k, n)
-        ok = ok and rep.max_monochromatic == bound and witness_attains(rep)
-        notes.append(f"({k},{n}): {rep.max_monochromatic}/{bound}")
+        ok = ok and all(verdicts(rep).values())
+        notes.append(f"({k},{n}): {rep.max_monochromatic}/{monochromatic_upper_bound(k, n)}")
     return "; ".join(notes), ok
 
 
 def _sperner_face_restricted(budget):
     rep = exhaustive_extremal(4, 2, face_restricted=True, max_labelings=budget)
     worst = min(count - floor for _z, count, floor in count_floors(rep))
-    return f"min margin {worst}", worst >= 0
+    return f"min margin {worst}", verdicts(rep)["count_floors"]
 
 
 # -- cut-size-floor ---------------------------------------------------------

@@ -189,6 +189,23 @@ def count_floors(report: ExtremalReport) -> list[tuple[int, int, Fraction]]:
     ]
 
 
+def verdicts(report: ExtremalReport) -> dict[str, bool]:
+    """Whether a scan upholds each claim it is checked for, by claim name.
+
+    A plain scan claims that its maximum is monochromatic_upper_bound
+    (bound_attained) and that its witness is admissible and re-counts to
+    it (witness_labels).  A face-restricted scan claims that every
+    inadmissibility level meets its count_floors floor (count_floors).
+    """
+    if report.face_restricted:
+        return {"count_floors": all(count >= floor for _z, count, floor in count_floors(report))}
+    return {
+        "bound_attained": report.max_monochromatic
+        == monochromatic_upper_bound(report.k, report.n),
+        "witness_labels": witness_attains(report),
+    }
+
+
 @dataclass(frozen=True)
 class FloorCheck:
     alpha: Fraction

@@ -6,7 +6,10 @@ imports the same ``simplexcut`` as this process: the directory holding the
 imported package goes first on its ``PYTHONPATH``.
 """
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import re
@@ -379,6 +382,17 @@ def test_enumerate_count_rejects_mode():
     assert "--mode" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flags", [("--k", "3"), ("--n", "2"), ("--k", "3", "--n", "2")], ids=["k", "n", "k-n"]
+)
+def test_enumerate_instance_rejects_k_and_n(flags, triangle9):
+    # the instance fixes its own lattice, so --k/--n would be ignored
+    proc = run("enumerate", "--instance", str(triangle9), *flags, expect=2)
+    err = stderr_error(proc)
+    assert err["error"] == "invalid-parameter"
+    assert "--k/--n" in err["message"]
+
+
 def test_enumerate_minimizes_instance(tmp_path):
     path = tmp_path / "lines2.json"
     run("gen", "--instance", "lines", "--n", "2", "--out", str(path))
@@ -499,21 +513,24 @@ def test_sperner_verify_plain():
 
 
 def test_sperner_verify_failure_is_a_check_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "monochromatic_upper_bound", lambda k, n: 2)
+    monkeypatch.setattr(sperner, "monochromatic_upper_bound", lambda k, n: 2)
     assert cli.main(["sperner-verify", "--k", "3", "--n", "2"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["passed"] is False
     assert json.loads(err) == {"error": "check-failure", "failing": ["bound_attained"]}
 
 
+def _all_ones_witness(*args, **kwargs):
+    """exhaustive_extremal with an all-ones witness, inadmissible off the
+    first corner."""
+    rep = exhaustive_extremal(*args, **kwargs)
+    return dataclasses.replace(rep, witness=(1,) * len(rep.witness))
+
+
 def test_sperner_verify_checks_the_witness(monkeypatch, capsys):
     # as in sperner-extremal-max, the maximum needs an admissible witness
-    # that re-counts to it; all-ones is inadmissible off the first corner
-    def all_ones(*args, **kwargs):
-        rep = exhaustive_extremal(*args, **kwargs)
-        return dataclasses.replace(rep, witness=(1,) * len(rep.witness))
-
-    monkeypatch.setattr(cli, "exhaustive_extremal", all_ones)
+    # that re-counts to it
+    monkeypatch.setattr(cli, "exhaustive_extremal", _all_ones_witness)
     assert cli.main(["sperner-verify", "--k", "3", "--n", "2"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["results"]["bound_attained"] is True
@@ -701,10 +718,157 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("simplexcut ")]
 
 
-def test_readme_commands_run(monkeypatch, tmp_path, capsys):
-    # in order: later commands read the files earlier ones write
-    commands = _readme_commands()
-    assert commands
-    monkeypatch.chdir(tmp_path)
-    for argv in commands:
-        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+# Each failure path of the output contract, run after README's commands in
+# the same directory (mix3.json is README's), with the cli attribute it
+# patches: no real scan misses the Sperner bound, so a sperner-verify check
+# failure needs an inadmissible witness patched in.
+FAILURE_PATHS = (
+    ("enumerate --instance mix3.json --budget 100", None),
+    ("sperner-verify --k 3 --n 2", ("exhaustive_extremal", _all_ones_witness)),
+    ("reproduce --suite enumeration --budget 10", None),
+    ("limits --lambda 1,1,0,0", None),
+    ("no-such-command", None),
+    ("enumerate --instance mix3.json --k 3 --n 2", None),
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run_in_process(argv):
+    """(exit code, sha256 of the document, sha256 of stderr's last line).
+
+    The document is stdout followed by the --out file, if any, with every
+    elapsed_s value zeroed in place.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    document = out.getvalue()
+    if "--out" in argv:
+        document += Path(argv[argv.index("--out") + 1]).read_text()
+    document = re.sub(r'"elapsed_s": [^,\n]+', '"elapsed_s": 0', document)
+    last = (err.getvalue().splitlines() or [""])[-1]
+    return code, _sha(document), _sha(last)
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """README's commands, then FAILURE_PATHS, in order in one scratch
+    directory: later commands read the files earlier ones write."""
+    outputs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("readme"))
+        for argv in _readme_commands():
+            outputs[shlex.join(argv)] = _run_in_process(argv)
+        for command, patch in FAILURE_PATHS:
+            with pytest.MonkeyPatch.context() as patched:
+                if patch is not None:
+                    patched.setattr(cli, *patch)
+                outputs[command] = _run_in_process(shlex.split(command))
+    return outputs
+
+
+def test_readme_commands_run(cli_outputs):
+    readme = [shlex.join(argv) for argv in _readme_commands()]
+    assert readme
+    assert {command: cli_outputs[command][0] for command in readme} == dict.fromkeys(readme, 0)
+
+
+NO_OUTPUT = _sha("")
+
+# (exit code, sha256 of the document, sha256 of stderr's last line) for
+# every README command and failure path.
+CLI_PINS = {
+    "gen --instance triangle --n 9 --format dimacs --out tri9.dimacs": (
+        0,
+        "5b29c0b69b616c4f05c5b048ef5bf26dce67d1eb680ebd843ec2410a5873a54b",
+        NO_OUTPUT,
+    ),
+    "eval-cut --instance tri9.dimacs --cut midlines": (
+        0,
+        "47d9e4e80b07344770fc87b1eb3fc104a362fb25d6ceaa9dcf0b2b9ea85cd4b2",
+        NO_OUTPUT,
+    ),
+    "min-cut --instance tri9.dimacs --terminal 1": (
+        0,
+        "bd9a53b8daa1442d9f80034421a394ecf41ae4ff2f6857a4f512f78e298ed2f5",
+        NO_OUTPUT,
+    ),
+    "enumerate --k 4 --n 2": (
+        0,
+        "c648b3653bd748e3e2c02562469dcaf8bfc704aabcb34a286a202928179fcc96",
+        NO_OUTPUT,
+    ),
+    "gen --instance combined --n 3 --c 1/3 --out mix3.json": (
+        0,
+        "452cdd9ea5f65b4c1307ff7fc21ed7f00cd53aa431a83e093c85e97f80a077af",
+        NO_OUTPUT,
+    ),
+    "enumerate --instance mix3.json --mode branch_and_bound": (
+        0,
+        "8f9c40be6409c8bcedb0caf4624460e4b13230ec27b1ecef132e03c140a5f815",
+        NO_OUTPUT,
+    ),
+    "sperner-verify --k 4 --n 2 --face-restricted": (
+        0,
+        "4a8c7e308c447990e85c02c3452fece51022cd76362c79e609a7843a28828fb8",
+        NO_OUTPUT,
+    ),
+    "optimize": (
+        0,
+        "02db769a93b32a5e6b0afbbf0e08a97e89800dc4437b432e734bbe8e6d2519a5",
+        NO_OUTPUT,
+    ),
+    "limits --n 39 --c 1/13": (
+        0,
+        "7c0702b4e4cacf0a468fafeeacc14a618eaccb50dd7d4edc8ef200c8ba0e5964",
+        NO_OUTPUT,
+    ),
+    "reproduce --suite all": (
+        0,
+        "d19479658d3dbf2f934304215b71464f0668547832071fe35f75728a44251160",
+        NO_OUTPUT,
+    ),
+    "enumerate --instance mix3.json --budget 100": (
+        1,
+        "215993847e347ccb49c1a7639ca97b9674b43307a00ee2f7dd670aa9cb6eeba7",
+        "cce89833f4eb5693f37ee3837d2a173bff37d5cee65de0f5b53d3d15739b5105",
+    ),
+    "sperner-verify --k 3 --n 2": (
+        1,
+        "7b50ce78b4f91a92926bf067ec9b8e1c5ab96888b52fe45348bef6d9a2dc1f03",
+        "97624f0b399c3bb69a39daffac949f64bb54d993d308b16f154c1be438a2cb58",
+    ),
+    "reproduce --suite enumeration --budget 10": (
+        1,
+        "f3c0c202be5711dcfced3885f1e4765359770826501f52e09561fb2f8d026d25",
+        "9d322982bcedfa4a282ccf506e80ebf3aac65eb82edc16ba64fa26764d27399b",
+    ),
+    "limits --lambda 1,1,0,0": (
+        2,
+        NO_OUTPUT,
+        "4b4baabaa4e21b6f746781af7b7d905f38c1962be55192aa771d36bb92e70933",
+    ),
+    "no-such-command": (
+        2,
+        NO_OUTPUT,
+        "ee6d9bab49fb327abfe5755217ae62bb5e38115d5421fa4bc186ce30895236a6",
+    ),
+    # refused as invalid-parameter: --instance fixes the lattice --k/--n name
+    "enumerate --instance mix3.json --k 3 --n 2": (
+        2,
+        NO_OUTPUT,
+        "73a128932e5052ebef0207f17e6d3f4a418bf6dfca9013dc9557e95b7340f54a",
+    ),
+}
+
+
+def test_cli_pins_cover_every_command(cli_outputs):
+    assert list(CLI_PINS) == list(cli_outputs)
+
+
+@pytest.mark.parametrize("command", list(CLI_PINS))
+def test_cli_output_is_pinned(command, cli_outputs):
+    assert cli_outputs[command] == CLI_PINS[command]

@@ -184,6 +184,21 @@ def test_witness_attains_refuses_a_label_off_every_support(label):
     assert not witness_attains(dataclasses.replace(rep, witness=witness))
 
 
+def test_verdicts_name_each_claim():
+    plain = exhaustive_extremal(3, 2)
+    assert sperner.verdicts(plain) == {"bound_attained": True, "witness_labels": True}
+    short = dataclasses.replace(plain, max_monochromatic=0)
+    assert sperner.verdicts(short) == {"bound_attained": False, "witness_labels": False}
+    off_support = dataclasses.replace(plain, witness=(*plain.witness[:-1], 4))
+    assert sperner.verdicts(off_support) == {"bound_attained": True, "witness_labels": False}
+    face = exhaustive_extremal(4, 2, face_restricted=True)
+    assert sperner.verdicts(face) == {"count_floors": True}
+    # one level below its floor fails the face-restricted claim
+    below = {**face.by_inadmissible, 0: (0, face.by_inadmissible[0][1])}
+    failed = dataclasses.replace(face, by_inadmissible=below)
+    assert sperner.verdicts(failed) == {"count_floors": False}
+
+
 def _exhaustive_extremal_reference(k, n, face_restricted):
     """The per-hyperedge scan: count_monochromatic on every labeling."""
     h = build_hypergraph(k, n)
