@@ -155,6 +155,28 @@ def optimize_params(lambda3_zero: bool = False) -> tuple[GapParams, Fraction]:
     return params, nonopposite_cost_floor(params).bound
 
 
+def _certificate_cut_min(a1: int, a2: int, a3: int, a4: int, p: int, q: int) -> int:
+    """Cheapest asymptotic certificate cut for weights a_i/d and c = p/q,
+    as an integer scaled by 30 d p q^2.
+
+    The three formulas are
+      6/5 l1 + l2 + 3/2 l4,
+      6/5 l1 + 2 l2 + 2/(3c) l3,
+      6/5 l1 + 2 l2 + 9/2 c^2 l4   (only for c < 1/9).
+    With l_i = a_i/d and c = p/q, multiplying each by 30 d p q^2 leaves
+      (36 a1 + 30 a2 + 45 a4) p q^2,
+      (36 a1 + 60 a2) p q^2 + 20 a3 q^3,
+      (36 a1 + 60 a2) p q^2 + 135 a4 p^3   (only for 9p < q),
+    so callers take minima and maxima on integers and divide once.
+    """
+    pqq = p * q * q
+    shared = (36 * a1 + 60 * a2) * pqq
+    best = min((36 * a1 + 30 * a2 + 45 * a4) * pqq, shared + 20 * a3 * q * q * q)
+    if 9 * p < q:
+        best = min(best, shared + 135 * a4 * p * p * p)
+    return best
+
+
 def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
     """Cheapest of the three certificate cuts; an upper bound on the floor.
 
@@ -167,26 +189,11 @@ def limitation_min(params: GapParams, n: int | None = None) -> Fraction:
     instance's non-opposite minimum from above and need not equal it.
     """
     if n is None:
-        # The three formulas are
-        #   6/5 l1 + l2 + 3/2 l4,
-        #   6/5 l1 + 2 l2 + 2/(3c) l3,
-        #   6/5 l1 + 2 l2 + 9/2 c^2 l4   (only for c < 1/9).
-        # With l_i = a_i/d over the weights' least common denominator d and
-        # c = p/q, multiplying each by 30 d p q^2 leaves the integers
-        #   (36 a1 + 30 a2 + 45 a4) p q^2,
-        #   (36 a1 + 60 a2) p q^2 + 20 a3 q^3,
-        #   (36 a1 + 60 a2) p q^2 + 135 a4 p^3   (only for 9p < q),
-        # so the minimum is taken on integers and divided once.
         lams = params.lams()
         d = lcm(*(x.denominator for x in lams))
         a1, a2, a3, a4 = (x.numerator * (d // x.denominator) for x in lams)
         p, q = params.c.numerator, params.c.denominator
-        pqq = p * q * q
-        shared = (36 * a1 + 60 * a2) * pqq
-        best = min((36 * a1 + 30 * a2 + 45 * a4) * pqq, shared + 20 * a3 * q * q * q)
-        if 9 * p < q:
-            best = min(best, shared + 135 * a4 * p * p * p)
-        return Fraction(best, 30 * d * pqq)
+        return Fraction(_certificate_cut_min(a1, a2, a3, a4, p, q), 30 * d * p * q * q)
     c = params.c
     check_resolution(n, params.lams(), c)
     g = build_graph(4, n)

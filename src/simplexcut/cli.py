@@ -164,7 +164,7 @@ def cmd_enumerate(args) -> tuple[dict, dict | None]:
             raise ValueError("--k/--n only apply without --instance, whose file fixes the lattice")
         parsed = _load_instance(args.instance)
         w = parsed.weights
-        mode = args.mode or "exhaustive"
+        mode = args.mode or SearchBudget.mode
         result = min_non_opposite_cost(w, SearchBudget(max_labelings=args.budget, mode=mode))
         doc = {
             "parameters": {"instance": args.instance, "budget": args.budget, "mode": mode},
@@ -335,7 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--instance", help="minimize over this instance instead of counting")
-    p.add_argument("--mode", choices=SEARCH_MODES, help="with --instance (default exhaustive)")
+    p.add_argument(
+        "--mode", choices=SEARCH_MODES, help=f"with --instance (default {SearchBudget.mode})"
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_LABELING_BUDGET)
     p.set_defaults(func=cmd_enumerate)
 

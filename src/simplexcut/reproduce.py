@@ -19,7 +19,7 @@ from itertools import product
 from math import comb
 from typing import Callable
 
-from .bounds import limitation_min, limitation_sup, nonopposite_cost_floor, optimize_params
+from .bounds import _certificate_cut_min, limitation_sup, nonopposite_cost_floor, optimize_params
 from .cuts import (
     CutLabeling,
     corner_caps,
@@ -154,28 +154,44 @@ _GRID_POINTS = comb(_GRID_SPAN + 3, 3) * _GRID_RADII
 _NO_CYCLE_POINTS = comb(_GRID_SPAN + 2, 2)
 
 
-def _limitation_grid(lam3_zero: bool):
-    """Deterministic mixture grid: weight compositions of 10, radii j/72."""
+def _grid_weights(lam3_zero: bool) -> list[tuple[int, int, int, int]]:
+    """The grid's mixtures as numerators (a1, a2, a3, a4) over _GRID_SPAN:
+    every composition of _GRID_SPAN into four parts, or with a3 = 0."""
     span = _GRID_SPAN
-    parts = [Fraction(x, span) for x in range(span + 1)]
-    depths = [Fraction(j, 72) for j in range(1, _GRID_RADII + 1)]
-    for a in range(span + 1):
-        for b in range(span + 1 - a):
-            if lam3_zero:
-                yield GapParams(parts[a], parts[b], parts[0], parts[span - a - b], c=Fraction(1, 4))
-            else:
-                for c3 in range(span + 1 - a - b):
-                    lams = (parts[a], parts[b], parts[c3], parts[span - a - b - c3])
-                    for c in depths:
-                        yield GapParams(*lams, c=c)
+    return [
+        (a, b, c3, span - a - b - c3)
+        for a in range(span + 1)
+        for b in range(span + 1 - a)
+        for c3 in ((0,) if lam3_zero else range(span + 1 - a - b))
+    ]
+
+
+def _grid_depths(lam3_zero: bool) -> list[tuple[int, int]]:
+    """The grid's cap depths as (p, q): j/72 for j = 1.._GRID_RADII, or 1/4
+    alone, where c is inert since a3 = 0."""
+    return [(1, 4)] if lam3_zero else [(j, 72) for j in range(1, _GRID_RADII + 1)]
+
+
+def _grid_depth_maxima(lam3_zero: bool) -> list[Fraction]:
+    """The largest certificate-cut minimum over the grid's mixtures at each
+    of its cap depths.
+
+    At depth p/q every mixture shares the denominator
+    30 * _GRID_SPAN * p * q^2, so each depth's maximum is taken on
+    integers and divided once."""
+    weights = _grid_weights(lam3_zero)
+    return [
+        Fraction(
+            max(_certificate_cut_min(*w, p, q) for w in weights),
+            30 * _GRID_SPAN * p * q * q,
+        )
+        for p, q in _grid_depths(lam3_zero)
+    ]
 
 
 def _grid_max(lam3_zero: bool) -> tuple[int, Fraction]:
-    points, best = 0, Fraction(0)
-    for params in _limitation_grid(lam3_zero):
-        points += 1
-        best = max(best, limitation_min(params))
-    return points, best
+    points = len(_grid_weights(lam3_zero)) * len(_grid_depths(lam3_zero))
+    return points, max(_grid_depth_maxima(lam3_zero))
 
 
 def _limitation_sup(budget):

@@ -92,6 +92,8 @@ def _within_budget(factors: list[tuple[int, int]], max_labelings: int) -> None:
     digits than str converts is compared by its logarithm and named by
     its floor, unless the budget is as long as the count or the logarithm
     is within _LOG_SLACK of an integer; only then is it multiplied out.
+    When the count and the budget read the same, both "more than 10^N",
+    the message also names by how much the count exceeds the budget.
     """
     SearchBudget(max_labelings)
     # the most digits str converts: no limit before Python 3.10.7 or at 0
@@ -99,7 +101,8 @@ def _within_budget(factors: list[tuple[int, int]], max_labelings: int) -> None:
     log = sum(e * log10(b) for b, e in factors)
     if (
         log > digits + _LOG_SLACK
-        and log > log10(max_labelings) + _LOG_SLACK
+        # below 10^floor(log), the budget cannot read "more than 10^floor(log)"
+        and floor(log) > log10(max_labelings) + _LOG_SLACK
         # near an integer the count may be a power of ten: settle it exactly
         and abs(log - round(log)) > _LOG_SLACK
     ):
@@ -109,7 +112,10 @@ def _within_budget(factors: list[tuple[int, int]], max_labelings: int) -> None:
         if space <= max_labelings:
             return
         text = _count_text(space)
-    raise BudgetExceededError(f"{text} labelings exceed the budget of {_count_text(max_labelings)}")
+    budget = _count_text(max_labelings)
+    if text == budget:  # only a multiplied-out count can read as the budget does
+        budget += f" by {_count_text(space - max_labelings)}"
+    raise BudgetExceededError(f"{text} labelings exceed the budget of {budget}")
 
 
 def _count_text(count: int) -> str:

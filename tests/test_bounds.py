@@ -22,6 +22,7 @@ from simplexcut import (
     optimal_params_for_c,
     optimize_params,
 )
+from simplexcut.bounds import _certificate_cut_min
 
 TUNED_ASYMPTOTIC_BOUND = Fraction(667213783, 555937500)  # ~1.2001597
 
@@ -346,6 +347,27 @@ def test_limitation_min_matches_fraction_formulas(raw, c):
     total = sum(raw)
     params = GapParams(*(x / total for x in raw), c=c)
     assert limitation_min(params) == _limitation_min_reference(params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 10**6), min_size=4, max_size=4).filter(any),
+    st.integers(1, 50),
+    _DEPTH,
+    st.integers(1, 12),
+)
+@example([0, 0, 1, 0], 1, Fraction(1, 9), 1)
+@example([1, 0, 0, 3], 1, Fraction(1, 10), 8)
+def test_certificate_cut_core_is_limitation_min_scaled(nums, spread, c, k):
+    # integer weights over any common denominator d (not only the least)
+    # and c as any p/q (not only in lowest terms): the core over
+    # 30 d p q^2 is the minimum of the three formulas
+    d = sum(nums) * spread
+    a1, a2, a3, a4 = (a * spread for a in nums)
+    p, q = k * c.numerator, k * c.denominator
+    params = GapParams(*(Fraction(a, d) for a in (a1, a2, a3, a4)), c=c)
+    scaled = Fraction(_certificate_cut_min(a1, a2, a3, a4, p, q), 30 * d * p * q * q)
+    assert scaled == _limitation_min_reference(params)
 
 
 @pytest.mark.parametrize("n", [39, 78])

@@ -415,7 +415,14 @@ def test_enumerate_budget_exhausted_keeps_partial_report(tmp_path):
     path = tmp_path / "tri3.json"
     run("gen", "--instance", "triangle", "--n", "3", "--out", str(path))
     proc = run(
-        "enumerate", "--instance", str(path), "--budget", "100", expect=1
+        "enumerate",
+        "--instance",
+        str(path),
+        "--mode",
+        "exhaustive",
+        "--budget",
+        "100",
+        expect=1,
     )
     assert stderr_error(proc)["error"] == "budget-exhausted"
     doc = report(proc)
@@ -718,17 +725,19 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("simplexcut ")]
 
 
-# Each failure path of the output contract, run after README's commands in
-# the same directory (mix3.json is README's), with the cli attribute it
-# patches: no real scan misses the Sperner bound, so a sperner-verify check
-# failure needs an inadmissible witness patched in.
-FAILURE_PATHS = (
-    ("enumerate --instance mix3.json --budget 100", None),
+# Each failure path of the output contract, then enumerate --instance in
+# its default mode, run after README's commands in the same directory
+# (mix3.json is README's), with the cli attribute each patches: no real
+# scan misses the Sperner bound, so a sperner-verify check failure needs
+# an inadmissible witness patched in.
+MORE_COMMANDS = (
+    ("enumerate --instance mix3.json --mode exhaustive --budget 100", None),
     ("sperner-verify --k 3 --n 2", ("exhaustive_extremal", _all_ones_witness)),
     ("reproduce --suite enumeration --budget 10", None),
     ("limits --lambda 1,1,0,0", None),
     ("no-such-command", None),
     ("enumerate --instance mix3.json --k 3 --n 2", None),
+    ("enumerate --instance mix3.json", None),
 )
 
 
@@ -755,14 +764,14 @@ def _run_in_process(argv):
 
 @pytest.fixture(scope="module")
 def cli_outputs(tmp_path_factory):
-    """README's commands, then FAILURE_PATHS, in order in one scratch
+    """README's commands, then MORE_COMMANDS, in order in one scratch
     directory: later commands read the files earlier ones write."""
     outputs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path_factory.mktemp("readme"))
         for argv in _readme_commands():
             outputs[shlex.join(argv)] = _run_in_process(argv)
-        for command, patch in FAILURE_PATHS:
+        for command, patch in MORE_COMMANDS:
             with pytest.MonkeyPatch.context() as patched:
                 if patch is not None:
                     patched.setattr(cli, *patch)
@@ -779,7 +788,7 @@ def test_readme_commands_run(cli_outputs):
 NO_OUTPUT = _sha("")
 
 # (exit code, sha256 of the document, sha256 of stderr's last line) for
-# every README command and failure path.
+# every README command and each of MORE_COMMANDS.
 CLI_PINS = {
     "gen --instance triangle --n 9 --format dimacs --out tri9.dimacs": (
         0,
@@ -831,7 +840,7 @@ CLI_PINS = {
         "d19479658d3dbf2f934304215b71464f0668547832071fe35f75728a44251160",
         NO_OUTPUT,
     ),
-    "enumerate --instance mix3.json --budget 100": (
+    "enumerate --instance mix3.json --mode exhaustive --budget 100": (
         1,
         "215993847e347ccb49c1a7639ca97b9674b43307a00ee2f7dd670aa9cb6eeba7",
         "cce89833f4eb5693f37ee3837d2a173bff37d5cee65de0f5b53d3d15739b5105",
@@ -861,6 +870,13 @@ CLI_PINS = {
         2,
         NO_OUTPUT,
         "73a128932e5052ebef0207f17e6d3f4a418bf6dfca9013dc9557e95b7340f54a",
+    ),
+    # the default mode is branch_and_bound: the same document as README's
+    # "enumerate --instance mix3.json --mode branch_and_bound"
+    "enumerate --instance mix3.json": (
+        0,
+        "8f9c40be6409c8bcedb0caf4624460e4b13230ec27b1ecef132e03c140a5f815",
+        NO_OUTPUT,
     ),
 }
 

@@ -28,7 +28,7 @@ from simplexcut import (
     parse_instance,
     red_regions,
 )
-from simplexcut.instances import _component_terms
+from simplexcut.instances import _COUNTED_PALETTE, _component_terms
 
 # boundary schedule at n=9 (m=3, rho=1/15): descending from both corners,
 # middle third flat
@@ -390,7 +390,8 @@ def n40_graph():
 
 
 @pytest.mark.parametrize(
-    "size,typecode", [(256, "B"), (257, "H"), (65_536, "H"), (65_537, "I")]
+    "size,typecode",
+    [(_COUNTED_PALETTE, "B"), (256, "B"), (257, "H"), (65_536, "H"), (65_537, "I")],
 )
 def test_palette_sizes_round_trip_in_their_typecode(n40_graph, size, typecode):
     # edge e weighs (7919 e mod size)/7: 7919 is a prime that divides no
@@ -400,6 +401,8 @@ def test_palette_sizes_round_trip_in_their_typecode(n40_graph, size, typecode):
     nums = [(e * 7919) % size for e in range(len(g.edges))]
     w = WeightMap(g, {e: Fraction(x, 7) for e, x in enumerate(nums)})
     assert len(w.palette) == size and w.codes.typecode == typecode and w.den == 7
+    # the first map is totalled by byte counts, the others code by code
+    assert w.total() == Fraction(sum(nums), 7)
     _assert_canonical(w)
     back = pickle.loads(pickle.dumps(w))
     _same_map(w, back, WeightMap(g, dict(w.weights)), *_parsed(w, False), *_parsed(w, True))

@@ -4,12 +4,23 @@ import dataclasses
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexcut import DEFAULT_LABELING_BUDGET, CutLabeling, WeightMap, build_graph, cost, reproduce
+from simplexcut import (
+    DEFAULT_LABELING_BUDGET,
+    CutLabeling,
+    GapParams,
+    WeightMap,
+    build_graph,
+    cost,
+    limitation_min,
+    reproduce,
+)
+from simplexcut.bounds import _certificate_cut_min
 from simplexcut.cuts import reachable_labels
 from simplexcut.reproduce import (
     CRITERIA,
@@ -241,3 +252,25 @@ def test_sweep_price_is_cost_over_the_denominator(data):
         labels[t] = i
     p = CutLabeling(g, labels)
     assert reproduce._price(reproduce._weighted_edges(w), p.labels) == cost(p, w) * w.den
+
+
+@pytest.mark.parametrize(
+    "lam3_zero,points", [(False, 10_010), (True, 66)], ids=["grid", "no-cycles"]
+)
+def test_grid_sweep_matches_limitation_min_at_every_point(lam3_zero, points):
+    # the sweep prices each mixture as an integer over its depth's shared
+    # denominator; at every point that must be limitation_min of the
+    # mixture as GapParams, and each depth's maximum the maximum of those
+    span = reproduce._GRID_SPAN
+    weights = reproduce._grid_weights(lam3_zero)
+    depths = reproduce._grid_depths(lam3_zero)
+    assert len(set(weights)) * len(set(depths)) == points
+    maxima = []
+    for p, q in depths:
+        c = Fraction(p, q)
+        values = [limitation_min(GapParams(*(Fraction(a, span) for a in w), c=c)) for w in weights]
+        for w, value in zip(weights, values):
+            assert Fraction(_certificate_cut_min(*w, p, q), 30 * span * p * q * q) == value
+        maxima.append(max(values))
+    assert reproduce._grid_depth_maxima(lam3_zero) == maxima
+    assert reproduce._grid_max(lam3_zero) == (points, max(maxima))

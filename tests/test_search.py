@@ -107,9 +107,28 @@ def test_budget_refusal_names_a_budget_too_long_to_print():
             _within_budget([(10, 5000)], 10**5000 - 1)
     finally:
         sys.set_int_max_str_digits(limit)
-    # both are named by _count_text: 10^4999 < 10^5000 - 1 < 10^5000
+    # both are named by _count_text, 10^4999 < 10^5000 - 1 < 10^5000, so
+    # the message also names the difference
     assert str(refused.value) == (
-        "more than 10^4999 labelings exceed the budget of more than 10^4999"
+        "more than 10^4999 labelings exceed the budget of more than 10^4999 by 1"
+    )
+
+
+def test_budget_refusal_names_the_difference_to_an_equally_long_budget():
+    # 2^16610 is about 10^5000.17, too long to print and not near a power
+    # of ten, yet the budget is as long as it: the count is multiplied out
+    # so that the message can say by how much it exceeds the budget
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BudgetExceededError) as refused:
+            _within_budget([(2, 16610)], 10**5000 + 7)
+        _within_budget([(2, 16610)], 2**16610)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(refused.value) == (
+        "more than 10^5000 labelings exceed the budget of more than 10^5000"
+        " by more than 10^4999"
     )
 
 
