@@ -731,6 +731,7 @@ def _readme_commands():
 # scan misses the Sperner bound, so a sperner-verify check failure needs
 # an inadmissible witness patched in.
 MORE_COMMANDS = (
+    ("enumerate --instance mix3.json --budget 100", None),
     ("enumerate --instance mix3.json --mode exhaustive --budget 100", None),
     ("sperner-verify --k 3 --n 2", ("exhaustive_extremal", _all_ones_witness)),
     ("reproduce --suite enumeration --budget 10", None),
@@ -839,6 +840,12 @@ CLI_PINS = {
         0,
         "d19479658d3dbf2f934304215b71464f0668547832071fe35f75728a44251160",
         NO_OUTPUT,
+    ),
+    # a partial branch_and_bound run, the default mode
+    "enumerate --instance mix3.json --budget 100": (
+        1,
+        "169a98b873c5a52f50a8f1940f8e7d46bd84c0c5511de3f2eacc2b8d365a421b",
+        "cce89833f4eb5693f37ee3837d2a173bff37d5cee65de0f5b53d3d15739b5105",
     ),
     "enumerate --instance mix3.json --mode exhaustive --budget 100": (
         1,
