@@ -117,10 +117,10 @@ def _load_instance(path: str):
 
 
 def cmd_eval_cut(args) -> tuple[dict, dict | None]:
-    if args.c is not None and args.cut != "corner-caps":
-        raise ValueError("--c only applies to --cut corner-caps")
-    if args.alpha is not None and args.cut != "terminal-ball":
-        raise ValueError("--alpha only applies to --cut terminal-ball")
+    # --c and --alpha are named for named_cut's keywords: each applies to the cut taking it
+    for name, (_build, keyword, _what) in NAMED_CUTS.items():
+        if keyword is not None and getattr(args, keyword) is not None and args.cut != name:
+            raise ValueError(f"--{keyword} only applies to --cut {name}")
     parsed = _load_instance(args.instance)
     w = parsed.weights
     g = w.graph

@@ -237,13 +237,15 @@ def terminal_ball(g: SimplexGraph, alpha: Fraction) -> CutLabeling:
     return CutLabeling(g, tuple(labels))
 
 
-NAMED_CUTS = (
-    "midlines",
-    "midlines-ext",
-    "isolate-terminals",
-    "corner-caps",
-    "terminal-ball",
-)
+# name -> (constructor, the keyword of named_cut it takes or None, what
+# that parameter is)
+NAMED_CUTS = {
+    "midlines": (midlines, None, None),
+    "midlines-ext": (midlines_extended, None, None),
+    "isolate-terminals": (isolate_terminals, None, None),
+    "corner-caps": (corner_caps, "c", "a cap depth"),
+    "terminal-ball": (terminal_ball, "alpha", "a radius fraction"),
+}
 
 
 def named_cut(
@@ -253,18 +255,12 @@ def named_cut(
     alpha: Fraction | None = None,
 ) -> CutLabeling:
     """Construct one of the library cuts by name."""
-    if name == "midlines":
-        return midlines(g)
-    if name == "midlines-ext":
-        return midlines_extended(g)
-    if name == "isolate-terminals":
-        return isolate_terminals(g)
-    if name == "corner-caps":
-        if c is None:
-            raise ValueError("corner-caps needs a cap depth")
-        return corner_caps(g, c)
-    if name == "terminal-ball":
-        if alpha is None:
-            raise ValueError("terminal-ball needs a radius fraction")
-        return terminal_ball(g, alpha)
-    raise ValueError(f"unknown cut name: {name!r} (choose from {', '.join(NAMED_CUTS)})")
+    if name not in NAMED_CUTS:
+        raise ValueError(f"unknown cut name: {name!r} (choose from {', '.join(NAMED_CUTS)})")
+    build, keyword, what = NAMED_CUTS[name]
+    if keyword is None:
+        return build(g)
+    value = {"c": c, "alpha": alpha}[keyword]
+    if value is None:
+        raise ValueError(f"{name} needs {what}")
+    return build(g, value)

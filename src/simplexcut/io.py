@@ -21,14 +21,11 @@ document but the one holding the header.  Every other slice goes through
 the general line-by-line reader, which accepts lines in any order,
 comments, odd whitespace and number forms, and is the source of every
 error message: the list-level path only ever returns the result the line
-reader would.  Either way a row's weight text goes in as a code into one
-array slot per edge, a byte while there are at most 255 distinct texts,
-and the slots become the parsed map's codes.  The text is read until its
-problem line and terminal lines build the lattice, stepping over slices
-of edge lines with one pattern match, and read again from the top once
-the graph exists; a problem line that announces a negative edge count,
-or more edges than its lattice has, is refused before the lattice is
-built.
+reader would.  The text is read until its problem line and terminal
+lines build the lattice, stepping over slices of edge lines with one
+pattern match, and read again from the top once the graph exists; a
+problem line that announces a negative edge count, or more edges than
+its lattice has, is refused before the lattice is built.
 """
 
 from __future__ import annotations
@@ -274,20 +271,19 @@ class _WeightSlots:
     """Edge weights read one (u, v, "p/q") row at a time (add), or a run
     of rows in edge order at one go (fill).
 
-    Each row goes straight into its edge's slot.  A slot holds a code for
-    the row's weight text (0 for an edge no row names) in an array of
-    bytes, widened to 4-byte unsigned ints when a 256th distinct text
-    arrives; each distinct text is parsed once.  When the map is made the
-    weights are put over their common denominator and the slots become its
-    codes.
+    A slot holds a code for its row's weight text (0 for an edge no row
+    names), widened from a byte to 4-byte unsigned ints when a 256th
+    distinct text arrives.  Each distinct text is parsed once and keyed
+    "text\\ne", the token fill splits it into.  When the map is made the
+    weights are put over their common denominator and the slots become
+    its codes.
     """
 
     def __init__(self, g: SimplexGraph):
         self.graph = g
         self.tails, self.heads = g.tails, g.heads
         self.edge_between = g.edge_between  # bound once: add runs per edge
-        self.codes: dict[str, int] = {}  # weight text -> code
-        self.keys: dict[str, int] = {}  # "text\ne" -> code, for fill
+        self.codes: dict[str, int] = {}  # "text\ne" -> code, keyed as fill splits rows
         self.values: list[Fraction] = []
         self.slots = array("B", bytes(len(g.tails)))
         # the edge after the last one filled: emitted rows come in edge
@@ -306,13 +302,14 @@ class _WeightSlots:
                 raise ValueError(f"nodes {u} and {v} are not lattice neighbors")
         if self.slots[e]:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        code = self.codes.get(text)
+        key = text + "\ne"
+        code = self.codes.get(key)
         if code is None:
             x = parse_rational(text)
             if x < 0:
                 raise ValueError("negative edge weight")
             self.values.append(x)
-            code = self.codes[text] = len(self.values)
+            code = self.codes[key] = len(self.values)
             self._widen(code)
         self.slots[e] = code
         self.hint = e + 1
@@ -327,11 +324,8 @@ class _WeightSlots:
         from the hint, their slots are empty, and each new key ends in
         "\\ne" after a printable text that parses to a nonnegative
         rational.  A printable text holds no whitespace but " ", at which
-        the slice was split, and no line break, so the slice is those rows
-        exactly, as the line reader would read them; new texts are parsed
-        once each, in document order, as add would.  Otherwise nothing
-        changes and the result is False: add then reads the rows one by
-        one, and raises the error if there is one.
+        the slice was split, and no line break, so the tokens are those
+        rows exactly.  Otherwise nothing changes and the result is False.
         """
         tokens = piece.split(" ")
         tokens[-1] += "e"
@@ -345,23 +339,21 @@ class _WeightSlots:
         if tokens[1::3] != list(map(name, us)) or tokens[2::3] != list(map(name, vs)):
             return False
         keys = tokens[3::3]
-        new = [key for key in dict.fromkeys(keys) if key not in self.keys]
+        new = [key for key in dict.fromkeys(keys) if key not in self.codes]
         texts = [key[:-2] for key in new]
         if not all(key.endswith("\ne") and text.isprintable() for key, text in zip(new, texts)):
             return False
-        fresh = [text for text in texts if text not in self.codes]
         try:
-            values = [parse_rational(text) for text in fresh]
+            values = [parse_rational(text) for text in texts]
         except ValueError:
             return False
         if any(x < 0 for x in values):
             return False
         first = len(self.values) + 1
-        self.codes.update(zip(fresh, range(first, first + len(fresh))))
+        self.codes.update(zip(new, range(first, first + len(new))))
         self.values += values
         self._widen(len(self.values))
-        self.keys.update(zip(new, map(self.codes.__getitem__, texts)))
-        self.slots[h : h + m] = array(self.slots.typecode, map(self.keys.__getitem__, keys))
+        self.slots[h : h + m] = array(self.slots.typecode, map(self.codes.__getitem__, keys))
         self.hint = h + m
         return True
 
@@ -454,9 +446,10 @@ def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | Parsed
     Without a graph, edge lines are only checked for their shape, a slice
     at a time where _EDGE_ROWS matches it, and the lattice graph is
     returned as soon as the problem line and all k terminal lines are in;
-    a header that never completes is refused at the end of the text.  With the graph, every edge line fills its slot
-    in document order; the header lines on the way passed the first
-    reading, so only edge lines and the lines after the header can raise.
+    a header that never completes is refused at the end of the text.  With
+    the graph, every edge line fills its slot in document order; the header
+    lines on the way passed the first reading, so only edge lines and the
+    lines after the header can raise.
     """
     tag = None
     c_value: Fraction | None = None
@@ -530,28 +523,9 @@ def _read_dimacs(text: str, graph: SimplexGraph | None) -> SimplexGraph | Parsed
 def parse_instance_dimacs(text: str) -> ParsedInstance:
     """Parse the DIMACS-like format; its lines may come in any order.
 
-    The text is read one slice of about PARSE_SLICE_CHARS characters at a
-    time, so only one slice's lines or tokens are held at once.  A slice
-    of edge lines exactly as emit_instance_dimacs writes them, "e u v
-    text" with single spaces and a printable weight text, is split once on
-    spaces and taken in at one go (_WeightSlots.fill) when its rows
-    continue the edge order into empty slots; rejoined with spaces, its
-    tokens are the slice, so the line reader would read those rows alike.
-    Every other slice (the header, comments, rows out of order,
-    duplicates, CRLF endings, odd whitespace or number forms, any error)
-    is read line by line.  That general reader remains the one definition
-    of the format and the source of every error message; a slice is taken
-    at one go only when the result is the one the line reader would give.
-
-    The text is read until the problem line and all k terminal lines are
-    in, which builds the lattice, and read again from the top once the
-    graph exists (_read_dimacs).  The first reading steps over a slice of
-    edge lines that _EDGE_ROWS matches, keeping no token, since each of
-    its lines is one the line reader only counts.  An emitted document
-    completes its header in its first slice, so only that slice's first
-    lines are read twice.  A problem line that announces a negative edge
-    count, or more edges than the lattice has, is refused as soon as it is
-    read, so no graph is built for it.
+    The first reading (_read_dimacs without a graph) builds the lattice and
+    the second fills its slots.  An emitted document completes its header
+    in its first slice, so only that slice's first lines are read twice.
     """
     return _read_dimacs(text, _read_dimacs(text, None))
 

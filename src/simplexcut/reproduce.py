@@ -172,26 +172,18 @@ def _grid_depths(lam3_zero: bool) -> list[tuple[int, int]]:
     return [(1, 4)] if lam3_zero else [(j, 72) for j in range(1, _GRID_RADII + 1)]
 
 
-def _grid_depth_maxima(lam3_zero: bool) -> list[Fraction]:
-    """The largest certificate-cut minimum over the grid's mixtures at each
-    of its cap depths.
+def _grid_max(lam3_zero: bool) -> tuple[int, Fraction]:
+    """The grid's point count and its largest certificate-cut minimum.
 
     At depth p/q every mixture shares the denominator
     30 * _GRID_SPAN * p * q^2, so each depth's maximum is taken on
     integers and divided once."""
-    weights = _grid_weights(lam3_zero)
-    return [
-        Fraction(
-            max(_certificate_cut_min(*w, p, q) for w in weights),
-            30 * _GRID_SPAN * p * q * q,
-        )
-        for p, q in _grid_depths(lam3_zero)
-    ]
-
-
-def _grid_max(lam3_zero: bool) -> tuple[int, Fraction]:
-    points = len(_grid_weights(lam3_zero)) * len(_grid_depths(lam3_zero))
-    return points, max(_grid_depth_maxima(lam3_zero))
+    weights, depths = _grid_weights(lam3_zero), _grid_depths(lam3_zero)
+    best = max(
+        Fraction(max(_certificate_cut_min(*w, p, q) for w in weights), 30 * _GRID_SPAN * p * q * q)
+        for p, q in depths
+    )
+    return len(weights) * len(depths), best
 
 
 def _limitation_sup(budget):
@@ -471,6 +463,8 @@ def _format_determinism(budget):
         js2 = emit_instance_json(w, tag=tag, c=c, lam=lam)
         dm1 = emit_instance_dimacs(w, tag=tag, c=c, lam=lam)
         dm2 = emit_instance_dimacs(w, tag=tag, c=c, lam=lam)
+        if tag == "face":  # the n = 9 face, whose header is frozen
+            p_line = next(line for line in dm1.splitlines() if line.startswith("p "))
         if js1 != js2 or dm1 != dm2:
             ok = False
             notes.append(f"{tag}: nondeterministic emission")
@@ -480,8 +474,6 @@ def _format_determinism(budget):
         if pj.weights != pd.weights or pj.weights != w:
             ok = False
             notes.append(f"{tag}: cross-parse mismatch")
-    header = emit_instance_dimacs(build_base_triangle(9), tag="face").splitlines()
-    p_line = next(line for line in header if line.startswith("p "))
     if p_line != "p mwc 55 117 3":
         ok = False
         notes.append(f"unexpected header {p_line!r}")

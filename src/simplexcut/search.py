@@ -230,12 +230,6 @@ def _branch_and_bound_min(w: WeightMap, max_labelings: int):
     ]
     memo: list[dict] = [{} for _ in range(nnodes)]
 
-    def increments(r: int, labels: list[int]):
-        inc = tuple(
-            sum(x for q, x in back[r] if labels[q] != label) for label in rank_choices[r]
-        )
-        return inc, min(inc)
-
     # the first cheapest seed cut is the starting incumbent
     seeds = [(_price(weighted, p.labels), p.labels) for p in _seed_cuts(g)]
     incumbent, best_labels = min(seeds, key=lambda seed: seed[0])
@@ -245,27 +239,23 @@ def _branch_and_bound_min(w: WeightMap, max_labelings: int):
 
     labels = [0] * nnodes  # indexed by rank
     last = nnodes - 1
-    # per rank on the current path: increments, next choice, partial cost
-    rank_inc: list[tuple[int, ...]] = [()] * nnodes
-    choice_idx = [0] * nnodes
-    partial = [0] * nnodes
+    # the current rank r's increments, next choice and partial cost are the
+    # locals inc, ci and p; path holds them for each rank above r, pushed on
+    # descent and popped on return
+    path: list[tuple[tuple[int, ...], int, int]] = []
     explored = 0
     complete = True
-    # the current rank's place is kept in locals (inc, n, ci, p) and saved
-    # to the per-rank lists only on descent; rank 0 has no back edges
     r = 0
-    inc = rank_inc[0] = (0,) * len(rank_choices[0])
+    inc = (0,) * len(rank_choices[0])  # rank 0 has no back edges
     n = len(inc)
     ci = p = 0
     while True:
         if ci >= n:
-            if r == 0:
+            if not path:
                 break
             r -= 1
-            inc = rank_inc[r]
+            inc, ci, p = path.pop()
             n = len(inc)
-            ci = choice_idx[r]
-            p = partial[r]
             continue
         if explored >= max_labelings:
             complete = False
@@ -284,7 +274,11 @@ def _branch_and_bound_min(w: WeightMap, max_labelings: int):
         key = back_labels[r + 1](labels)
         entry = memo[r + 1].get(key)
         if entry is None:
-            entry = memo[r + 1][key] = increments(r + 1, labels)
+            # a name the generator reads becomes a closure cell, slower on
+            # every node, so it reads these aliases and not r or labels
+            b, now = back[r + 1], labels
+            child = tuple(sum(x for q, x in b if now[q] != label) for label in rank_choices[r + 1])
+            entry = memo[r + 1][key] = child, min(child)
         child, low = entry
         if c + low >= incumbent:
             # Whole-rank pruning: every child would be pruned, and a pruned
@@ -298,12 +292,10 @@ def _branch_and_bound_min(w: WeightMap, max_labelings: int):
                 break
             rank_skips += 1
             continue
-        choice_idx[r] = ci
+        path.append((inc, ci, p))
         r += 1
-        inc = rank_inc[r] = child
+        inc, ci, p = child, 0, c
         n = len(child)
-        ci = 0
-        p = partial[r] = c
     if best_ranked is not None:
         best_labels = tuple(best_ranked[rank[node]] for node in range(nnodes))
     return incumbent, best_labels, explored, complete, improvements, rank_skips

@@ -136,8 +136,9 @@ def exhaustive_extremal(
     total = len(h.hyperedges)
     gather = itemgetter(*chain.from_iterable(h.hyperedges))
     is_constant = frozenset((label,) * k for label in range(1, k + 1)).__contains__
-    # inadmissible[v][l] is 1 when the admissible rule denies node v label l
-    inadmissible = [[int(l not in a) for l in range(k + 1)] for a in family_choices(g, admissible)]
+    if face_restricted:
+        # inadmissible[v][l] is 1 when the admissible rule denies node v label l
+        inadmissible = [[int(l not in a) for l in range(k + 1)] for a in family_choices(g, admissible)]
     best = -1
     witness: tuple[int, ...] = ()
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] = {}

@@ -269,6 +269,21 @@ def test_eval_cut_refuses_a_flag_its_cut_does_not_take(
     assert json.loads(err) == {"error": "invalid-parameter", "message": message}
 
 
+@pytest.mark.parametrize(
+    "cut,message",
+    [
+        ("corner-caps", "corner-caps needs a cap depth"),
+        ("terminal-ball", "terminal-ball needs a radius fraction"),
+    ],
+)
+def test_eval_cut_refuses_a_cut_without_its_parameter(lines13, capsys, cut, message):
+    # the lines instance carries no c, and no flag gives the cut its parameter
+    assert cli.main(["eval-cut", "--instance", str(lines13), "--cut", cut]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "invalid-parameter", "message": message}
+
+
 def test_eval_cut_prices_corner_caps_at_a_given_depth(lines13, capsys):
     g = build_graph(4, 13)
     expected = cost(corner_caps(g, Fraction(1, 13)), build_component(2, g))

@@ -260,7 +260,7 @@ def test_sweep_price_is_cost_over_the_denominator(data):
 def test_grid_sweep_matches_limitation_min_at_every_point(lam3_zero, points):
     # the sweep prices each mixture as an integer over its depth's shared
     # denominator; at every point that must be limitation_min of the
-    # mixture as GapParams, and each depth's maximum the maximum of those
+    # mixture as GapParams, and the grid's maximum the maximum of those
     span = reproduce._GRID_SPAN
     weights = reproduce._grid_weights(lam3_zero)
     depths = reproduce._grid_depths(lam3_zero)
@@ -272,5 +272,4 @@ def test_grid_sweep_matches_limitation_min_at_every_point(lam3_zero, points):
         for w, value in zip(weights, values):
             assert Fraction(_certificate_cut_min(*w, p, q), 30 * span * p * q * q) == value
         maxima.append(max(values))
-    assert reproduce._grid_depth_maxima(lam3_zero) == maxima
     assert reproduce._grid_max(lam3_zero) == (points, max(maxima))

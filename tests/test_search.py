@@ -1,10 +1,12 @@
 """Exact minimum non-opposite cuts: enumeration, pruning, flows."""
 
 import hashlib
+import importlib.util
 import sys
 from collections import deque
 from fractions import Fraction
 from math import comb, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,44 @@ def test_branch_and_bound_counters_on_combined_n3():
     # exhaustive search skips no rank; its first labeling is already a minimum
     assert exhaustive.rank_skips == 0
     assert exhaustive.incumbents == ((MIN_J_DELTA_3_3, 1),)
+
+
+def _bench_mixtures(seed, count):
+    # the bnb-certify workload's mixtures, drawn by bench/workloads.py
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.mixtures(seed, count)
+
+
+@pytest.mark.parametrize(
+    "case,digest",
+    [
+        ("combined-n3", "cdf5690d07d40cb6bf955fe226be3f445f0e410d9e4dc2545f2df2f755ace145"),
+        ("combined-n3-budget-100", "15a368affc61d3e108a40fa3292e3cd2800d38e3e8f71f78dd03175c3675111a"),
+        ("triangle-n6", "d3c44be015ad03c97ca359a335f60600baa4ef86448f29a2c2ad628af3e84f4d"),
+        ("combined-n6", "6e3bdba3bb8bb34d6982fe806f197ec60578ed8774b20c67fcd0e0aa161733f2"),
+        ("bench-mixtures", "6b72baefd382530fd7760edc65e07baea44db7344b4ca03866c7e605601a7748"),
+    ],
+)
+def test_branch_and_bound_runs_are_pinned(case, digest):
+    # sha256 of the repr of each run's (cost numerator, labels, explored,
+    # complete, improvements, rank_skips): the tree, its counters and the
+    # argmin stay those of the node-by-node walk through any kernel rewrite
+    tuned = GapParams.tuned(c=Fraction(1, 3))
+    if case == "bench-mixtures":  # bnb-certify's 16 mixtures of seed 263
+        maps = [combine(p, build_graph(4, 3)) for p in _bench_mixtures(263, 16)]
+        runs = [search._branch_and_bound_min(w, 2_000_000) for w in maps]
+    elif case == "triangle-n6":
+        runs = search._branch_and_bound_min(build_base_triangle(6), 2_000_000)
+    elif case == "combined-n6":  # stopped at the 2M budget
+        runs = search._branch_and_bound_min(combine(tuned, build_graph(4, 6)), 2_000_000)
+    else:
+        budget = 100 if case == "combined-n3-budget-100" else 2_000_000
+        runs = search._branch_and_bound_min(combine(tuned, build_graph(4, 3)), budget)
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == digest
 
 
 def _branch_and_bound_reference(w, max_labelings):
