@@ -53,7 +53,6 @@ from .io import (
     render_rational,
 )
 from .lattice import (
-    RedRegions,
     SimplexGraph,
     boundary_edges,
     boundary_nodes,
@@ -74,7 +73,6 @@ from .search import (
 from .sperner import (
     ExtremalReport,
     FloorCheck,
-    SimplexHypergraph,
     build_hypergraph,
     count_floors,
     count_monochromatic,

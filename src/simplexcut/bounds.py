@@ -87,7 +87,7 @@ def optimal_params_for_c(c: Fraction) -> GapParams:
     """Mixture weights equalizing both floor terms at a given cap depth c."""
     c = Fraction(c)
     if not (0 < c < Fraction(1, 2)):
-        raise ValueError("the cap depth must lie strictly between 0 and 1/2")
+        raise ValueError(f"cap depth out of range: {c}")
     den = Fraction(4, 3) - Fraction(3, 5) * c * c + Fraction(9, 10) * c * c * c
     lam1 = 1 / den
     lam2 = (Fraction(1, 5) - Fraction(3, 5) * c * c) * lam1

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 from math import gcd, lcm
 
 from .errors import LambdaSimplexError
@@ -311,7 +311,7 @@ def _component_terms(index: int, g: SimplexGraph, c: Fraction | None) -> tuple[i
     if index == 3:
         c = Fraction(c)
         # 1/(9c) = c.denominator / (9 c.numerator)
-        return 9 * c.numerator, 0, dict.fromkeys(red_regions(g, c).all_edges(), c.denominator)
+        return 9 * c.numerator, 0, dict.fromkeys(chain(*red_regions(g, c)), c.denominator)
     if index == 4:
         return g.n * g.n, 1, {}
     raise ValueError(f"no component {index}")

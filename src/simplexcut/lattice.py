@@ -304,33 +304,6 @@ def boundary_edges(g: SimplexGraph, pair: tuple[int, int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RedRegions:
-    """Three cycles of marked edges near the first three corners of a
-    four-coordinate graph.
-
-    For each m in {1,2,3}: nodes[m-1] holds the segment at x_m = (1-c)n on
-    the x4 = 0 face together with the two boundary runs climbing from that
-    level to the corner, edges[m-1] the simple cycle of length 3cn through
-    those nodes, and closures[m-1] every face node with x_m >= (1-c)n.
-
-    When cn >= 2 the subgraph induced by nodes[m-1] also contains two chords
-    (segment interior to boundary run, one per side); those are not part of
-    the cycle and are excluded, keeping the 3cn count exact.
-    """
-
-    c: Fraction
-    nodes: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, ...], ...]
-    closures: tuple[frozenset[int], ...]
-
-    def all_edges(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for group in self.edges:
-            seen.update(group)
-        return tuple(sorted(seen))
-
-
 def cap_depth(c: Fraction, n: int) -> int:
     """The number of lattice levels c*n that a corner cap of depth c spans
     at resolution n >= 1; c must lie strictly between 0 and 1/2 and make
@@ -344,45 +317,30 @@ def cap_depth(c: Fraction, n: int) -> int:
     return int(depth)
 
 
-def red_regions(g: SimplexGraph, c: Fraction) -> RedRegions:
-    """Mark the three corner cycles at cap depth c (c*n must be integral)."""
+def red_regions(g: SimplexGraph, c: Fraction) -> tuple[tuple[int, ...], ...]:
+    """The three corner cycles at cap depth c (c*n must be integral), one
+    ascending edge tuple per corner m in {1,2,3}.
+
+    Corner m's cycle is the c*n edges nearest m of each of its two boundary
+    lines on the x4 = 0 face, closed by the c*n edges of the segment at
+    x_m = (1-c)n between them: a triangle of side cn and length 3cn.
+    """
     if g.k != 4:
         raise ValueError("red regions live on four-terminal graphs")
-    c = Fraction(c)
     depth = cap_depth(c, g.n)
-    level = g.n - depth
-    node_sets = []
-    edge_sets = []
-    closures = []
+    cycles = []
     for m in (1, 2, 3):
         a, b = sorted({1, 2, 3} - {m})
-
-        def node(xm: int, xa: int, xb: int) -> int:
+        cycle = []
+        for other in (a, b):
+            line = boundary_edges(g, (m, other))
+            cycle += line[:depth] if m < other else line[-depth:]
+        segment = []
+        for t in range(depth + 1):
             point = [0] * 4
-            point[m - 1], point[a - 1], point[b - 1] = xm, xa, xb
-            return g.rank(point)
-
-        # the segment at x_m = level from its end on the {m, a} boundary to
-        # its end on the {m, b} boundary, then the two runs from the
-        # segment's ends up to the corner; consecutive members are joined
-        segment = [node(level, depth - t, t) for t in range(depth + 1)]
-        runs = [
-            [node(xm, g.n - xm, 0) for xm in range(level, g.n + 1)],
-            [node(xm, 0, g.n - xm) for xm in range(level, g.n + 1)],
-        ]
-        cycle_edges = []
-        for path in (segment, *runs):
-            for u, v in zip(path, path[1:]):
-                e = g.edge_between(u, v)
-                assert e is not None
-                cycle_edges.append(e)
-        node_sets.append(frozenset(segment + runs[0] + runs[1]))
-        edge_sets.append(tuple(sorted(cycle_edges)))
-        closures.append(
-            frozenset(
-                node(xm, xa, g.n - xm - xa)
-                for xm in range(level, g.n + 1)
-                for xa in range(g.n - xm + 1)
-            )
-        )
-    return RedRegions(c, tuple(node_sets), tuple(edge_sets), tuple(closures))
+            point[m - 1], point[a - 1], point[b - 1] = g.n - depth, depth - t, t
+            segment.append(g.rank(point))
+        cycle += map(g.edge_between, segment, segment[1:])
+        assert None not in cycle
+        cycles.append(tuple(sorted(cycle)))
+    return tuple(cycles)

@@ -417,8 +417,7 @@ def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int
         q = reachable_labels(g, labels)
         known = facts.get(q)
         if known is None:
-            CutLabeling(g, q)
-            cut = [(u, v) for u, v in zip(g.tails, g.heads) if q[u] != q[v]]
+            cut = [(g.tails[e], g.heads[e]) for e in delta(CutLabeling(g, q))]
             idempotent = not all_properties or reachable_labels(g, q) == q
             known = facts[q] = (cut, _price(weighted, q), q.count(aux), idempotent)
         cut, q_cost, q_aux, idempotent = known

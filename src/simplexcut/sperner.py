@@ -21,19 +21,11 @@ from .lattice import build_graph, family_choices, family_size, node_count, simpl
 from .search import DEFAULT_LABELING_BUDGET, _within_budget
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexHypergraph:
-    k: int
-    n: int
-    nodes: tuple[tuple[int, ...], ...]
-    hyperedges: tuple[tuple[int, ...], ...]
-
-
-def build_hypergraph(k: int, n: int) -> SimplexHypergraph:
+def build_hypergraph(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """One hyperedge per level-(n-1) point: its k unit successors.
 
-    nodes is the node table of build_graph(k, n), and each member is the
-    colex rank of a successor, so node indices are the lattice graph's.
+    Each member is the colex rank of a successor, so node indices are
+    those of build_graph(k, n).
     """
     g = build_graph(k, n)
     bases = simplex_points(k, n - 1) if n >= 2 else ((0,) * k,)
@@ -45,14 +37,13 @@ def build_hypergraph(k: int, n: int) -> SimplexHypergraph:
             lifted[i] += 1
             members.append(g.rank(lifted))
         hyperedges.append(tuple(members))
-    h = SimplexHypergraph(k, n, g.nodes, tuple(hyperedges))
-    assert len(h.hyperedges) == comb(n + k - 2, k - 1)
-    return h
+    assert len(hyperedges) == comb(n + k - 2, k - 1)
+    return tuple(hyperedges)
 
 
-def count_monochromatic(h: SimplexHypergraph, labels: tuple[int, ...]) -> int:
+def count_monochromatic(hyperedges: tuple[tuple[int, ...], ...], labels: tuple[int, ...]) -> int:
     count = 0
-    for members in h.hyperedges:
+    for members in hyperedges:
         first = labels[members[0]]
         if all(labels[v] == first for v in members[1:]):
             count += 1
@@ -131,10 +122,10 @@ def exhaustive_extremal(
     """
     rule = face_relaxed if face_restricted else admissible
     _within_budget(family_size(k, n, rule), max_labelings)
-    h = build_hypergraph(k, n)
+    hyperedges = build_hypergraph(k, n)
     g = build_graph(k, n)
-    total = len(h.hyperedges)
-    gather = itemgetter(*chain.from_iterable(h.hyperedges))
+    total = len(hyperedges)
+    gather = itemgetter(*chain.from_iterable(hyperedges))
     is_constant = frozenset((label,) * k for label in range(1, k + 1)).__contains__
     if face_restricted:
         # inadmissible[v][l] is 1 when the admissible rule denies node v label l
@@ -170,10 +161,10 @@ def exhaustive_extremal(
 def witness_attains(report: ExtremalReport) -> bool:
     """Whether the report's witness is admissible and re-counts to its
     max_monochromatic."""
-    h = build_hypergraph(report.k, report.n)
+    hyperedges = build_hypergraph(report.k, report.n)
     allowed = family_choices(build_graph(report.k, report.n), admissible)
     ok = all(map(contains, allowed, report.witness))
-    return ok and count_monochromatic(h, report.witness) == report.max_monochromatic
+    return ok and count_monochromatic(hyperedges, report.witness) == report.max_monochromatic
 
 
 def count_floors(report: ExtremalReport) -> list[tuple[int, int, Fraction]]:

@@ -23,6 +23,7 @@ from simplexcut import (
     optimize_params,
 )
 from simplexcut.bounds import _certificate_cut_min
+from simplexcut.lattice import cap_depth
 
 TUNED_ASYMPTOTIC_BOUND = Fraction(667213783, 555937500)  # ~1.2001597
 
@@ -200,6 +201,17 @@ def test_optimal_params_for_c_validation():
         optimal_params_for_c(Fraction(0))
     with pytest.raises(ValueError):
         optimal_params_for_c(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2)])
+def test_cap_depth_range_has_one_wording(c):
+    message = f"cap depth out of range: {c}"
+    with pytest.raises(ValueError, match=message):
+        optimal_params_for_c(c)
+    with pytest.raises(ValueError, match=message):
+        GapParams(lam1=1, lam2=0, lam3=0, lam4=0, c=c)
+    with pytest.raises(ValueError, match=message):
+        cap_depth(c, 12)
 
 
 def test_limitation_ratio_values():

@@ -261,6 +261,15 @@ def test_corner_caps_other_components():
     assert len(delta(p)) == 93
 
 
+@pytest.mark.parametrize("n", range(3, 25))
+def test_corner_caps_never_cut_their_own_cycles(n):
+    # corner m's cycle runs inside its cap, which labels every node m
+    g = build_graph(4, n)
+    for depth in range(1, (n + 1) // 2):
+        c = Fraction(depth, n)
+        assert cost(corner_caps(g, c), build_component(3, g, c=c)) == 0
+
+
 def _midlines_extended_scan(g):
     """Reference: label every node of the tetrahedron from its point."""
     n = g.n

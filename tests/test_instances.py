@@ -1,5 +1,6 @@
 """Instance weights: the base triangle, the four components, mixing."""
 
+import hashlib
 import pickle
 from array import array
 from fractions import Fraction
@@ -95,8 +96,35 @@ def test_cycles_component_total(n):
     g = build_graph(4, n)
     w = build_component(3, g, c=Fraction(1, n))
     assert w.total() == n
-    rr = red_regions(g, Fraction(1, n))
-    assert set(w.weights) == set(rr.all_edges())
+    assert set(w.weights) == set().union(*red_regions(g, Fraction(1, n)))
+
+
+def _maps_digest(maps):
+    """sha256 of each map's den, palette and codes, in order."""
+    h = hashlib.sha256()
+    for w in maps:
+        h.update(repr((w.den, w.palette, w.codes.typecode)).encode())
+        h.update(w.codes.tobytes())
+    return h.hexdigest()
+
+
+def test_cycles_and_tuned_maps_are_pinned():
+    # digests taken before the corner cycles were built from boundary_edges:
+    # the cycles component at every integral depth for n = 3..24 (132 maps),
+    # and the tuned mixture at n = 78
+    cycles = [
+        build_component(3, build_graph(4, n), c=Fraction(d, n))
+        for n in range(3, 25)
+        for d in range(1, (n + 1) // 2)
+    ]
+    assert len(cycles) == 132
+    assert _maps_digest(cycles) == (
+        "075ea1517f02f2dcba2ce436020076ad4210d6975e21bd9c0779f2d72238b997"
+    )
+    tuned = combine(GapParams.tuned(c=Fraction(1, 13)), build_graph(4, 78))
+    assert _maps_digest([tuned]) == (
+        "2964eadf4be9a28be47b8f246a6c335ac01a598e316645545df988fe908e760c"
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 13))

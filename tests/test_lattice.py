@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import simplexcut
 from simplexcut import (
     GapParams,
-    RedRegions,
     boundary_edges,
     boundary_nodes,
     build_base_triangle,
@@ -257,65 +256,47 @@ def test_face_is_shared_graph_object():
 )
 def test_red_region_counts(n, c):
     g = build_graph(4, n)
-    rr = red_regions(g, c)
+    cycles = red_regions(g, c)
     depth = int(c * n)
     for m in (1, 2, 3):
-        assert len(rr.edges[m - 1]) == 3 * depth
-        assert len(rr.closures[m - 1]) == (depth + 1) * (depth + 2) // 2
-    assert len(rr.all_edges()) == 9 * depth
+        assert len(cycles[m - 1]) == 3 * depth
+    assert len(set().union(*cycles)) == 9 * depth
 
 
 def test_red_region_cycle_is_closed():
     g = build_graph(4, 8)
-    rr = red_regions(g, Fraction(1, 4))
+    cycles = red_regions(g, Fraction(1, 4))
     for m in (1, 2, 3):
         degree: dict[int, int] = {}
-        for e in rr.edges[m - 1]:
+        for e in cycles[m - 1]:
             for u in g.edges[e]:
                 degree[u] = degree.get(u, 0) + 1
         # a disjoint union of simple cycles has all degrees 2; the length
         # check in test_red_region_counts pins it to the single triangle
         # of side cn
         assert all(d == 2 for d in degree.values())
-        assert len(degree) == len(rr.edges[m - 1])
+        assert len(degree) == len(cycles[m - 1])
 
 
 def _red_regions_scan(g, c):
-    """Reference: mark the corner cycles by scanning every node and edge."""
+    """Reference: mark the corner cycles by scanning every edge."""
     level = g.n - int(c * g.n)
-    node_sets, edge_sets, closures = [], [], []
+    cycles = []
     for m in (1, 2, 3):
         others = sorted({1, 2, 3} - {m})
-        members = set()
-        for u, p in enumerate(g.nodes):
-            if p[3] != 0:
-                continue
-            if p[m - 1] == level:
-                members.add(u)
-            elif p[m - 1] > level:
-                if set(support(p)) <= {m, others[0]} or set(support(p)) <= {m, others[1]}:
-                    members.add(u)
 
         def on_cycle(u, v):
             p, q = g.nodes[u], g.nodes[v]
+            if p[3] != 0 or q[3] != 0 or min(p[m - 1], q[m - 1]) < level:
+                return False
             if p[m - 1] == level and q[m - 1] == level:
                 return True
             return any(
                 set(support(p)) <= {m, j} and set(support(q)) <= {m, j} for j in others
             )
 
-        node_sets.append(frozenset(members))
-        edge_sets.append(
-            tuple(
-                e
-                for e, (u, v) in enumerate(g.edges)
-                if u in members and v in members and on_cycle(u, v)
-            )
-        )
-        closures.append(
-            frozenset(u for u, p in enumerate(g.nodes) if p[3] == 0 and p[m - 1] >= level)
-        )
-    return RedRegions(Fraction(c), tuple(node_sets), tuple(edge_sets), tuple(closures))
+        cycles.append(tuple(e for e, (u, v) in enumerate(g.edges) if on_cycle(u, v)))
+    return tuple(cycles)
 
 
 @pytest.mark.parametrize("n", range(3, 25))

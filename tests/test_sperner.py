@@ -45,23 +45,23 @@ EXTREMAL = {
 FACE_RESTRICTED_4_2 = {0: 3, 1: 3, 2: 3, 3: 2, 4: 2, 5: 1, 6: 0}
 
 
-def is_admissible(h, labels):
+def is_admissible(nodes, labels):
     """Oracle: every node labeled from its own support."""
-    return all(h.nodes[v][l - 1] > 0 for v, l in enumerate(labels))
+    return all(nodes[v][l - 1] > 0 for v, l in enumerate(labels))
 
 
 @pytest.mark.parametrize("k,n", sorted(EXTREMAL))
 def test_hyperedge_count(k, n):
-    h = build_hypergraph(k, n)
-    assert len(h.hyperedges) == comb(n + k - 2, k - 1)
-    for members in h.hyperedges:
+    hyperedges = build_hypergraph(k, n)
+    assert len(hyperedges) == comb(n + k - 2, k - 1)
+    for members in hyperedges:
         assert len(members) == k
 
 
 def test_hyperedges_are_upward_simplices():
-    h = build_hypergraph(3, 3)
-    for members in h.hyperedges:
-        pts = sorted(h.nodes[v] for v in members)
+    nodes = build_graph(3, 3).nodes
+    for members in build_hypergraph(3, 3):
+        pts = sorted(nodes[v] for v in members)
         base = [min(p[i] for p in pts) for i in range(3)]
         assert sorted(pts) == sorted(
             tuple(b + (1 if i == j else 0) for j, b in enumerate(base))
@@ -85,9 +85,7 @@ def _reference_hypergraph(k, n):
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("k", range(2, 6))
 def test_hypergraph_matches_dict_reference(k, n):
-    h = build_hypergraph(k, n)
-    assert (h.nodes, h.hyperedges) == _reference_hypergraph(k, n)
-    assert h.nodes is build_graph(k, n).nodes
+    assert (build_graph(k, n).nodes, build_hypergraph(k, n)) == _reference_hypergraph(k, n)
 
 
 @pytest.mark.parametrize("k,n", sorted(EXTREMAL))
@@ -95,29 +93,28 @@ def test_extremal_equals_bound(k, n):
     rep = exhaustive_extremal(k, n)
     assert rep.max_monochromatic == EXTREMAL[(k, n)]
     assert rep.max_monochromatic == monochromatic_upper_bound(k, n)
-    h = build_hypergraph(k, n)
-    assert is_admissible(h, rep.witness)
-    assert count_monochromatic(h, rep.witness) == rep.max_monochromatic
+    assert is_admissible(build_graph(k, n).nodes, rep.witness)
+    assert count_monochromatic(build_hypergraph(k, n), rep.witness) == rep.max_monochromatic
 
 
 def test_admissibility_samples():
-    h = build_hypergraph(3, 2)
-    all_first = tuple(support(p)[0] for p in h.nodes)
-    assert is_admissible(h, all_first)
+    nodes = build_graph(3, 2).nodes
+    all_first = tuple(support(p)[0] for p in nodes)
+    assert is_admissible(nodes, all_first)
     # swap one label to something off-support
     broken = list(all_first)
-    broken[0] = 2 if h.nodes[0][1] == 0 else 3
-    assert not is_admissible(h, tuple(broken))
+    broken[0] = 2 if nodes[0][1] == 0 else 3
+    assert not is_admissible(nodes, tuple(broken))
 
 
 def test_random_admissible_never_beats_bound():
     rng = random.Random(20260815)
     for k, n in ((3, 4), (4, 2)):
-        h = build_hypergraph(k, n)
+        hyperedges = build_hypergraph(k, n)
         bound = monochromatic_upper_bound(k, n)
         for _ in range(300):
-            labels = tuple(rng.choice(support(p)) for p in h.nodes)
-            assert count_monochromatic(h, labels) <= bound
+            labels = tuple(rng.choice(support(p)) for p in build_graph(k, n).nodes)
+            assert count_monochromatic(hyperedges, labels) <= bound
 
 
 def test_face_restricted_floors_frozen():
@@ -168,8 +165,8 @@ def test_budget_refusal_is_eager(monkeypatch):
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 2), (6, 3)])
 def test_family_size_counts_the_choice_lists(k, n, face_restricted):
     # the families by their definition on coordinates, not by their rules
-    h = build_hypergraph(k, n)
-    sizes = [k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in h.nodes]
+    nodes = build_graph(k, n).nodes
+    sizes = [k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in nodes]
     rule = sperner.face_relaxed if face_restricted else sperner.admissible
     assert prod(b**e for b, e in family_size(k, n, rule)) == prod(sizes)
 
@@ -201,24 +198,25 @@ def test_verdicts_name_each_claim():
 
 def _exhaustive_extremal_reference(k, n, face_restricted):
     """The per-hyperedge scan: count_monochromatic on every labeling."""
-    h = build_hypergraph(k, n)
+    nodes = build_graph(k, n).nodes
+    hyperedges = build_hypergraph(k, n)
     choices = [
         tuple(range(1, k + 1)) if face_restricted and p[k - 1] == 0 else tuple(support(p))
-        for p in h.nodes
+        for p in nodes
     ]
-    total = len(h.hyperedges)
+    total = len(hyperedges)
     best = -1
     witness = ()
     by_inadmissible = {}
     explored = 0
     for labels in product(*choices):
         explored += 1
-        mono = count_monochromatic(h, labels)
+        mono = count_monochromatic(hyperedges, labels)
         if mono > best:
             best = mono
             witness = labels
         if face_restricted:
-            bad = sum(1 for v, l in enumerate(labels) if h.nodes[v][l - 1] == 0)
+            bad = sum(1 for v, l in enumerate(labels) if nodes[v][l - 1] == 0)
             nonmono = total - mono
             cur = by_inadmissible.get(bad)
             if cur is None or nonmono < cur[0]:
@@ -235,8 +233,8 @@ def _exhaustive_extremal_reference(k, n, face_restricted):
 
 
 def _family_size(k, n, face_restricted):
-    h = build_hypergraph(k, n)
-    return prod(k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in h.nodes)
+    nodes = build_graph(k, n).nodes
+    return prod(k if face_restricted and p[k - 1] == 0 else len(support(p)) for p in nodes)
 
 
 # every family within the default budget for k = 3 and 4 (the largest are
