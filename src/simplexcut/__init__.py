@@ -59,7 +59,6 @@ from .lattice import (
     build_graph,
     red_regions,
     simplex_points,
-    support,
 )
 from .reproduce import CheckResult, RunReport, run_criterion, run_suite
 from .search import (

@@ -82,11 +82,6 @@ def simplex_points(k: int, n: int) -> list[Point]:
     return list(zip(*_colex_columns(k, n)))
 
 
-def support(point: Point) -> tuple[int, ...]:
-    """1-based indices of the strictly positive coordinates."""
-    return tuple(i + 1 for i, value in enumerate(point) if value > 0)
-
-
 def node_count(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 

@@ -27,6 +27,7 @@ from .cuts import (
     delta,
     isolate_terminals,
     midlines,
+    non_opposite,
     reachable_labels,
     terminal_ball,
 )
@@ -38,14 +39,13 @@ from .io import (
     parse_instance,
     render_decimal,
 )
-from .lattice import build_graph, family_choices, family_size
+from .lattice import build_graph
 from .search import (
     DEFAULT_LABELING_BUDGET,
     SearchBudget,
     _price,
     _weighted_edges,
-    _within_budget,
-    enumerate_non_opposite,
+    family,
     min_non_opposite_cost,
     min_terminal_face_cut,
 )
@@ -315,14 +315,9 @@ def _sperner_face_restricted(budget):
 
 
 def _cut_size_sweep(budget):
-    violations = 0
-
-    def visit(p: CutLabeling) -> None:
-        nonlocal violations
-        if not cut_size_floor(p).ok:
-            violations += 1
-
-    seen = enumerate_non_opposite(4, 2, visitor=visit, max_labelings=budget)
+    g, choices = family(4, 2, non_opposite, budget)
+    holds = [cut_size_floor(CutLabeling(g, labels)).ok for labels in product(*choices)]
+    seen, violations = len(holds), holds.count(False)
     return f"{seen} cuts, {violations} violations", seen == 729 and violations == 0
 
 
@@ -403,10 +398,8 @@ def _relabel_sweep(w: WeightMap, budget: int, all_properties: bool) -> tuple[int
     computed once per distinct relabeling q.  q's cut-set lies inside the
     map's when the map separates the endpoints of every edge q cuts.
     """
-    g = w.graph
+    g, choices = family(w.graph.k, w.graph.n, _pinned, budget)
     aux = g.k + 1
-    _within_budget(family_size(g.k, g.n, _pinned), budget)
-    choices = family_choices(g, _pinned)
     for bound in (min, max):  # every map lies between these two, node by node
         CutLabeling(g, tuple(map(bound, choices)))
     weighted = _weighted_edges(w)

@@ -26,6 +26,7 @@ from .cuts import CutLabeling, isolate_terminals, midlines, midlines_extended, n
 from .errors import BudgetExceededError
 from .instances import WeightMap
 from .lattice import (
+    Rule,
     SimplexGraph,
     boundary_nodes,
     build_graph,
@@ -87,11 +88,12 @@ def _within_budget(factors: list[tuple[int, int]], max_labelings: int) -> None:
     when it has more than max_labelings, and a budget below 1 by
     SearchBudget's rule.
 
-    Callers count their family with lattice.family_size and refuse
-    before they build it or walk its first labeling.  A count with more
-    digits than str converts is compared by its logarithm and named by
-    its floor, unless the budget is as long as the count or the logarithm
-    is within _LOG_SLACK of an integer; only then is it multiplied out.
+    family is the one refusal of a full walk: it counts the family with
+    lattice.family_size and refuses before it builds the lattice.  A
+    count with more digits than str converts is compared by its
+    logarithm and named by its floor, unless the budget is as long as the
+    count or the logarithm is within _LOG_SLACK of an integer; only then
+    is it multiplied out.
     When the count and the budget read the same, both "more than 10^N",
     the message also names by how much the count exceeds the budget.
     """
@@ -150,26 +152,28 @@ def _price(weighted: list[tuple[int, int, int]], labels: tuple[int, ...]) -> int
     return c
 
 
-def enumerate_non_opposite(
-    k: int,
-    n: int,
-    visitor=None,
-    max_labelings: int = DEFAULT_LABELING_BUDGET,
-) -> int:
-    """Visit every non-opposite cut of the (k, n) lattice once, in
-    mixed-radix node order.
+def family(
+    k: int, n: int, rule: Rule, max_labelings: int = DEFAULT_LABELING_BUDGET
+) -> tuple[SimplexGraph, list[tuple[int, ...]]]:
+    """The (k, n) lattice and the labels rule allows each of its nodes,
+    for a walk over the whole family.
 
-    Refuses to start when the space exceeds max_labelings, counting it
-    before the lattice is built.  Returns the visit count.
+    Refuses a family of more than max_labelings labelings, counting it
+    before the lattice is built.
     """
-    _within_budget(family_size(k, n, non_opposite), max_labelings)
+    _within_budget(family_size(k, n, rule), max_labelings)
     g = build_graph(k, n)
-    count = 0
-    for labels in product(*family_choices(g, non_opposite)):
-        count += 1
-        if visitor is not None:
-            visitor(CutLabeling(g, labels))
-    return count
+    return g, family_choices(g, rule)
+
+
+def enumerate_non_opposite(k: int, n: int, max_labelings: int = DEFAULT_LABELING_BUDGET) -> int:
+    """The number of non-opposite cuts of the (k, n) lattice, counted by
+    walking them in mixed-radix node order.
+
+    Refuses to start when the space exceeds max_labelings (see family).
+    """
+    _g, choices = family(k, n, non_opposite, max_labelings)
+    return sum(1 for _labels in product(*choices))
 
 
 def _seed_cuts(g: SimplexGraph) -> list[CutLabeling]:

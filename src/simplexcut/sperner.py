@@ -17,8 +17,8 @@ from math import comb, factorial
 from operator import contains, getitem, itemgetter
 
 from .cuts import CutLabeling, delta, is_non_opposite
-from .lattice import build_graph, family_choices, family_size, node_count, simplex_points
-from .search import DEFAULT_LABELING_BUDGET, _within_budget
+from .lattice import build_graph, family_choices, node_count, simplex_points
+from .search import DEFAULT_LABELING_BUDGET, family
 
 
 def build_hypergraph(k: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -121,9 +121,8 @@ def exhaustive_extremal(
     count_monochromatic is the per-hyperedge reference.
     """
     rule = face_relaxed if face_restricted else admissible
-    _within_budget(family_size(k, n, rule), max_labelings)
+    g, choices = family(k, n, rule, max_labelings)
     hyperedges = build_hypergraph(k, n)
-    g = build_graph(k, n)
     total = len(hyperedges)
     gather = itemgetter(*chain.from_iterable(hyperedges))
     is_constant = frozenset((label,) * k for label in range(1, k + 1)).__contains__
@@ -134,7 +133,7 @@ def exhaustive_extremal(
     witness: tuple[int, ...] = ()
     by_inadmissible: dict[int, tuple[int, tuple[int, ...]]] = {}
     explored = 0
-    for labels in product(*family_choices(g, rule)):
+    for labels in product(*choices):
         explored += 1
         members = iter(gather(labels))
         mono = sum(map(is_constant, zip(*[members] * k)))

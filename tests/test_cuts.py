@@ -27,11 +27,12 @@ from simplexcut import (
     midlines,
     midlines_extended,
     named_cut,
-    support,
     terminal_ball,
 )
 from simplexcut.cuts import _windows, reachable_labels
 from simplexcut.lattice import cap_depth, node_count
+
+from helpers import support
 
 
 def test_labeling_validation():

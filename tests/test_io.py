@@ -29,6 +29,7 @@ from simplexcut import (
     render_decimal,
     render_rational,
 )
+from simplexcut import cli
 from simplexcut import io as sio
 from simplexcut.lattice import edge_count, node_count, terminal_nodes
 
@@ -268,6 +269,50 @@ def test_dimacs_refuses_more_edges_than_the_lattice_has(monkeypatch):
     with pytest.raises(ValueError, match=f"announces {announced} edges, the lattice has 492960$"):
         parse_instance(f"p mwc {node_count(k, n)} {announced} {k}\n" + corners)
     assert build_graph.cache_info().currsize == cached
+
+
+def test_dimacs_refuses_a_lattice_past_the_limit(tmp_path, capsys):
+    # 36 valid bytes (no edges, every weight 0) announce a lattice of
+    # 10**6 + 1 nodes: refused at the problem line, before any graph is
+    # built, and by the CLI as an invalid parameter
+    text = "p mwc 1000001 0 2\nt 0 1\nt 1000000 2\n"
+    assert len(text) == 36
+    message = (
+        "a lattice of 1000001 nodes and 1000000 edges exceeds"
+        f" the limit of {sio.DIMACS_MAX_LATTICE} nodes and edges together"
+    )
+    cached = build_graph.cache_info()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_instance(text)
+    assert build_graph.cache_info() == cached
+    path = tmp_path / "huge.dimacs"
+    path.write_text(text)
+    assert cli.main(["eval-cut", "--instance", str(path), "--cut", "isolate-terminals"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "invalid-parameter", "message": message}
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 4), (4, 3)])
+def test_dimacs_lattice_limit_admits_its_own_size(monkeypatch, k, n):
+    # a lattice of exactly the limit parses; one node or edge past it does not
+    size = node_count(k, n) + edge_count(k, n)
+    header = f"p mwc {node_count(k, n)} 0 {k}\n"
+    text = header + "".join(f"t {t} {i}\n" for i, t in enumerate(terminal_nodes(k, n), start=1))
+    monkeypatch.setattr(sio, "DIMACS_MAX_LATTICE", size)
+    assert parse_instance(text).weights.graph is build_graph(k, n)
+    monkeypatch.setattr(sio, "DIMACS_MAX_LATTICE", size - 1)
+    with pytest.raises(ValueError, match=f"exceeds the limit of {size - 1} nodes and edges together$"):
+        parse_instance(text)
+
+
+def test_dimacs_limit_admits_the_largest_emitted_instance():
+    # combined k = 4, n = 78 (85,320 nodes, 492,960 edges) is the largest
+    # lattice the package writes; its DIMACS document still round-trips
+    params = GapParams.tuned(c=Fraction(1, 13))
+    w = combine(params, build_graph(4, 78))
+    assert node_count(4, 78) + edge_count(4, 78) <= sio.DIMACS_MAX_LATTICE
+    parsed = parse_instance(emit_instance_dimacs(w, tag="combined", c=params.c, lam=params.lams()))
+    assert parsed.weights == w
+    assert (parsed.tag, parsed.c, parsed.lam) == ("combined", params.c, params.lams())
 
 
 def test_dimacs_refuses_a_negative_edge_count(monkeypatch):

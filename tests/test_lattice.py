@@ -29,12 +29,13 @@ from simplexcut import (
     limitation_min,
     red_regions,
     simplex_points,
-    support,
 )
 from simplexcut.cuts import non_opposite
 from simplexcut.lattice import family_choices, family_size, node_count, reach
 from simplexcut.reproduce import _pinned
 from simplexcut.sperner import admissible, face_relaxed
+
+from helpers import support
 
 PACKAGE_ROOT = Path(simplexcut.__file__).parents[1]
 

@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from collections import deque
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm, prod
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from simplexcut import (
     BudgetExceededError,
+    CutLabeling,
     GapParams,
     SearchBudget,
     WeightMap,
@@ -27,11 +29,11 @@ from simplexcut import (
     min_non_opposite_cost,
     min_terminal_face_cut,
     nonopposite_cost_floor,
-    support,
 )
 from simplexcut import search
 from simplexcut.cuts import non_opposite
 from simplexcut.lattice import family_choices, family_size
+from simplexcut.reproduce import _pinned
 from simplexcut.search import (
     _count_text,
     _price,
@@ -39,6 +41,9 @@ from simplexcut.search import (
     _weighted_edges,
     _within_budget,
 )
+from simplexcut.sperner import admissible, face_relaxed
+
+from helpers import support
 
 # exact values proven by full enumeration or certified branch-and-bound
 MIN_J_DELTA_3_3 = Fraction(1)
@@ -134,23 +139,29 @@ def test_budget_refusal_names_the_difference_to_an_equally_long_budget():
     )
 
 
-def test_enumerate_visits_every_cut_once():
+def test_family_walk_yields_every_non_opposite_cut_once():
+    g, choices = search.family(4, 2, non_opposite)
     seen = set()
-
-    def visit(p):
-        assert is_non_opposite(p)
-        seen.add(p.labels)
-
-    count = enumerate_non_opposite(4, 2, visitor=visit)
-    assert count == 729
+    for labels in product(*choices):
+        assert is_non_opposite(CutLabeling(g, labels))
+        seen.add(labels)
     assert len(seen) == 729
+    assert enumerate_non_opposite(4, 2) == 729
 
 
-def test_enumerate_budget_refusal_is_eager():
-    visited = []
-    with pytest.raises(BudgetExceededError):
-        enumerate_non_opposite(3, 3, visitor=visited.append, max_labelings=100)
-    assert visited == []
+def test_family_refuses_before_building_the_lattice():
+    cached = build_graph.cache_info()
+    with pytest.raises(BudgetExceededError, match="^2916 labelings exceed the budget of 100$"):
+        search.family(3, 3, non_opposite, 100)
+    assert build_graph.cache_info() == cached
+
+
+@pytest.mark.parametrize("rule", [non_opposite, admissible, face_relaxed, _pinned], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("k,n", [(3, 3), (4, 2)])
+def test_family_lists_the_choices_of_its_rule(rule, k, n):
+    g, choices = search.family(k, n, rule)
+    assert g is build_graph(k, n)
+    assert choices == family_choices(build_graph(k, n), rule)
 
 
 def test_exhaustive_min_of_triangle():

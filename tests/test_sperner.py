@@ -23,11 +23,12 @@ from simplexcut import (
     monochromatic_upper_bound,
     nonmonochromatic_lower_bound,
     simplex_points,
-    support,
     terminal_ball,
     witness_attains,
 )
 from simplexcut.lattice import family_size
+
+from helpers import support
 
 # (k, n) -> exhaustive maximum monochromatic count; equals the closed-form
 # bound at every desk-scale size
